@@ -62,11 +62,31 @@ class Move:
     kind: str = "improve"
 
 
+class _TreeCache:
+    """Structure derived from one tree state, computed lazily on first use.
+
+    Every field is built once and never mutated afterwards, so index copies
+    may share a cache until one of them changes its tree.
+    """
+
+    __slots__ = ("non_tree", "parent", "depth", "through")
+
+    def __init__(self) -> None:
+        self.non_tree: Optional[Tuple[Edge, ...]] = None
+        self.parent: Optional[Dict[NodeId, Optional[NodeId]]] = None
+        self.depth: Optional[Dict[NodeId, int]] = None
+        self.through: Optional[Dict[NodeId, Tuple[Edge, ...]]] = None
+
+
 class TreeIndex:
     """Mutable index of a spanning tree supporting cycle queries and swaps.
 
     The index keeps tree adjacency and degrees incrementally up to date so
     that the planning search (which simulates candidate swaps) stays cheap.
+    Derived structure -- the sorted non-tree edges, the tree rooted at the
+    smallest node, and the non-tree edges whose cycle crosses each node --
+    is cached per tree state: :meth:`apply` is the only mutator and drops
+    the cache, and :meth:`copy` shares it until the copy's first swap.
     """
 
     def __init__(self, graph: nx.Graph, tree_edges: Iterable[Edge]):
@@ -83,6 +103,9 @@ class TreeIndex:
             self.adj[u].add(v)
             self.adj[v].add(u)
         self.degree: Dict[NodeId, int] = {v: len(self.adj[v]) for v in self.nodes}
+        self._graph_edges: Tuple[Edge, ...] = tuple(sorted(
+            {canonical_edge(u, v) for u, v in graph.edges}))
+        self._cache = _TreeCache()
 
     # -- queries -----------------------------------------------------------------
 
@@ -94,6 +117,8 @@ class TreeIndex:
         clone.tree_edges = set(self.tree_edges)
         clone.adj = {v: set(nbrs) for v, nbrs in self.adj.items()}
         clone.degree = dict(self.degree)
+        clone._graph_edges = self._graph_edges
+        clone._cache = self._cache
         return clone
 
     def tree_degree(self) -> int:
@@ -105,37 +130,75 @@ class TreeIndex:
         k = self.tree_degree()
         return [v for v in self.nodes if self.degree[v] == k]
 
-    def non_tree_edges(self) -> List[Edge]:
+    def non_tree_edges(self) -> Tuple[Edge, ...]:
         """Graph edges not currently in the tree, sorted canonically."""
-        graph_edges = {canonical_edge(u, v) for u, v in self.graph.edges}
-        return sorted(graph_edges - self.tree_edges)
+        cache = self._cache
+        if cache.non_tree is None:
+            tree = self.tree_edges
+            cache.non_tree = tuple(e for e in self._graph_edges if e not in tree)
+        return cache.non_tree
 
     def cycle_path(self, u: NodeId, v: NodeId) -> List[NodeId]:
         """Tree path from ``u`` to ``v`` (the fundamental cycle of ``{u, v}``)."""
-        if u == v:
-            return [u]
-        prev: Dict[NodeId, NodeId] = {u: u}
-        stack = [u]
-        while stack:
-            x = stack.pop()
-            if x == v:
-                break
-            for y in self.adj[x]:
-                if y not in prev:
-                    prev[y] = x
-                    stack.append(y)
-        if v not in prev:
-            raise NotASpanningTreeError(f"nodes {u} and {v} are not tree-connected")
-        path = [v]
-        while path[-1] != u:
-            path.append(prev[path[-1]])
-        path.reverse()
-        return path
+        parent, depth = self._rooted()
+        up, down = [u], [v]
+        while depth[u] > depth[v]:
+            u = parent[u]
+            up.append(u)
+        while depth[v] > depth[u]:
+            v = parent[v]
+            down.append(v)
+        while u != v:
+            u, v = parent[u], parent[v]
+            if u is None:
+                raise NotASpanningTreeError(
+                    f"nodes {up[0]} and {down[0]} are not tree-connected")
+            up.append(u)
+            down.append(v)
+        down.pop()
+        return up + down[::-1]
+
+    def edges_through(self, w: NodeId) -> Tuple[Edge, ...]:
+        """Non-tree edges whose fundamental cycle has ``w`` as an interior
+        node, in :meth:`non_tree_edges` order."""
+        cache = self._cache
+        if cache.through is None:
+            through: Dict[NodeId, List[Edge]] = {v: [] for v in self.nodes}
+            for edge in self.non_tree_edges():
+                for x in self.cycle_path(*edge)[1:-1]:
+                    through[x].append(edge)
+            cache.through = {v: tuple(edges) for v, edges in through.items()}
+        return cache.through[w]
+
+    def _rooted(self) -> Tuple[Dict[NodeId, Optional[NodeId]], Dict[NodeId, int]]:
+        """Parent and depth of every node, each component rooted at its
+        smallest node (a root's parent is ``None``)."""
+        cache = self._cache
+        if cache.parent is None:
+            parent: Dict[NodeId, Optional[NodeId]] = {}
+            depth: Dict[NodeId, int] = {}
+            for root in self.nodes:
+                if root in parent:
+                    continue
+                parent[root] = None
+                depth[root] = 0
+                stack = [root]
+                while stack:
+                    x = stack.pop()
+                    d = depth[x] + 1
+                    for y in self.adj[x]:
+                        if y not in depth:
+                            parent[y] = x
+                            depth[y] = d
+                            stack.append(y)
+            cache.parent, cache.depth = parent, depth
+        return cache.parent, cache.depth
 
     # -- mutation ------------------------------------------------------------------
 
     def apply(self, move: Move) -> None:
-        """Apply a swap, updating adjacency and degrees incrementally."""
+        """Apply a swap, updating adjacency and degrees incrementally and
+        dropping the derived-structure cache."""
         add = canonical_edge(*move.add)
         remove = canonical_edge(*move.remove)
         if remove not in self.tree_edges:
@@ -156,6 +219,7 @@ class TreeIndex:
         self.adj[av].add(au)
         self.degree[au] += 1
         self.degree[av] += 1
+        self._cache = _TreeCache()
 
 
 # ---------------------------------------------------------------------------
@@ -215,14 +279,9 @@ def _plan_deblock(index: TreeIndex, w: NodeId, k: int,
         return None
     budget[0] -= 1
     stack = stack | {w}
-    for edge in index.non_tree_edges():
+    for edge in index.edges_through(w):
         a, b = edge
-        if w in (a, b):
-            continue  # the cycle must pass *through* w as an interior node
-        path = index.cycle_path(a, b)
-        if w not in path:
-            continue
-        chain = _plan_endpoints(index, (a, b), k, stack, budget)
+        chain = _plan_endpoints(index, edge, k, stack, budget)
         if chain is None:
             continue
         # Simulate the sub-chain, then verify the deblocking swap is still valid.
@@ -275,13 +334,19 @@ def plan_improvement(graph: nx.Graph, tree_edges: Iterable[Edge],
                      max_plan_nodes: int = 2000) -> Optional[List[Move]]:
     """Find a chain of swaps ending in the improvement of a maximum-degree node.
 
-    Returns ``None`` when the tree is a fixpoint of the paper's improvement
-    rule (no direct improvement and no deblock chain leading to one), which by
-    Theorem 2 certifies ``deg(T) <= Δ* + 1``.
+    Returns ``None`` when no chain was found: either the tree is a fixpoint
+    of the paper's improvement rule (no direct improvement and no deblock
+    chain leading to one), which by Theorem 2 certifies ``deg(T) <= Δ* + 1``,
+    or the search ran out of budget.
 
     ``max_plan_nodes`` bounds the total recursion effort of the planning
-    search (a safety valve for pathological instances; the bound is never hit
-    in the experiment suite).
+    search: one unit per deblock attempt.  The bound *is* hit in practice.
+    On the cold synchronous start of ``erdos_renyi_sparse`` n=16, graph
+    seeds 0-3, 9 of the 48 planner calls exhaust the default budget, and the
+    final ``None`` of every run comes from an exhausted search.  On graph
+    seed 3 that tree has degree 3 while ``Δ* = 2``, and 16000 units still
+    find no chain.  A ``None`` is therefore "no chain within budget", not a
+    proof of a fixpoint.
     """
     index = TreeIndex(graph, tree_edges)
     k = index.tree_degree()

@@ -15,6 +15,14 @@ The first two conditions are cheap; the third calls the chain planner of
 :mod:`repro.core.improvement` and is therefore only evaluated when the first
 two hold.
 
+Condition 3 is checked by a *bounded* search (``max_plan_nodes=2000``), and
+the bound is hit: on the cold synchronous start of ``erdos_renyi_sparse``
+n=16 (graph seeds 0-3) every final fixpoint verdict comes from an exhausted
+search.  Legitimacy thus means "no improvement chain found within the
+budget".  The Δ*+1 bound of the trees reached is checked separately against
+:func:`repro.baselines.exact_mdst_degree` where the instances are small
+enough.
+
 Kernel integration: every stage accepts the pre-computed per-node snapshot
 mapping so a full evaluation traverses the network exactly once (the kernel
 maintains :meth:`~repro.sim.network.Network.snapshots` incrementally from

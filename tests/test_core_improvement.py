@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
+import random
+
 import networkx as nx
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.exceptions import NotASpanningTreeError
 from repro.graphs import (
@@ -11,6 +15,7 @@ from repro.graphs import (
     dfs_spanning_tree,
     is_spanning_tree,
     make_graph,
+    random_spanning_tree,
     tree_degree,
 )
 from repro.core.improvement import (
@@ -188,3 +193,146 @@ class TestPlanning:
             tree = apply_moves(g, tree, plan)
         assert plans
         assert tree_degree(g.nodes, tree) <= exact_mdst_degree(g) + 1
+
+
+# ---------------------------------------------------------------------------
+# Golden plan corpus
+# ---------------------------------------------------------------------------
+
+#: Trees on ``erdos_renyi_sparse`` n=16 (graph seed = key) where the
+#: synchronous cold start (``perfbench`` workload ``mdst-cold-sync-n16``)
+#: ends: each is reported as a fixpoint only because the search exhausted
+#: its default budget of ``max_plan_nodes=2000``.
+BUDGET_BOUND_TREES = {
+    0: [(0, 11), (1, 5), (1, 14), (2, 4), (2, 7), (2, 15), (3, 8), (4, 13),
+        (5, 10), (6, 10), (6, 12), (7, 9), (8, 12), (11, 13), (14, 15)],
+    1: [(0, 6), (0, 7), (1, 12), (1, 13), (2, 10), (2, 14), (3, 11), (4, 5),
+        (4, 13), (5, 8), (7, 15), (8, 9), (9, 15), (10, 12), (11, 13)],
+    2: [(0, 6), (0, 11), (1, 9), (1, 14), (2, 3), (2, 13), (3, 10), (4, 13),
+        (5, 6), (5, 8), (7, 14), (9, 12), (10, 15), (11, 12), (12, 15)],
+    3: [(0, 5), (1, 4), (1, 13), (2, 13), (3, 9), (3, 15), (4, 9), (5, 11),
+        (6, 8), (7, 14), (7, 15), (8, 10), (8, 12), (10, 11), (12, 14)],
+}
+
+#: md5 of every plan of :func:`_golden_plans`, recorded before the planner's
+#: tree index gained its caches; any change to the search order or the
+#: budget accounting changes it.
+GOLDEN_PLAN_DIGEST = "2c454f2624d026aca75aa17245dd87d0"
+
+
+def _kruskal_tree(graph, seed):
+    """Minimum spanning tree under seeded random edge weights."""
+    rng = random.Random(seed)
+    weighted = nx.Graph()
+    for u, v in sorted(tuple(sorted(e)) for e in graph.edges):
+        weighted.add_edge(u, v, weight=rng.random())
+    return {tuple(sorted(e)) for e in
+            nx.minimum_spanning_edges(weighted, algorithm="kruskal", data=False)}
+
+
+def _golden_plans():
+    """Every plan met while iterating the planner to a fixpoint from seeded
+    Kruskal trees, then the plans of the budget-bound trees."""
+    for family in ("erdos_renyi_sparse", "wheel", "random_geometric"):
+        for n in range(8, 21, 2):
+            for graph_seed in range(2):
+                g = make_graph(family, n, seed=graph_seed)
+                for tree_seed in range(2):
+                    tree = _kruskal_tree(g, tree_seed)
+                    for _ in range(40):
+                        plan = plan_improvement(g, tree)
+                        yield plan
+                        if plan is None:
+                            break
+                        tree = apply_moves(g, tree, plan)
+    for seed, tree in BUDGET_BOUND_TREES.items():
+        yield plan_improvement(make_graph("erdos_renyi_sparse", 16, seed=seed), tree)
+
+
+def test_golden_plan_corpus_is_unchanged():
+    digest = hashlib.md5()
+    for plan in _golden_plans():
+        moves = None if plan is None else [(m.add, m.remove, m.target, m.kind)
+                                           for m in plan]
+        digest.update(repr(moves).encode())
+    assert digest.hexdigest() == GOLDEN_PLAN_DIGEST
+
+
+@pytest.mark.parametrize("budget", [2000, 16000])
+def test_fixpoint_verdict_can_come_from_an_exhausted_budget(budget):
+    """The planner is a bounded search: this tree is one improvement away
+    from optimal (degree 3, Δ* = 2), yet no chain is found within the
+    budget, so ``None`` means "no chain found", not "no chain exists"."""
+    g = make_graph("erdos_renyi_sparse", 16, seed=3)
+    tree = BUDGET_BOUND_TREES[3]
+    assert plan_improvement(g, tree, max_plan_nodes=budget) is None
+    assert tree_degree(g.nodes, tree) == 3
+    assert exact_mdst_degree(g) == 2
+
+
+# ---------------------------------------------------------------------------
+# Cached tree structure under swaps and copies
+# ---------------------------------------------------------------------------
+
+@st.composite
+def swap_scripts(draw):
+    """A connected graph, a spanning tree and a script of copies and swaps.
+
+    A swap ``(i, e, r)`` adds the ``e``-th non-tree edge of index ``i`` and
+    removes the ``r``-th edge of its cycle (both taken modulo the choices);
+    a copy ``(i,)`` clones index ``i``.
+    """
+    n = draw(st.integers(4, 10))
+    g = nx.gnp_random_graph(n, draw(st.floats(0.3, 0.9)),
+                            seed=draw(st.integers(0, 2**16)))
+    for v in range(1, n):  # a spine keeps the graph connected
+        g.add_edge(v - 1, v)
+    tree = random_spanning_tree(g, seed=draw(st.integers(0, 2**16)))
+    script = draw(st.lists(st.one_of(
+        st.tuples(st.integers(0, 7)),
+        st.tuples(st.integers(0, 7), st.integers(0, 99), st.integers(0, 99))),
+        max_size=12))
+    return g, tree, script
+
+
+def _check_index(g, index, expected_tree):
+    assert index.tree_edges == expected_tree
+    graph_edges = {tuple(sorted(e)) for e in g.edges}
+    non_tree = index.non_tree_edges()
+    assert isinstance(non_tree, tuple)
+    assert non_tree == tuple(sorted(graph_edges - expected_tree))
+    t = nx.Graph(list(expected_tree))
+    for u in g.nodes:
+        for v in g.nodes:
+            assert index.cycle_path(u, v) == nx.shortest_path(t, u, v)
+    for w in g.nodes:
+        brute = tuple(e for e in non_tree if w in nx.shortest_path(t, *e)[1:-1])
+        assert index.edges_through(w) == brute
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(swap_scripts())
+def test_cached_structure_tracks_swaps_on_index_and_copies(case):
+    g, tree, script = case
+    indexes = [TreeIndex(g, tree)]
+    expected = [set(tree)]
+    _check_index(g, indexes[0], expected[0])
+    for step in script:
+        i = step[0] % len(indexes)
+        index = indexes[i]
+        if len(step) == 1:
+            indexes.append(index.copy())
+            expected.append(set(expected[i]))
+        else:
+            non_tree = index.non_tree_edges()
+            if not non_tree:
+                continue
+            add = non_tree[step[1] % len(non_tree)]
+            path = index.cycle_path(*add)
+            r = step[2] % (len(path) - 1)
+            remove = tuple(sorted(path[r:r + 2]))
+            index.apply(Move(add=add, remove=remove, target=path[r]))
+            expected[i] = expected[i] - {remove} | {add}
+        for idx, edges in zip(indexes, expected):
+            _check_index(g, idx, edges)
