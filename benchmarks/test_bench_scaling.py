@@ -75,9 +75,12 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import time
 from pathlib import Path
 from typing import Dict, List, Tuple
+
+import pytest
 
 from repro.core.protocol import build_mdst_network
 from repro.graphs.fast_generators import make_fast_graph
@@ -235,11 +238,22 @@ def _timed_run(engine: SweepEngine, family: str, n: int, backend: str,
 def _measure(engine: SweepEngine, family: str, n: int, backend: str,
              warmup: int, window: int,
              scheduler: str = "synchronous") -> Dict[str, object]:
-    """Marginal cost of ``window`` rounds after a ``warmup``-round prefix."""
+    """Marginal cost of ``window`` rounds after a ``warmup``-round prefix.
+
+    Raises ``ValueError`` when the marginal is not positive at the recorded
+    precision: ``window`` rounds cannot take no time, so such a difference
+    is noise swamping the window and must not become a row.
+    """
     t_warm = _timed_run(engine, family, n, backend, scheduler, warmup)
     t_full = _timed_run(engine, family, n, backend, scheduler,
                         warmup + window)
-    seconds = max(t_full - t_warm, 1e-9)
+    seconds = t_full - t_warm
+    if round(seconds, 4) <= 0:
+        raise ValueError(
+            f"{family} n={n} backend={backend} scheduler={scheduler}: "
+            f"{warmup + window} rounds took {t_full:.4f} s but the "
+            f"{warmup}-round prefix took {t_warm:.4f} s; a marginal of "
+            f"{seconds:.4f} s for {window} rounds is impossible")
     return {
         "family": family,
         "n": n,
@@ -257,6 +271,30 @@ def _aggregate(rows: List[Dict[str, object]]) -> float:
     seconds = sum(float(row["seconds"]) for row in rows)
     rounds = sum(int(row["measured_rounds"]) for row in rows)
     return round(rounds / seconds, 2) if seconds > 0 else 0.0
+
+
+def _stub_timed_run(monkeypatch, seconds_by_budget: Dict[int, float]) -> None:
+    """Make ``_timed_run`` return canned seconds keyed by round budget."""
+    monkeypatch.setattr(
+        sys.modules[__name__], "_timed_run",
+        lambda engine, family, n, backend, scheduler, budget:
+            seconds_by_budget[budget])
+
+
+@pytest.mark.parametrize("t_warm, t_full", [(1.0, 1.0), (1.0, 0.9),
+                                             (1.0, 1.00004)])
+def test_measure_rejects_a_non_positive_marginal(monkeypatch, t_warm, t_full):
+    _stub_timed_run(monkeypatch, {3: t_warm, 13: t_full})
+    with pytest.raises(ValueError, match="impossible"):
+        _measure(None, SCALING_FAMILY, 64, "array", 3, 10)
+
+
+def test_measure_reports_a_positive_marginal(monkeypatch):
+    _stub_timed_run(monkeypatch, {3: 1.0, 13: 1.5})
+    row = _measure(None, SCALING_FAMILY, 64, "array", 3, 10)
+    assert row["seconds"] == 0.5
+    assert row["rounds_per_sec"] == 20.0
+    assert row["ms_per_round"] == 50.0
 
 
 def test_scaling_throughput():

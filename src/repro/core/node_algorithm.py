@@ -181,10 +181,22 @@ class MDSTNode(Process):
         self.s.distance = 0
 
     def _apply_tree_rules(self) -> None:
+        """Apply R2, then R1, then R3 (the paper's rule order).
+
+        R1 and R3 apply only to a node that is no new-root candidate.  After
+        R2 that always holds, so ``_new_root_candidate()`` is evaluated once.
+        If R2 did not fire the node was no candidate and nothing changed;
+        if it did, ``root = parent = self`` and ``distance = 0 < n_upper``
+        (``n_upper >= 1``; :class:`~repro.core.protocol.MDSTConfig` enforces
+        ``>= 2``).  R1 then adopts a heard neighbour's strictly smaller root
+        (so ``root < self``) with the parent's root and a distance below
+        ``n_upper`` -- again no candidate.  This is the argument
+        :meth:`repro.sim.array_kernel.ArrayKernel.refresh` relies on.
+        """
         st = self.s
         if self._new_root_candidate():                                   # R2
             self._create_new_root()
-        if not self._new_root_candidate() and self._better_parent():     # R1
+        if self._better_parent():                                        # R1
             candidates = [u for u, v in st.view.items()
                           if v.heard and v.root < st.root and v.distance + 1 < self.n_upper]
             if candidates:
@@ -193,7 +205,7 @@ class MDSTNode(Process):
                 st.root = st.view[best].root
                 st.parent = best
                 st.distance = st.view[best].distance + 1
-        if not self._new_root_candidate() and not self._coherent_distance():  # R3
+        if not self._coherent_distance():                                # R3
             if st.parent == self.node_id:
                 st.distance = 0
             else:
@@ -240,18 +252,41 @@ class MDSTNode(Process):
                 return False
         return True
 
-    def _color_stabilized(self) -> bool:
-        """Paper predicate ``color_stabilized(v)``."""
-        color = self.s.color
-        for v in self.s.view.values():
-            if v.heard and v.color != color:
+    def locally_stabilized(self) -> bool:
+        """Paper predicate ``locally_stabilized(v)`` gating the reduction layer.
+
+        The paper's ``tree_stabilized() and color and degree_stabilized()
+        and color_stabilized()``, fused: the scalar clauses (own color,
+        coherent parent and distance) are checked once, then one pass over
+        the view rejects any heard neighbour with a smaller root, another
+        ``dmax`` or another color.  The predicate is pure, so the fused form
+        returns the same boolean; ``ArrayMDSTNode.locally_stabilized`` is
+        its vectorized twin.
+        """
+        st = self.s
+        color = st.color
+        if not color:
+            return False
+        me = self.node_id
+        root = st.root
+        d = st.distance
+        if d >= self.n_upper or root > me:
+            return False
+        parent = st.parent
+        if parent == me:
+            if root != me or d != 0:
+                return False
+        else:
+            pv = st.view.get(parent)
+            if pv is None:
+                return False
+            if pv.heard and (pv.root != root or d != pv.distance + 1):
+                return False
+        dmax = st.dmax
+        for v in st.view.values():
+            if v.heard and (v.root < root or v.dmax != dmax or v.color != color):
                 return False
         return True
-
-    def locally_stabilized(self) -> bool:
-        """Paper predicate ``locally_stabilized(v)`` gating the reduction layer."""
-        return (self.tree_stabilized() and self.s.color
-                and self._degree_stabilized() and self._color_stabilized())
 
     # ======================================================================
     # Gossip
@@ -356,7 +391,7 @@ class MDSTNode(Process):
                 # degenerate: the "non-tree" neighbour became a tree neighbour
                 continue
             msg = Search(init_edge=(target, self.node_id), idblock=idblock,
-                         path=((self.node_id, st.degree),),
+                         path=((self.node_id, len(tree_nbrs)),),
                          visited=(self.node_id,))
             self.send(first_hop, msg)
             self.stats["searches_initiated"] += 1
@@ -377,18 +412,16 @@ class MDSTNode(Process):
             self.stats["actions_on_cycle"] += 1
             self._action_on_cycle(msg.idblock, initiator, msg.path, sender)
             return
-        if self.node_id == initiator and len(msg.visited) > 1:
-            # Token came back to the initiator without finding the target
-            # through this branch; treat like any other node (backtrack logic
-            # below handles it) -- falling through is intentional.
-            pass
+        # A token back at its initiator is handled like any other node: the
+        # backtrack logic below covers it.
         visited = set(msg.visited)
         visited.add(self.node_id)
         tree_nbrs = st.tree_neighbors()
         candidates = [u for u in tree_nbrs if u not in visited]
         if candidates:
             nxt = target if target in candidates else min(candidates)
-            new_path = msg.path + ((self.node_id, st.degree),)
+            # ``degree`` is the number of tree neighbours on both backends.
+            new_path = msg.path + ((self.node_id, len(tree_nbrs)),)
             self.send(nxt, Search(init_edge=msg.init_edge, idblock=msg.idblock,
                                   path=new_path, visited=tuple(sorted(visited))))
             return

@@ -847,7 +847,7 @@ class ArrayMDSTNode(MDSTNode):
                     return False
         if not k.color[i]:
             return False
-        # _better_parent, _degree_stabilized and _color_stabilized, fused
+        # _better_parent, _degree_stabilized and color_stabilized, fused
         # into one pass over the slice (color[i] is True here, so the color
         # clause reduces to a heard neighbour voting False).
         vh = k.v_heard[lo:hi]

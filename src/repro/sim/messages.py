@@ -25,6 +25,17 @@ on Python >= 3.10 every message class declared through
 :func:`message_dataclass` is a *slotted* frozen dataclass (no per-instance
 ``__dict__``), and the per-instance size cache is an ordinary slot.  On 3.9
 the classes fall back to plain frozen dataclasses with identical semantics.
+
+Every message is sized when a channel enqueues it and again when the trace
+records its delivery; the ``(n, bits)`` cache on the instance makes the
+second and later sizings for the same ``n`` a lookup.  The first sizing of
+a fresh message -- every hop of a ``Search`` token builds one, with its
+DFS ``path`` and ``visited`` tuples -- runs the one recursive sizer
+:func:`_bits`.  It takes the identifier width once per message instead of
+once per integer, and tests the exact types of the protocol payloads
+(``int`` and ``tuple``, then ``None`` and ``bool``) before the general
+``isinstance`` chain.  The fast paths return what the chain returns for
+those types, so every size is unchanged.
 """
 
 from __future__ import annotations
@@ -62,9 +73,72 @@ def id_bits(n: int) -> int:
     """Number of bits needed to encode one identifier in an ``n``-node network.
 
     Cached per network size (a handful of small ints per process); called
-    once per integer field of every message the accounting layer sizes.
+    once per sizing -- :func:`_bits` takes the result as an argument.
     """
     return max(1, math.ceil(math.log2(max(n, 2)))) + 1
+
+
+#: Per-class cache of payload field names, filled by :func:`_payload_fields`.
+_PAYLOAD_FIELDS: Dict[type, Tuple[str, ...]] = {}
+
+
+def _payload_fields(cls: type) -> Tuple[str, ...]:
+    """Names of the payload fields of dataclass ``cls`` (private excluded).
+
+    Private fields (the size cache of nested messages) are transport
+    metadata, not payload; they are never costed.  Cached per class so the
+    sizing hot path never re-enumerates ``dataclasses.fields``.
+    """
+    names = _PAYLOAD_FIELDS.get(cls)
+    if names is None:
+        names = tuple(f.name for f in fields(cls) if not f.name.startswith("_"))
+        _PAYLOAD_FIELDS[cls] = names
+    return names
+
+
+def _bits(value: Any, ib: int) -> int:
+    """Size of ``value`` in bits, with ``ib`` bits per identifier.
+
+    The one sizer behind :func:`estimate_bits` and :meth:`Message.size_bits`
+    (fast paths: see "Hot-path layout" above).  Anything but an exact
+    ``int``, ``tuple``, ``bool`` or ``None`` -- ``IntEnum`` and other
+    subclasses included -- takes the general ``isinstance`` chain.
+    """
+    t = type(value)
+    if t is int:
+        return ib
+    if t is tuple:
+        # Length field + summed element costs; int elements inline.
+        total = ib
+        for item in value:
+            total += ib if type(item) is int else _bits(item, ib)
+        return total
+    if value is None or t is bool:  # bool cannot be subclassed
+        return 1
+    if isinstance(value, int):
+        return ib
+    if isinstance(value, float):
+        return 32
+    if isinstance(value, str):
+        return 8 * len(value)
+    if isinstance(value, (list, tuple, set, frozenset)):
+        # A set's iteration order is hash-seed dependent, but addition
+        # commutes, so the estimate is identical across processes and
+        # PYTHONHASHSEED values.
+        total = ib
+        for item in value:
+            total += _bits(item, ib)
+        return total
+    if isinstance(value, dict):
+        total = ib
+        for k, v in value.items():
+            total += _bits(k, ib) + _bits(v, ib)
+        return total
+    if is_dataclass(value) and not isinstance(value, type):
+        return sum(_bits(getattr(value, name), ib)
+                   for name in _payload_fields(t))
+    # Fallback: unknown objects cost one identifier.
+    return ib
 
 
 def estimate_bits(value: Any, n: int) -> int:
@@ -77,41 +151,7 @@ def estimate_bits(value: Any, n: int) -> int:
     a length field), so the result never depends on the hash-seed-dependent
     iteration order of the set.
     """
-    if value is None:
-        return 1
-    if isinstance(value, bool):
-        return 1
-    if isinstance(value, int):
-        return id_bits(n)
-    if isinstance(value, float):
-        return 32
-    if isinstance(value, str):
-        return 8 * len(value)
-    if isinstance(value, (list, tuple, set, frozenset)):
-        # Length field + summed element costs.  A set's iteration order is
-        # hash-seed dependent, but addition commutes, so the estimate is
-        # identical across processes/PYTHONHASHSEED values.
-        total = id_bits(n)
-        for item in value:
-            total += estimate_bits(item, n)
-        return total
-    if isinstance(value, dict):
-        total = id_bits(n)
-        for k, v in value.items():
-            total += estimate_bits(k, n) + estimate_bits(v, n)
-        return total
-    if is_dataclass(value) and not isinstance(value, type):
-        # Private fields (the size cache of nested messages) are transport
-        # metadata, not payload; they are never costed.
-        return sum(estimate_bits(getattr(value, f.name), n)
-                   for f in fields(value) if not f.name.startswith("_"))
-    # Fallback: unknown objects cost one identifier.
-    return id_bits(n)
-
-
-#: Per-class cache of payload field names (private fields excluded), so the
-#: sizing hot path never re-enumerates ``dataclasses.fields``.
-_PAYLOAD_FIELDS: Dict[type, Tuple[str, ...]] = {}
+    return _bits(value, id_bits(n))
 
 
 @message_dataclass
@@ -148,15 +188,10 @@ class Message:
         cached = getattr(self, "_size_bits_cache", None)
         if cached is not None and cached[0] == n:
             return cached[1]
-        cls = type(self)
-        names = _PAYLOAD_FIELDS.get(cls)
-        if names is None:
-            names = tuple(f.name for f in fields(self)
-                          if not f.name.startswith("_"))
-            _PAYLOAD_FIELDS[cls] = names
+        ib = id_bits(n)
         bits = TYPE_TAG_BITS
-        for name in names:
-            bits += estimate_bits(getattr(self, name), n)
+        for name in _payload_fields(type(self)):
+            bits += _bits(getattr(self, name), ib)
         object.__setattr__(self, "_size_bits_cache", (n, bits))
         return bits
 

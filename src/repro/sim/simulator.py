@@ -201,6 +201,9 @@ class Simulator:
         """Execute exactly one round and run the monitors."""
         self._start_processes()
         if self.trace is not None:
+            # Size deliveries with the channels' n: node churn changes it,
+            # and a stale width would mix id widths in max_message_bits.
+            self.trace.network_size = self.network.n
             self.trace.start_round(self.rounds_executed)
         stats = self.scheduler.run_round(self.network, self.trace)
         self.rounds_executed += 1

@@ -1,0 +1,264 @@
+"""Exactness guards for the per-hop hot path of the object kernel.
+
+Two pieces of the per-message path are written for speed and must compute
+exactly what their plain forms compute:
+
+* **Message sizing** -- :func:`repro.sim.messages.estimate_bits` and
+  :meth:`Message.size_bits` share one sizer with exact-type fast paths.
+  The oracle below is the plain recursive ``isinstance`` chain the sizer
+  replaced, kept verbatim; hypothesis checks both entry points against it
+  on nested values of every supported kind.
+* **Node predicates** -- :meth:`MDSTNode.locally_stabilized` is fused into
+  one pass over the view, and :meth:`MDSTNode._apply_tree_rules` evaluates
+  ``_new_root_candidate()`` once.  Both are checked against their clause
+  by clause forms on corrupted states (and on the states a few synchronous
+  rounds later), on the object and the array-backed state.
+"""
+
+from __future__ import annotations
+
+import enum
+from dataclasses import dataclass, fields, is_dataclass
+from typing import Any
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.core.messages import Back, MInfo, Remove, Search
+from repro.core.node_algorithm import MDSTNode
+from repro.core.protocol import MDSTConfig, build_mdst_network
+from repro.graphs.generators import GRAPH_FAMILIES
+from repro.sim.array_kernel import build_array_mdst_network
+from repro.sim.messages import (TYPE_TAG_BITS, GarbageMessage, estimate_bits,
+                                id_bits)
+from repro.sim.scheduler import SynchronousScheduler
+
+
+# -- message sizing ------------------------------------------------------------
+
+def oracle_bits(value: Any, n: int) -> int:
+    """The ``isinstance``-chain sizer, as it stood before the fast paths."""
+    if value is None:
+        return 1
+    if isinstance(value, bool):
+        return 1
+    if isinstance(value, int):
+        return id_bits(n)
+    if isinstance(value, float):
+        return 32
+    if isinstance(value, str):
+        return 8 * len(value)
+    if isinstance(value, (list, tuple, set, frozenset)):
+        total = id_bits(n)
+        for item in value:
+            total += oracle_bits(item, n)
+        return total
+    if isinstance(value, dict):
+        total = id_bits(n)
+        for k, v in value.items():
+            total += oracle_bits(k, n) + oracle_bits(v, n)
+        return total
+    if is_dataclass(value) and not isinstance(value, type):
+        return sum(oracle_bits(getattr(value, f.name), n)
+                   for f in fields(value) if not f.name.startswith("_"))
+    return id_bits(n)
+
+
+def oracle_size_bits(message, n: int) -> int:
+    """``Message.size_bits`` spelled with the oracle: tag + payload fields."""
+    return TYPE_TAG_BITS + sum(oracle_bits(getattr(message, f.name), n)
+                               for f in fields(message)
+                               if not f.name.startswith("_"))
+
+
+class Colour(enum.IntEnum):
+    RED = 1
+    BLUE = 7
+
+
+@dataclass(frozen=True)
+class Point:
+    """A plain (non-message) dataclass with a private field."""
+
+    x: Any
+    y: Any
+    _hidden: int = 12345
+
+
+ids = st.integers(min_value=-3, max_value=70)
+hashables = st.one_of(
+    st.none(), st.booleans(), ids, st.sampled_from(list(Colour)),
+    st.text(max_size=5), st.tuples(ids, ids))
+scalars = st.one_of(
+    st.none(), st.booleans(), ids, st.sampled_from(list(Colour)),
+    ids.map(np.int64), st.floats(allow_nan=False), st.text(max_size=6),
+    st.builds(object))
+pairs = st.tuples(ids, ids)
+
+
+def _nest(children):
+    return st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.sets(hashables, max_size=5),
+        st.frozensets(hashables, max_size=5),
+        st.dictionaries(hashables, children, max_size=4),
+        st.builds(Point, children, children),
+        st.lists(children, max_size=4).map(
+            lambda xs: GarbageMessage(payload=tuple(xs))),
+        st.builds(Search, init_edge=pairs,
+                  idblock=st.one_of(st.none(), ids),
+                  path=st.lists(pairs, max_size=6).map(tuple),
+                  visited=st.lists(ids, max_size=6).map(tuple)),
+    )
+
+
+values = st.recursive(scalars, _nest, max_leaves=25)
+sizes = st.integers(min_value=1, max_value=5000)
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=values, n=sizes)
+def test_estimate_bits_matches_the_oracle(value, n):
+    assert estimate_bits(value, n) == oracle_bits(value, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(payload=st.lists(values, max_size=4), n=sizes)
+def test_size_bits_matches_the_oracle(payload, n):
+    message = GarbageMessage(payload=tuple(payload))
+    assert message.size_bits(n) == oracle_size_bits(message, n)
+    # The cached value is the same answer, and a new n is re-sized.
+    assert message.size_bits(n) == oracle_size_bits(message, n)
+    assert message.size_bits(n + 1) == oracle_size_bits(message, n + 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(edge=pairs, block=st.one_of(st.none(), ids),
+       path=st.lists(pairs, max_size=20), visited=st.lists(ids, max_size=20),
+       cyc=st.lists(ids, max_size=12), flag=st.booleans(), n=sizes)
+def test_protocol_message_sizes_match_the_oracle(edge, block, path, visited,
+                                                 cyc, flag, n):
+    messages = [
+        Search(init_edge=edge, idblock=block, path=tuple(path),
+               visited=tuple(visited)),
+        Remove(init_edge=edge, deg_max=edge[0], target_edge=edge,
+               path=tuple(cyc), reversing=flag),
+        Back(init_edge=edge, path=tuple(cyc), position=len(cyc)),
+        MInfo(root=edge[0], parent=edge[1], distance=len(path), degree=3,
+              sub_max=4, dmax=5, color=flag),
+    ]
+    for message in messages:
+        assert message.size_bits(n) == oracle_size_bits(message, n)
+
+
+# -- node predicates -----------------------------------------------------------
+
+def _locally_stabilized_by_clauses(node: MDSTNode) -> bool:
+    """The paper's conjunction, one clause at a time."""
+    color = node.s.color
+    color_stabilized = all(v.color == color
+                           for v in node.s.view.values() if v.heard)
+    return bool(node.tree_stabilized() and color
+                and node._degree_stabilized() and color_stabilized)
+
+
+def _apply_tree_rules_three_guards(node: MDSTNode) -> None:
+    """``_apply_tree_rules`` with the candidate guard on R1 and R3."""
+    st_ = node.s
+    if node._new_root_candidate():                                   # R2
+        node._create_new_root()
+    if not node._new_root_candidate() and node._better_parent():     # R1
+        candidates = [u for u, v in st_.view.items()
+                      if v.heard and v.root < st_.root
+                      and v.distance + 1 < node.n_upper]
+        if candidates:
+            best_root = min(st_.view[u].root for u in candidates)
+            best = min(u for u in candidates if st_.view[u].root == best_root)
+            st_.root = st_.view[best].root
+            st_.parent = best
+            st_.distance = st_.view[best].distance + 1
+    if not node._new_root_candidate() and not node._coherent_distance():  # R3
+        if st_.parent == node.node_id:
+            st_.distance = 0
+        else:
+            pv = st_.view.get(st_.parent)
+            if pv is not None and pv.heard:
+                st_.distance = pv.distance + 1
+        if st_.distance >= node.n_upper:
+            node._create_new_root()
+
+
+def _corrupted_network(backend: str, n: int, graph_seed: int,
+                       corrupt_seed: int, rounds: int):
+    """A network whose every node ran ``MDSTState.corrupt``, then ``rounds``
+    synchronous rounds (which reach the stabilized states too)."""
+    graph = GRAPH_FAMILIES["erdos_renyi_sparse"](n, seed=graph_seed)
+    n_upper = n + 1
+    if backend == "object":
+        net = build_mdst_network(graph, MDSTConfig(n_upper=n_upper))
+    else:
+        net = build_array_mdst_network(graph, n_upper=n_upper)
+    rng = np.random.default_rng(corrupt_seed)
+    for v in net.node_ids:
+        net.processes[v].corrupt(rng)
+    sched = SynchronousScheduler()
+    for _ in range(rounds):
+        sched.run_round(net)
+    return net
+
+
+def _tree_vars(node: MDSTNode):
+    return node.s.root, node.s.parent, node.s.distance
+
+
+network_params = dict(
+    n=st.integers(min_value=3, max_value=10),
+    graph_seed=st.integers(min_value=0, max_value=10_000),
+    corrupt_seed=st.integers(min_value=0, max_value=10_000),
+    rounds=st.sampled_from([0, 0, 1, 3, 12, 40]),
+)
+
+
+@pytest.mark.parametrize("backend", ["object", "array"])
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(**network_params)
+def test_fused_node_predicates_match_their_clauses(backend, n, graph_seed,
+                                                   corrupt_seed, rounds):
+    net = _corrupted_network(backend, n, graph_seed, corrupt_seed, rounds)
+    for v in net.node_ids:
+        node = net.processes[v]
+        expected = _locally_stabilized_by_clauses(node)
+        # The object form over either storage, and the node's own override.
+        assert MDSTNode.locally_stabilized(node) is expected
+        assert bool(node.locally_stabilized()) is expected
+        assert len(node.s.tree_neighbors()) == node.s.degree
+
+
+@pytest.mark.parametrize("backend", ["object", "array"])
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(**network_params)
+def test_tree_rules_match_the_three_guard_form(backend, n, graph_seed,
+                                               corrupt_seed, rounds):
+    fast = _corrupted_network(backend, n, graph_seed, corrupt_seed, rounds)
+    slow = _corrupted_network(backend, n, graph_seed, corrupt_seed, rounds)
+    for v in fast.node_ids:
+        assert _tree_vars(fast.processes[v]) == _tree_vars(slow.processes[v])
+        fast.processes[v]._apply_tree_rules()
+        _apply_tree_rules_three_guards(slow.processes[v])
+        assert _tree_vars(fast.processes[v]) == _tree_vars(slow.processes[v])
+
+
+def test_predicate_sample_covers_both_outcomes():
+    """The property inputs reach stabilized nodes, not only corrupted ones."""
+    seen = set()
+    for corrupt_seed in range(4):
+        for rounds in (0, 40):
+            net = _corrupted_network("object", 8, 3, corrupt_seed, rounds)
+            seen.update(_locally_stabilized_by_clauses(net.processes[v])
+                        for v in net.node_ids)
+    assert seen == {True, False}
