@@ -12,7 +12,7 @@
 
 from .blin_butelle import SerializationCostModel, serialized_vs_concurrent_cost
 from .exact import exact_mdst_degree, exact_mdst_tree, has_degree_bounded_spanning_tree
-from .fuerer_raghavachari import FRResult, forest_components_without, fuerer_raghavachari
+from .fuerer_raghavachari import FRResult, fuerer_raghavachari
 from .local_search import LocalSearchResult, greedy_local_search
 from .simple_trees import (
     SIMPLE_TREE_BASELINES,

@@ -15,22 +15,24 @@ a degree-``Δ-1`` vertex (the latter are the "deblocking" swaps).  The loop is
 bounded by an iteration budget and a repeated-state guard; neither triggers
 on the experiment suite, they exist so that a hypothetical pathological input
 fails loudly instead of hanging.
+
+Steps 1-2 are :func:`repro.core.improvement.find_fr_swap`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional
 
 import networkx as nx
 
 from ..exceptions import ConvergenceError
-from ..graphs.spanning import bfs_spanning_tree, tree_degree
+from ..graphs.spanning import bfs_spanning_tree
 from ..graphs.validation import check_spanning_tree
-from ..types import Edge, NodeId, canonical_edge, canonical_edges
-from ..core.improvement import TreeIndex
+from ..types import Edge, canonical_edges
+from ..core.improvement import Move, TreeIndex, find_fr_swap
 
-__all__ = ["FRResult", "fuerer_raghavachari", "forest_components_without"]
+__all__ = ["FRResult", "fuerer_raghavachari"]
 
 
 @dataclass
@@ -44,69 +46,6 @@ class FRResult:
     improvement_swaps: int
     deblock_swaps: int
     degree_history: List[int] = field(default_factory=list)
-
-
-def forest_components_without(index: TreeIndex, removed: set[NodeId]) -> Dict[NodeId, int]:
-    """Component labels of the forest obtained by deleting ``removed`` nodes.
-
-    Returns a mapping ``node -> component id`` for the surviving nodes.
-    """
-    label: Dict[NodeId, int] = {}
-    current = 0
-    for start in index.nodes:
-        if start in removed or start in label:
-            continue
-        stack = [start]
-        label[start] = current
-        while stack:
-            x = stack.pop()
-            for y in index.adj[x]:
-                if y in removed or y in label:
-                    continue
-                label[y] = current
-                stack.append(y)
-        current += 1
-    return label
-
-
-def _find_swap(index: TreeIndex) -> Optional[Tuple[Edge, Edge, str]]:
-    """Find the next Fürer–Raghavachari swap, preferring direct improvements."""
-    k = index.tree_degree()
-    if k <= 2:
-        return None
-    bad = {v for v in index.nodes if index.degree[v] >= k - 1}
-    components = forest_components_without(index, bad)
-    best: Optional[Tuple[Edge, Edge, str]] = None
-    for edge in index.non_tree_edges():
-        u, v = edge
-        if u in bad or v in bad:
-            continue
-        if components.get(u) == components.get(v):
-            continue
-        path = index.cycle_path(u, v)
-        witnesses = [w for w in path if w not in (u, v) and index.degree[w] >= k - 1]
-        if not witnesses:
-            continue
-        max_witnesses = [w for w in witnesses if index.degree[w] == k]
-        if max_witnesses:
-            w = min(max_witnesses)
-            remove = _incident_cycle_edge(path, w)
-            return (edge, remove, "improve")
-        if best is None:
-            w = min(witnesses)
-            remove = _incident_cycle_edge(path, w)
-            best = (edge, remove, "deblock")
-    return best
-
-
-def _incident_cycle_edge(path: List[NodeId], w: NodeId) -> Edge:
-    pos = path.index(w)
-    options = []
-    if pos > 0:
-        options.append(path[pos - 1])
-    if pos < len(path) - 1:
-        options.append(path[pos + 1])
-    return canonical_edge(w, min(options))
 
 
 def fuerer_raghavachari(graph: nx.Graph, initial_tree: Optional[Iterable[Edge]] = None,
@@ -133,11 +72,10 @@ def fuerer_raghavachari(graph: nx.Graph, initial_tree: Optional[Iterable[Edge]] 
     deblock_swaps = 0
     seen: set[frozenset[Edge]] = {frozenset(index.tree_edges)}
     while True:
-        found = _find_swap(index)
+        found = find_fr_swap(index)
         if found is None:
             break
         add, remove, kind = found
-        from ..core.improvement import Move
         index.apply(Move(add=add, remove=remove, target=-1, kind=kind))
         swaps += 1
         if kind == "improve":

@@ -8,9 +8,10 @@ Public surface:
   simulator for custom set-ups.
 * :class:`ReferenceMDST` -- the round-abstracted reference engine applying the
   same improvement rule centrally (oracle + large-scale sweeps).
-* :mod:`repro.core.improvement` -- improving edges, blocking nodes and
+* :mod:`repro.core.improvement` -- improving edges, blocking nodes,
   improvement-chain planning (Eq. 1 and the Deblock recursion as pure
-  functions over trees).
+  functions over trees) and Fürer–Raghavachari's swap search and stopping
+  test.
 * :mod:`repro.core.legitimacy` -- the legitimacy predicates of Definition 1.
 """
 
@@ -19,7 +20,8 @@ from .improvement import (
     TreeIndex,
     apply_moves,
     blocking_nodes,
-    improvement_possible,
+    find_fr_swap,
+    fr_witness_holds,
     is_improving_edge,
     plan_improvement,
 )

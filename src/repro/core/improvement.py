@@ -19,11 +19,15 @@ more deblocking swaps followed by one direct improvement of a maximum-degree
 node -- simulating each swap while planning so the chain is consistent.  The
 chain formulation guarantees progress: each executed chain strictly decreases
 the number of maximum-degree nodes without ever creating a new one, which is
-exactly the argument behind the paper's Lemmas 3-4.
+exactly the argument behind the paper's Lemmas 3-4.  The planner drives the
+round-abstracted reference engine (:mod:`repro.core.reference`).
 
-The same machinery doubles as the *global legitimacy check*: a configuration
-whose tree admits no chain is a fixpoint of the algorithm, and by the paper's
-Theorem 2 (via Fürer–Raghavachari's Theorem 1) its degree is at most Δ*+1.
+:func:`fr_witness_holds` is Fürer & Raghavachari's stopping test, with
+their marking of degree-``k - 1`` nodes: it holds exactly when no chain of
+swaps can reduce a maximum-degree node, and then certifies
+``deg(T) <= Δ* + 1``.  It has no budget and is the legitimacy check of
+:mod:`repro.core.legitimacy`.  :func:`find_fr_swap` is the swap search of
+the sequential baseline :mod:`repro.baselines.fuerer_raghavachari`.
 """
 
 from __future__ import annotations
@@ -42,8 +46,9 @@ __all__ = [
     "is_improving_edge",
     "blocking_nodes",
     "plan_improvement",
-    "improvement_possible",
     "apply_moves",
+    "find_fr_swap",
+    "fr_witness_holds",
 ]
 
 
@@ -336,8 +341,8 @@ def plan_improvement(graph: nx.Graph, tree_edges: Iterable[Edge],
 
     Returns ``None`` when no chain was found: either the tree is a fixpoint
     of the paper's improvement rule (no direct improvement and no deblock
-    chain leading to one), which by Theorem 2 certifies ``deg(T) <= Δ* + 1``,
-    or the search ran out of budget.
+    chain leading to one), or the search ran out of budget.  Legitimacy is
+    judged by :func:`fr_witness_holds` instead, which has no budget.
 
     ``max_plan_nodes`` bounds the total recursion effort of the planning
     search: one unit per deblock attempt.  The bound *is* hit in practice.
@@ -384,11 +389,6 @@ def plan_improvement(graph: nx.Graph, tree_edges: Iterable[Edge],
     return None
 
 
-def improvement_possible(graph: nx.Graph, tree_edges: Iterable[Edge]) -> bool:
-    """``True`` iff the paper's improvement rule can still make progress."""
-    return plan_improvement(graph, tree_edges) is not None
-
-
 def apply_moves(graph: nx.Graph, tree_edges: Iterable[Edge],
                 moves: Sequence[Move]) -> set[Edge]:
     """Apply a chain of moves to a tree edge set and return the new edge set."""
@@ -396,3 +396,119 @@ def apply_moves(graph: nx.Graph, tree_edges: Iterable[Edge],
     for move in moves:
         index.apply(move)
     return set(index.tree_edges)
+
+
+# ---------------------------------------------------------------------------
+# Fürer–Raghavachari swap search and stopping test
+# ---------------------------------------------------------------------------
+
+def _forest_components_without(index: TreeIndex, removed: set[NodeId]) -> Dict[NodeId, int]:
+    """Component labels of the forest obtained by deleting ``removed`` nodes.
+
+    Returns a mapping ``node -> component id`` for the surviving nodes.
+    """
+    label: Dict[NodeId, int] = {}
+    current = 0
+    for start in index.nodes:
+        if start in removed or start in label:
+            continue
+        stack = [start]
+        label[start] = current
+        while stack:
+            x = stack.pop()
+            for y in index.adj[x]:
+                if y in removed or y in label:
+                    continue
+                label[y] = current
+                stack.append(y)
+        current += 1
+    return label
+
+
+def find_fr_swap(index: TreeIndex) -> Optional[Tuple[Edge, Edge, str]]:
+    """Find the next swap of the sequential Fürer–Raghavachari baseline,
+    preferring direct improvements.
+
+    Returns ``(add, remove, kind)`` with ``kind`` ``"improve"`` (reduces a
+    degree-``k`` node) or ``"deblock"`` (reduces a degree-``k - 1`` node),
+    or ``None`` when ``k <= 2`` or no non-tree edge joins two components of
+    the tree minus its nodes of degree ``>= k - 1``.  A deblock swap need
+    not lead to an improvement of a degree-``k`` node, so this search is
+    not the fixpoint test of the paper's rule: that is
+    :func:`fr_witness_holds`.
+    """
+    k = index.tree_degree()
+    if k <= 2:
+        return None
+    bad = {v for v in index.nodes if index.degree[v] >= k - 1}
+    components = _forest_components_without(index, bad)
+    best: Optional[Tuple[Edge, Edge, str]] = None
+    for edge in index.non_tree_edges():
+        u, v = edge
+        if u in bad or v in bad:
+            continue
+        if components.get(u) == components.get(v):
+            continue
+        path = index.cycle_path(u, v)
+        witnesses = [w for w in path if w not in (u, v) and index.degree[w] >= k - 1]
+        if not witnesses:
+            continue
+        max_witnesses = [w for w in witnesses if index.degree[w] == k]
+        if max_witnesses:
+            w = min(max_witnesses)
+            return (edge, _pick_cycle_edge_incident_to(index, path, w), "improve")
+        if best is None:
+            w = min(witnesses)
+            best = (edge, _pick_cycle_edge_incident_to(index, path, w), "deblock")
+    return best
+
+
+def fr_witness_holds(index: TreeIndex) -> bool:
+    """``True`` iff no chain of swaps can reduce a maximum-degree node.
+
+    Fürer & Raghavachari's marking, with ``k`` the tree degree: nodes of
+    degree ``>= k - 1`` start *bad*.  A non-tree edge whose endpoints are
+    good and lie in different components of the good forest closes a cycle
+    through bad nodes.  If one of them has degree ``k``, a chain reduces it
+    (its blocking nodes were marked good because each can be deblocked), so
+    the answer is ``False``; otherwise every node of degree ``k - 1`` on the
+    cycle can be deblocked by that edge and is marked good.  When no such
+    edge is left, the remaining bad nodes are FR's witness: ``Δ* >= k - 1``,
+    so ``deg(T) <= Δ* + 1``.  The marking is iterative, polynomial and has
+    no budget.
+    """
+    k = index.tree_degree()
+    if k <= 2:
+        return True
+    parent = {v: v for v in index.nodes}
+
+    def find(x: NodeId) -> NodeId:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    bad = set(index.nodes)
+
+    def mark_good(w: NodeId) -> None:
+        bad.discard(w)
+        for y in index.adj[w]:
+            if y not in bad:
+                parent[find(y)] = find(w)
+
+    for v in index.nodes:
+        if index.degree[v] < k - 1:
+            mark_good(v)
+    marked = True
+    while marked:
+        marked = False
+        for u, v in index.non_tree_edges():
+            if u in bad or v in bad or find(u) == find(v):
+                continue
+            blockers = [w for w in index.cycle_path(u, v) if w in bad]
+            if any(index.degree[w] == k for w in blockers):
+                return False
+            for w in blockers:
+                mark_good(w)
+            marked = True
+    return True

@@ -256,6 +256,29 @@ class ProtocolAdapter(abc.ABC):
                 f"protocol {self.name!r} supports initial policies "
                 f"{self.initial_policies}, got {config.initial!r}")
 
+    def check_adversary(self, adversary: Adversary) -> None:
+        """Reject an adversary model this protocol does not declare.
+
+        Each present model is gated by its capability flag: an unreliable
+        channel model by ``supports_unreliable_channels``, node faults by
+        ``supports_crash``, Byzantine gossip by ``supports_byzantine``.  The
+        error lists the protocols that are capable.
+        """
+        # The registry imports this module, so it is imported on use.
+        from .registry import capable_names
+        cm = adversary.channel_model
+        for present, flag, what in (
+                (cm is not None and not cm.is_reliable,
+                 "supports_unreliable_channels", "unreliable channels"),
+                (adversary.node_faults is not None,
+                 "supports_crash", "crash/recover faults"),
+                (adversary.byzantine is not None,
+                 "supports_byzantine", "Byzantine gossip")):
+            if present and not getattr(self, flag):
+                raise ConfigurationError(
+                    f"protocol {self.name!r} does not support {what}; "
+                    f"capable protocols: {', '.join(capable_names(flag))}")
+
     def default_n_upper(self, graph: nx.Graph,
                         config: ProtocolRunConfig) -> int:
         """The distance bound used when the config leaves ``n_upper`` unset."""

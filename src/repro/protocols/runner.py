@@ -132,17 +132,7 @@ def run_protocol(graph: nx.Graph,
     if adversary is None:
         adversary = config.adversary
     if adversary is not None:
-        cm = adversary.channel_model
-        if (cm is not None and not cm.is_reliable
-                and not adapter.supports_unreliable_channels):
-            raise ConfigurationError(
-                f"protocol {adapter.name!r} does not support unreliable channels")
-        if adversary.node_faults is not None and not adapter.supports_crash:
-            raise ConfigurationError(
-                f"protocol {adapter.name!r} does not support crash/recover faults")
-        if adversary.byzantine is not None and not adapter.supports_byzantine:
-            raise ConfigurationError(
-                f"protocol {adapter.name!r} does not support Byzantine gossip")
+        adapter.check_adversary(adversary)
     if config.backend == "array":
         # The array kernel freezes the topology at build time and owns the
         # channel objects; live churn and adversary channel rewiring are

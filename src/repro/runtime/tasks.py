@@ -63,7 +63,7 @@ from ..exceptions import ConfigurationError
 from ..graphs.generators import hard_hub_graph
 from ..graphs.properties import is_hamiltonian_path_certificate, mdst_lower_bound
 from ..graphs.spanning import bfs_spanning_tree, tree_degree
-from ..protocols.registry import capable_names, churn_capable_names, get_protocol
+from ..protocols.registry import churn_capable_names, get_protocol
 from ..protocols.runner import run_protocol
 from ..sim.adversary import Adversary
 from ..sim.faults import FaultPlan
@@ -126,26 +126,8 @@ def _adversary(spec: RunSpec) -> Optional[Adversary]:
     silently mislabelling a row.
     """
     adversary = spec.build_adversary()
-    if adversary is None:
-        return None
-    adapter = get_protocol(spec.protocol)
-    cm = adversary.channel_model
-    if (cm is not None and not cm.is_reliable
-            and not adapter.supports_unreliable_channels):
-        raise ConfigurationError(
-            f"protocol {spec.protocol!r} does not support unreliable "
-            f"channels; capable protocols: "
-            f"{', '.join(capable_names('supports_unreliable_channels'))}")
-    if adversary.node_faults is not None and not adapter.supports_crash:
-        raise ConfigurationError(
-            f"protocol {spec.protocol!r} does not support crash/recover "
-            f"faults; capable protocols: "
-            f"{', '.join(capable_names('supports_crash'))}")
-    if adversary.byzantine is not None and not adapter.supports_byzantine:
-        raise ConfigurationError(
-            f"protocol {spec.protocol!r} does not support Byzantine gossip; "
-            f"capable protocols: "
-            f"{', '.join(capable_names('supports_byzantine'))}")
+    if adversary is not None:
+        get_protocol(spec.protocol).check_adversary(adversary)
     return adversary
 
 

@@ -23,11 +23,14 @@ from repro.core.improvement import (
     TreeIndex,
     apply_moves,
     blocking_nodes,
-    improvement_possible,
+    find_fr_swap,
+    fr_witness_holds,
     is_improving_edge,
     plan_improvement,
 )
 from repro.baselines import exact_mdst_degree
+from repro.core import build_mdst_network, initialize_from_tree
+from repro.core.legitimacy import reduction_finished
 
 
 class TestTreeIndex:
@@ -137,7 +140,6 @@ class TestPlanning:
         g = make_graph("star", 7)  # the star is its own unique spanning tree
         tree = bfs_spanning_tree(g)
         assert plan_improvement(g, tree) is None
-        assert not improvement_possible(g, tree)
 
     def test_no_plan_when_degree_two(self):
         g = make_graph("cycle", 8)
@@ -201,8 +203,10 @@ class TestPlanning:
 
 #: Trees on ``erdos_renyi_sparse`` n=16 (graph seed = key) where the
 #: synchronous cold start (``perfbench`` workload ``mdst-cold-sync-n16``)
-#: ends: each is reported as a fixpoint only because the search exhausted
-#: its default budget of ``max_plan_nodes=2000``.
+#: ends: the planner finds no chain in each only because its search
+#: exhausted the default budget of ``max_plan_nodes=2000``.  The
+#: Fürer–Raghavachari witness holds on each, which is what the legitimacy
+#: monitor checks.
 BUDGET_BOUND_TREES = {
     0: [(0, 11), (1, 5), (1, 14), (2, 4), (2, 7), (2, 15), (3, 8), (4, 13),
         (5, 10), (6, 10), (6, 12), (7, 9), (8, 12), (11, 13), (14, 15)],
@@ -230,9 +234,10 @@ def _kruskal_tree(graph, seed):
             nx.minimum_spanning_edges(weighted, algorithm="kruskal", data=False)}
 
 
-def _golden_plans():
-    """Every plan met while iterating the planner to a fixpoint from seeded
-    Kruskal trees, then the plans of the budget-bound trees."""
+def _golden_states():
+    """``(graph, tree, plan)`` for every tree met while iterating the planner
+    to a fixpoint from seeded Kruskal trees, then for the budget-bound
+    trees."""
     for family in ("erdos_renyi_sparse", "wheel", "random_geometric"):
         for n in range(8, 21, 2):
             for graph_seed in range(2):
@@ -241,21 +246,73 @@ def _golden_plans():
                     tree = _kruskal_tree(g, tree_seed)
                     for _ in range(40):
                         plan = plan_improvement(g, tree)
-                        yield plan
+                        yield g, tree, plan
                         if plan is None:
                             break
                         tree = apply_moves(g, tree, plan)
     for seed, tree in BUDGET_BOUND_TREES.items():
-        yield plan_improvement(make_graph("erdos_renyi_sparse", 16, seed=seed), tree)
+        g = make_graph("erdos_renyi_sparse", 16, seed=seed)
+        yield g, tree, plan_improvement(g, tree)
 
 
 def test_golden_plan_corpus_is_unchanged():
     digest = hashlib.md5()
-    for plan in _golden_plans():
+    for _, _, plan in _golden_states():
         moves = None if plan is None else [(m.add, m.remove, m.target, m.kind)
                                            for m in plan]
         digest.update(repr(moves).encode())
     assert digest.hexdigest() == GOLDEN_PLAN_DIGEST
+
+
+def test_planner_and_fr_witness_agree_on_golden_corpus():
+    """The legitimacy monitor judges trees by the Fürer–Raghavachari
+    marking and the reference engine stops on the planner's ``None``; on
+    every corpus state the two verdicts coincide."""
+    states = 0
+    for g, tree, plan in _golden_states():
+        assert (plan is None) == fr_witness_holds(TreeIndex(g, tree)), sorted(tree)
+        states += 1
+    assert states == 342
+
+
+def test_planner_and_fr_witness_agree_at_high_degree_fixpoints():
+    """The golden corpus only reaches fixpoints of degree <= 3.  These
+    families reach degree 4 and more, where a degree-``k - 1`` node can sit
+    on a cycle that improves no maximum-degree node: FR's simple witness
+    then fails at a planner fixpoint, and only the marking agrees."""
+    high_degree = simple_witness_fails = 0
+    for family in ("spider", "two_hub", "barabasi_albert"):
+        for n in range(8, 21, 2):
+            for graph_seed in range(2):
+                g = make_graph(family, n, seed=graph_seed)
+                for tree_seed in range(3):
+                    tree = _kruskal_tree(g, tree_seed)
+                    while True:
+                        # a budget no n <= 20 search here runs out of
+                        plan = plan_improvement(g, tree, max_plan_nodes=10**6)
+                        index = TreeIndex(g, tree)
+                        assert (plan is None) == fr_witness_holds(index), \
+                            (family, n, graph_seed, sorted(tree))
+                        if plan is None:
+                            break
+                        tree = apply_moves(g, tree, plan)
+                    high_degree += index.tree_degree() >= 4
+                    simple_witness_fails += find_fr_swap(index) is not None
+    assert high_degree >= 50
+    assert simple_witness_fails >= 2
+
+
+def test_fr_witness_accepts_a_deblock_that_improves_nothing():
+    """Node 0 is a cut vertex with 4 blocks, so the BFS tree (degree 4) is
+    optimal.  Node 1 has degree 3 = k - 1 and lies on the cycle of (5, 6),
+    which contains no degree-4 node: the baseline may deblock it, but no
+    chain reduces node 0."""
+    g = nx.Graph([(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (1, 6), (5, 6)])
+    index = TreeIndex(g, bfs_spanning_tree(g))
+    assert index.tree_degree() == exact_mdst_degree(g) == 4
+    assert plan_improvement(g, index.tree_edges) is None
+    assert find_fr_swap(index)[2] == "deblock"
+    assert fr_witness_holds(index)
 
 
 @pytest.mark.parametrize("budget", [2000, 16000])
@@ -266,6 +323,19 @@ def test_fixpoint_verdict_can_come_from_an_exhausted_budget(budget):
     g = make_graph("erdos_renyi_sparse", 16, seed=3)
     tree = BUDGET_BOUND_TREES[3]
     assert plan_improvement(g, tree, max_plan_nodes=budget) is None
+    assert tree_degree(g.nodes, tree) == 3
+    assert exact_mdst_degree(g) == 2
+
+
+@pytest.mark.parametrize("seed", sorted(BUDGET_BOUND_TREES))
+def test_budget_bound_trees_are_certified_by_the_fr_witness(seed):
+    """Where the planner's exhausted search proves nothing, the witness
+    certifies the bound: degree 3 with Δ* = 2, so the monitor accepts."""
+    g = make_graph("erdos_renyi_sparse", 16, seed=seed)
+    tree = BUDGET_BOUND_TREES[seed]
+    net = build_mdst_network(g)
+    initialize_from_tree(net, tree)
+    assert reduction_finished(net)
     assert tree_degree(g.nodes, tree) == 3
     assert exact_mdst_degree(g) == 2
 

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import inspect
+import sys
+
 import networkx as nx
 import pytest
 
-from repro.baselines import exact_mdst_degree
+from repro.baselines import exact_mdst_degree, fuerer_raghavachari
 from repro.core import (
     MDSTConfig,
     ReferenceMDST,
@@ -27,6 +30,7 @@ from repro.graphs import (
     random_spanning_tree,
     tree_degree,
 )
+from repro.protocols import ProtocolRunConfig, run_protocol
 
 
 class TestReferenceEngine:
@@ -111,6 +115,31 @@ class TestLegitimacyPredicates:
         substrate_only = make_mdst_legitimacy(require_reduction=False)
         assert substrate_only(net)
         assert not make_mdst_legitimacy(require_reduction=True)(net)
+
+    def test_legitimate_when_a_deblock_would_improve_nothing(self):
+        """Regression: the BFS tree of this graph (degree 4 at the cut vertex
+        0) is optimal, but node 1 of degree 3 lies on the cycle of (5, 6).
+        The paper's rule makes no move, so the monitor must accept the tree,
+        and a cold run must converge."""
+        g = nx.Graph([(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (1, 6), (5, 6)])
+        assert mdst_legitimacy(self._coherent_network(g))
+        result = run_protocol(g, ProtocolRunConfig(protocol="mdst", max_rounds=2000))
+        assert result.run.converged
+        assert result.run.tree_degree == 4
+
+    def test_predicate_does_not_recurse_per_chain_link(self):
+        """Regression: condition 3 once ran the recursive chain planner,
+        which needs more than 400 frames on this n=256 FR tree (and hit the
+        default recursion limit at n=2048); the FR marking needs fewer than
+        50."""
+        g = make_graph("erdos_renyi_sparse", 256, seed=0)
+        net = self._coherent_network(g, fuerer_raghavachari(g).tree_edges)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+        try:
+            assert mdst_legitimacy(net)
+        finally:
+            sys.setrecursionlimit(limit)
 
     def test_tree_coherent_fails_on_fresh_network(self, small_dense):
         net = build_mdst_network(small_dense, MDSTConfig())

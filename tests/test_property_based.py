@@ -11,6 +11,9 @@ properties check the structural invariants the whole system rests on:
   monotonicity of the maximum degree;
 * the reference engine's fixpoint satisfies the Δ*+1 guarantee on instances
   small enough for the exact solver;
+* Fürer–Raghavachari's theorem: a tree carrying their witness (the
+  legitimacy monitor's condition 3) has degree at most Δ*+1, and the
+  witness holds exactly at the fixpoints of the chain planner;
 * message size estimation is monotone in the path length (O(n log n) claim).
 """
 
@@ -20,9 +23,14 @@ import networkx as nx
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.baselines import exact_mdst_degree
+from repro.baselines import exact_mdst_degree, fuerer_raghavachari
 from repro.core import ReferenceMDST
-from repro.core.improvement import TreeIndex, apply_moves, plan_improvement
+from repro.core.improvement import (
+    TreeIndex,
+    apply_moves,
+    fr_witness_holds,
+    plan_improvement,
+)
 from repro.core.messages import Search
 from repro.graphs import (
     bfs_spanning_tree,
@@ -40,8 +48,9 @@ SETTINGS = settings(max_examples=40, deadline=None,
 
 
 @st.composite
-def connected_graphs(draw, min_nodes=4, max_nodes=12):
-    """Random connected simple graph: random tree + random extra edges."""
+def connected_graphs(draw, min_nodes=4, max_nodes=12, max_extra=None):
+    """Random connected simple graph: random tree + random extra edges
+    (at most ``max_extra``, default ``2 n``)."""
     n = draw(st.integers(min_nodes, max_nodes))
     # random tree via random parent for each node (Prüfer-like, always a tree)
     parents = [draw(st.integers(0, i - 1)) if i > 0 else 0 for i in range(n)]
@@ -50,7 +59,7 @@ def connected_graphs(draw, min_nodes=4, max_nodes=12):
     for i in range(1, n):
         g.add_edge(i, parents[i])
     extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
-                          max_size=2 * n))
+                          max_size=2 * n if max_extra is None else max_extra))
     for u, v in extra:
         if u != v:
             g.add_edge(u, v)
@@ -112,6 +121,37 @@ def test_reference_engine_fixpoint_is_within_one_of_optimal(g):
     optimal = exact_mdst_degree(g)
     assert optimal <= result.final_degree <= optimal + 1
     assert plan_improvement(g, result.tree_edges) is None
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(connected_graphs(min_nodes=4, max_nodes=9), st.integers(0, 2**31 - 1))
+def test_fr_witness_certifies_within_one_of_optimal(g, seed):
+    """Checked on a random spanning tree and on the FR fixpoint reached from
+    it, against the exact solver."""
+    tree = random_spanning_tree(g, seed=seed)
+    optimal = exact_mdst_degree(g)
+    for edges in (tree, fuerer_raghavachari(g, tree).tree_edges):
+        if fr_witness_holds(TreeIndex(g, edges)):
+            assert tree_degree(g.nodes, edges) <= optimal + 1
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(connected_graphs(min_nodes=4, max_nodes=9, max_extra=4),
+       st.integers(0, 2**31 - 1))
+def test_fr_witness_holds_exactly_at_planner_fixpoints(g, seed):
+    """Every tree met while iterating the planner from a random tree: the
+    witness holds iff no chain is found.  The budget is too large to run out
+    at n <= 9, and few extra edges leave cut vertices, so fixpoints of
+    degree >= 4 occur."""
+    tree = random_spanning_tree(g, seed=seed)
+    while True:
+        plan = plan_improvement(g, tree, max_plan_nodes=10**6)
+        assert fr_witness_holds(TreeIndex(g, tree)) == (plan is None)
+        if plan is None:
+            break
+        tree = apply_moves(g, tree, plan)
 
 
 @SETTINGS

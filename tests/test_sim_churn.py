@@ -248,8 +248,8 @@ class TestPredicateTopologyInvalidation:
         assert verdict == legit(net)
 
     def test_reduction_memo_not_stale_across_mutation(self):
-        """Same tree edge set, mutated graph: the memoized fixpoint verdict
-        must be recomputed, not replayed."""
+        """Same tree edge set, mutated graph: the fixpoint verdict must be
+        recomputed against the new graph, not replayed."""
         net = build_net("two_hub", 8, 0)
         sched = SynchronousScheduler()
         legit = make_mdst_legitimacy()

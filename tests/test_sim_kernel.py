@@ -273,8 +273,8 @@ class TestPredicateCache:
 
 class TestLegitimacyMemoIsolation:
     def test_predicate_reuse_across_graphs_is_safe(self):
-        """The tree-fixpoint memo of make_mdst_legitimacy is held per graph:
-        the same edge set on a different graph must be re-judged."""
+        """One predicate judges each network against its own graph: the
+        same edge set on a different graph must be re-judged."""
         from repro.core.legitimacy import make_mdst_legitimacy
         from repro.core.protocol import build_mdst_network, initialize_from_tree
 
@@ -288,7 +288,7 @@ class TestLegitimacyMemoIsolation:
         net_chord = build_mdst_network(g_chord)
         initialize_from_tree(net_chord, star_edges)
         # same induced tree edges, but the chord (1,2) makes the hub
-        # improvable: a stale cross-graph memo hit would wrongly say True
+        # improvable: a verdict carried over from the star would say True
         assert not legit(net_chord)
 
 
