@@ -21,12 +21,19 @@ through the exact per-event ordering semantics of the object kernel:
   never pops beyond the round-start backlog -- so any interleaving that
   preserves each node's own subsequence produces byte-identical results.
 * **Slots.**  The engine therefore executes *slot* ``j`` of every node
-  together: the gossip deliveries of the slot become one batched scatter
-  plus one vectorized rules pass, the slot's timeouts become one batched
-  refresh followed by a batched gossip send, and the rare control messages
-  run the real scalar handlers -- after the batched no-op gate
-  (:func:`~repro.sim.array_kernel.mdst_scalar_gate`) drops the
-  Search-storm traffic that a non-stabilized destination would ignore.
+  together, with at most one vectorized kernel pass per slot: the gossip
+  deliveries become one batched scatter, then a single rules pass
+  (:func:`~repro.sim.array_kernel.mdst_slot_pass`) refreshes the gossip
+  destinations and the timeout actors together and, in the same pass,
+  returns the no-op gate verdict of the slot's ``Search``/``Deblock``
+  destinations; the gate drops the Search-storm traffic a non-stabilized
+  destination would ignore, the surviving control messages run the real
+  scalar handlers, and the timeouts finish with a batched gossip send and
+  the search-initiation hook.  Moving the timeout refresh and the gate
+  ahead of the handlers is the commutation argument again: a slot holds
+  one event per node, a handler writes only its own node's state and
+  out-channels, and the gate reads only its destination's own columns and
+  view rows, which no other event of the slot writes.
 * **Virtual gossip.**  On an :class:`~repro.sim.array_kernel.ArrayNetwork`
   the round's gossip never becomes message objects at all: timeout slots
   mint the same per-source virtual tokens the synchronous fast path uses
@@ -62,6 +69,7 @@ no-op deliveries in bulk, which is where the volume is.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -72,7 +80,7 @@ from .array_kernel import (
     ArrayNetwork,
     ArraySyncScheduler,
     account_dropped_deliveries,
-    mdst_scalar_gate,
+    mdst_slot_pass,
 )
 from .messages import GarbageMessage
 from .network import EnabledEvents, Network
@@ -185,14 +193,15 @@ class MDSTArrayOps:
             k.v_color[at] = np.asarray(cols[6], dtype=bool)
         k.v_heard[P] = True
 
-    def refresh_deliver(self, S: np.ndarray) -> None:
-        # Unconditional (unlike the sync fast path's changed-mask): a
-        # control handler earlier in the round can change a destination's
-        # own state so that a rule fires on an unchanged view row.
-        self.kernel.refresh(S)
+    def slot_pass(self, R: np.ndarray,
+                  scalars: List[Tuple[NodeId, NodeId, object]]) -> List[bool]:
+        """Refresh the rule nodes ``R``; return which ``scalars`` are no-ops.
 
-    def refresh_timeout(self, S: np.ndarray) -> None:
-        self.kernel.refresh(S, predicates=self.enable_reduction)
+        Unconditional (unlike the sync fast path's changed-mask): a control
+        handler earlier in the round can change a destination's own state
+        so that a rule fires on an unchanged view row.
+        """
+        return mdst_slot_pass(self.network, R, scalars)
 
     def send_gossip(self, T: np.ndarray, t_nodes: List[NodeId]) -> int:
         """Mint the slot's timeout gossip as virtual tokens.
@@ -223,9 +232,6 @@ class MDSTArrayOps:
                     return self.network.flush_outbox(v)
         return 0
 
-    def gate(self, scalars: List[Tuple[NodeId, NodeId, object]]) -> List[bool]:
-        return mdst_scalar_gate(self.network, scalars)
-
 
 def get_ops(network: Network):
     """The network's engine driver, or ``None`` for plain object networks."""
@@ -241,10 +247,11 @@ def execute_plan(network: Network, ops, seqs: Plan,
     """Execute a per-node event plan slot by slot, batching each slot.
 
     Slot ``j`` runs the ``j``-th planned event of every node: gossip
-    deliveries (virtual tokens and physical messages alike) as one scatter
-    + one vectorized rules pass, control deliveries through the no-op gate
-    and then the scalar handlers, and timeouts (ascending node id) as one
-    batched refresh followed by the driver's gossip send.  Per-node event
+    deliveries (virtual tokens and physical messages alike) as one
+    scatter, then one ``ops.slot_pass`` call -- the rules of the
+    gossip destinations and the timeout actors plus the no-op gate of the
+    control deliveries -- then the surviving scalar handlers, and last the
+    timeouts' gossip send and hooks (ascending node id).  Per-node event
     order is the plan's order, which the commutation argument in the
     module docstring makes equivalent to the object scheduler's total
     order -- byte for byte, including channel statistics, trace counters
@@ -309,47 +316,52 @@ def execute_plan(network: Network, ops, seqs: Plan,
                     vsel = np.nonzero(mark)[0]
             ops.scatter(np.asarray(g_rows, dtype=np.intp), g_pos, g_fields,
                         vsel)
-            ops.refresh_deliver(np.fromiter((index[d] for d in g_dsts),
-                                            dtype=_I64, count=len(g_dsts)))
-            cnt = len(g_rows)
+        t_nodes.sort()
+        ng = len(g_dsts)
+        nt = len(t_nodes)
+        drop = ()
+        if ng or nt or scalars:
+            # The slot's one rules pass: gossip destinations and timeout
+            # actors together, plus the control gate.
+            R = np.fromiter((index[v] for v in chain(g_dsts, t_nodes)),
+                            dtype=_I64, count=ng + nt)
+            drop = ops.slot_pass(R, scalars)
+        if ng:
             for dst in g_dsts:
                 processes[dst].steps_taken += 1
             dirty.update(g_dsts)
-            network._version += cnt
-            stats.steps += cnt
-            stats.deliveries += cnt
+            network._version += ng
+            stats.steps += ng
+            stats.deliveries += ng
             if trace is not None:
                 mtc = trace.message_type_counts
-                mtc[ops.gossip_name] = mtc.get(ops.gossip_name, 0) + cnt
+                mtc[ops.gossip_name] = mtc.get(ops.gossip_name, 0) + ng
                 if ops.gossip_bits > trace.max_message_bits:
                     trace.max_message_bits = ops.gossip_bits
-                trace.total_deliveries += cnt
+                trace.total_deliveries += ng
                 if trace.rounds:
                     rec = trace.rounds[-1]
-                    rec.steps += cnt
-                    rec.deliveries += cnt
-        if scalars:
-            drop = ops.gate(scalars)
-            if True in drop:
-                dropped = [s for s, dr in zip(scalars, drop) if dr]
-                scalars = [s for s, dr in zip(scalars, drop) if not dr]
-                account_dropped_deliveries(network, trace, stats, dropped)
-            for dst, src, msg in scalars:
-                process = processes[dst]
-                process.on_message(src, msg)
-                process.steps_taken += 1
-                network.note_step(dst)
-                sent = network.flush_outbox(dst)
-                stats.steps += 1
-                stats.deliveries += 1
-                stats.messages_sent += sent
-                if trace is not None:
-                    trace.record_delivery(src, dst, msg, sent)
-        if t_nodes:
-            t_nodes.sort()
-            T = np.fromiter((index[v] for v in t_nodes), dtype=_I64,
-                            count=len(t_nodes))
-            ops.refresh_timeout(T)
+                    rec.steps += ng
+                    rec.deliveries += ng
+        if True in drop:
+            dropped = [s for s, dr in zip(scalars, drop) if dr]
+            scalars = [s for s, dr in zip(scalars, drop) if not dr]
+            account_dropped_deliveries(network, trace, stats, dropped)
+        for dst, src, msg in scalars:
+            process = processes[dst]
+            process.on_message(src, msg)
+            process.steps_taken += 1
+            network.note_step(dst)
+            sent = network.flush_outbox(dst)
+            stats.steps += 1
+            stats.deliveries += 1
+            stats.messages_sent += sent
+            if trace is not None:
+                trace.record_delivery(src, dst, msg, sent)
+        if nt:
+            # The timeouts' refresh ran in the slot pass; their gossip
+            # mint and search-initiation hook run after the handlers.
+            T = R[ng:]
             gossip_sends = ops.send_gossip(T, t_nodes)
             total_sent = gossip_sends
             for v, i in zip(t_nodes, T.tolist()):
@@ -357,7 +369,6 @@ def execute_plan(network: Network, ops, seqs: Plan,
                 ops.timeout_pre(process)
                 total_sent += ops.timeout_hook(process, v, i)
                 process.steps_taken += 1
-            nt = len(t_nodes)
             dirty.update(t_nodes)
             # Physical gossip sends tick the version through the channel
             # watcher; virtual mints must be counted here.

@@ -9,8 +9,8 @@ contracts:
 
 * **Topology** lives in a CSR adjacency structure (built through
   :mod:`scipy.sparse` when available): ``indptr``/``nbr_idx``/``nbr_ids``
-  arrays over the sorted node ids, plus a flat edge -> view-row index shared
-  by every vectorized pass.
+  arrays over the sorted node ids.  A node's neighbour views are the flat
+  rows of its CSR segment, and every vectorized pass works on segments.
 * **Node state** is a set of flat numpy columns -- one per slotted
   :class:`~repro.core.state.MDSTState` field (``root``, ``parent``,
   ``distance``, ``sub_max``, ``dmax``, ``color``) -- and the cached
@@ -76,12 +76,28 @@ __all__ = [
 
 _I64 = np.int64
 _INT_MAX = np.iinfo(np.int64).max
+#: The empty node-index set (``ArrayKernel.refresh`` with no gate nodes).
+_NO_NODES = np.zeros(0, dtype=_I64)
 
 
 def _minfo_bits_for(network_size: int) -> int:
     """Wire size of one gossip ``MInfo`` (constant per run)."""
     return MInfo(root=0, parent=0, distance=0, degree=0, sub_max=0,
                  dmax=0, color=False).size_bits(network_size)
+
+
+def segment_row(hit: np.ndarray, rows: np.ndarray,
+                starts: np.ndarray) -> np.ndarray:
+    """The row of each segment's hit, or -1 for a segment without one.
+
+    ``hit`` marks at most one row per segment -- the parent lookup
+    ``repeat(parent, counts) == nbr_ids`` does, since neighbour ids are
+    unique within a segment -- and ``rows`` labels the rows (flat view rows
+    or positions in a gathered geometry).  A corrupted pointer that names
+    no neighbour finds no hit: the vector analogue of
+    ``view.get(parent) is None``.
+    """
+    return np.maximum.reduceat(np.where(hit, rows, -1), starts)
 
 
 def _build_csr(graph: nx.Graph, node_ids: List[NodeId]):
@@ -216,18 +232,6 @@ class ArrayKernel:
         #: index of each neighbour id is just ``nbr_idx`` itself (both
         #: arrays are frozen topology; sharing is safe).
         self.nbr_node_idx = self.nbr_idx
-        # -- flat position lookup -----------------------------------------------
-        # (owner index, neighbour id) -> flat row, as a sorted key array so a
-        # batch of parent pointers resolves with one searchsorted.  Keys are
-        # offset to stay non-negative for every value a (possibly corrupted)
-        # pointer can take.
-        lo = int(min(self.ids.min(initial=0), -5)) - 1
-        hi = int(max(self.ids.max(initial=0), self.n_upper + 5)) + 1
-        self._key_off = -lo
-        self._key_mod = hi - lo + 1
-        owner_idx = np.repeat(np.arange(self.n, dtype=_I64),
-                              np.diff(self.indptr).astype(_I64))
-        self.flat_keys = owner_idx * self._key_mod + (self.nbr_ids + self._key_off)
         # Scalar-path position lookup, built lazily (see the ``pos``
         # property): construction never needs it, and the CSR-direct build
         # path must stay free of per-edge Python dict fills.
@@ -273,113 +277,124 @@ class ArrayKernel:
                 + np.arange(total, dtype=_I64))
         return flat, starts.astype(np.intp), counts
 
-    def parent_rows(self, S: np.ndarray, parents: np.ndarray):
-        """Flat view row of each node's parent pointer (or -1 when absent).
-
-        ``parents`` may hold arbitrary (corrupted) integers; anything that is
-        not a current neighbour id of the owning node resolves to -1, the
-        vector analogue of ``state.view.get(parent) is None``.
-        """
-        shifted = parents + self._key_off
-        in_range = (shifted >= 0) & (shifted < self._key_mod)
-        qkeys = S * self._key_mod + np.where(in_range, shifted, 0)
-        pos = np.searchsorted(self.flat_keys, qkeys)
-        pos_c = np.minimum(pos, self.total - 1)
-        valid = in_range & (pos < self.total) & (self.flat_keys[pos_c] == qkeys)
-        return np.where(valid, pos_c, -1), valid
-
     # -- vectorized rule evaluation --------------------------------------------
 
-    def refresh(self, S: np.ndarray, predicates: bool = False) -> None:
+    def refresh(self, S: np.ndarray, predicates: bool = False,
+                gate: np.ndarray = _NO_NODES) -> np.ndarray:
         """Vectorized ``MDSTNode._refresh`` over the node-index subset ``S``.
 
         Applies the spanning-tree rules R2 -> R1 -> R3 and the fused degree
         layer exactly as :meth:`~repro.core.node_algorithm.MDSTNode.
         _apply_tree_rules` / ``_update_degree_layer`` do per node, writing
-        the state columns in place.  With ``predicates=True`` the pass also
-        refreshes :attr:`locally_stab` (the reduction-layer gate) for ``S``.
+        the state columns of ``S`` in place.  With ``predicates=True`` the
+        pass also refreshes :attr:`locally_stab` (the reduction-layer gate)
+        for ``S``.
+
+        ``gate`` names nodes, disjoint from ``S``, whose rules do *not* run:
+        the pass returns their ``locally_stabilized`` verdict on the state
+        as it stands (the batched twin of
+        :meth:`ArrayMDSTNode.locally_stabilized`) and writes nothing for
+        them.  The verdict is the conjunction of the coherence terms that
+        already feed R2 and R3 with the own-colour and neighbourhood
+        clauses, so a slot's rules and its control gate share one pass.
 
         The rule order licenses two simplifications the scalar code pays for
         per node: after R2 no node is a new-root candidate, and every node
         R1 or R2 touched has a coherent distance -- so R3 applies exactly to
         the untouched nodes whose *original* distance was incoherent.
 
-        When ``S`` covers a large fraction of the network the pass computes
-        over the *full* columns in place (no gather of the subset's view
-        rows -- the per-row results are independent, so computing the extra
-        rows is cheaper than building the subset geometry) and writes back
-        only the rows of ``S``.
+        A parent pointer resolves through the segment mask
+        ``repeat(parent, counts) == nbr_ids`` (:func:`segment_row`).
+
+        When ``S`` and ``gate`` together cover a large fraction of the
+        network the pass computes over the *full* columns in place (no
+        gather of the subset's view rows -- the per-row results are
+        independent, so computing the extra rows is cheaper than building
+        the subset geometry) and writes back only the rows of ``S``.
         """
-        if self.total == 0 or len(S) == 0:
-            return
+        n_s = len(S)
+        n_g = len(gate)
+        if self.total == 0 or n_s + n_g == 0:
+            # Without edges no message can reach a gate node either.
+            return np.zeros(n_g, dtype=bool)
         n_upper = self.n_upper
-        rep = np.repeat  # segment broadcast helper
-        dense = 4 * len(S) >= self.n
-        if dense:
-            # Full-column geometry: the view arrays are read uncopied.
-            idx = self._all_idx
+        if 4 * (n_s + n_g) >= self.n:
+            # Full-column geometry: basic slices are views, nothing is
+            # gathered; a node's position in the pass is its index.
+            own = flat = slice(None)
             starts = self._full_starts
             counts = self._row_counts
-            me = self.ids
-            r = self.root.copy()
-            p = self.parent.copy()
-            d = self.distance.copy()
-            vr = self.v_root
-            vp = self.v_parent
-            vd = self.v_distance
-            vh = self.v_heard
-            nbr = self.nbr_ids
-            vsub = self.v_sub_max
-            vdm = self.v_dmax
-            vcol = self.v_color
+            rows = self._full_flat
+            at_s, at_g = S, gate
         else:
-            idx = S
-            flat, starts, counts = self.rows_of(S)
-            me = self.ids[S]
-            r = self.root[S].copy()
-            p = self.parent[S].copy()
-            d = self.distance[S].copy()
-            vr = self.v_root[flat]
-            vp = self.v_parent[flat]
-            vd = self.v_distance[flat]
-            vh = self.v_heard[flat]
-            nbr = self.nbr_ids[flat]
-            vsub = self.v_sub_max[flat]
-            vdm = self.v_dmax[flat]
-            vcol = self.v_color[flat]
+            own = np.concatenate((S, gate)) if n_g else S
+            flat, starts, counts = self.rows_of(own)
+            rows = np.arange(len(flat), dtype=_I64)
+            at_s, at_g = slice(0, n_s), slice(n_s, None)
+        me = self.ids[own]
+        r = self.root[own]
+        p = self.parent[own]
+        d = self.distance[own]
+        vr = self.v_root[flat]
+        vp = self.v_parent[flat]
+        vd = self.v_distance[flat]
+        vh = self.v_heard[flat]
+        nbr = self.nbr_ids[flat]
+        vsub = self.v_sub_max[flat]
+        vdm = self.v_dmax[flat]
+        vcol = self.v_color[flat]
 
-        # -- coherence of the original state (feeds R2 and R3) ----------------
-        prow, pvalid = self.parent_rows(idx, p)
-        prow_c = np.maximum(prow, 0)
-        pvh = np.where(pvalid, self.v_heard[prow_c], False)
-        pvr = np.where(pvalid, self.v_root[prow_c], 0)
-        pvd = np.where(pvalid, self.v_distance[prow_c], 0)
+        # -- coherence of the original state (feeds R2, R3 and the gate) -----
+        # ``prow`` is -1 without a parent row; indexing with it reads the
+        # last row, which every use masks out.
+        on_p = p.repeat(counts) == nbr
+        prow = segment_row(on_p, rows, starts)
+        pvalid = prow >= 0
+        pvh = pvalid & vh[prow]
+        pvd = vd[prow]
         self_parent = p == me
         cp = np.where(r > me, False,
                       np.where(self_parent, (r == me) & (d == 0),
-                               pvalid & (~pvh | (pvr == r))))
+                               pvalid & (~pvh | (vr[prow] == r))))
         cd = np.where(d >= n_upper, False,
                       np.where(self_parent, d == 0,
                                pvalid & (~pvh | (d == pvd + 1))))
+        verdict = np.zeros(0, dtype=bool)
+        if n_g:
+            # locally_stabilized before any rule: coherent parent and
+            # distance, own colour set, and no heard neighbour with a
+            # smaller root, another dmax or a false colour.
+            bad = np.logical_or.reduceat(
+                vh & ((vr < r.repeat(counts))
+                      | (vdm != self.dmax[own].repeat(counts)) | ~vcol),
+                starts)
+            verdict = (cp & cd & self.color[own] & ~bad)[at_g]
+            if n_s == 0:
+                return verdict
         ncr = ~cp | (d >= n_upper)
+        moved = False  # whether a rule fired, so parent rows may differ
 
         # -- R2: reset to a fresh root -----------------------------------------
-        r = np.where(ncr, me, r)
-        p = np.where(ncr, me, p)
-        d = np.where(ncr, 0, d)
+        if ncr.any():
+            r = np.where(ncr, me, r)
+            p = np.where(ncr, me, p)
+            d = np.where(ncr, 0, d)
+            moved = True
 
         # -- R1: adopt the best smaller-root neighbour -------------------------
-        cand = vh & (vr < rep(r, counts)) & (vd + 1 < n_upper)
+        cand = vh & (vr < r.repeat(counts)) & (vd + 1 < n_upper)
         br = np.minimum.reduceat(np.where(cand, vr, _INT_MAX), starts)
         fired1 = br < _INT_MAX
-        best = np.minimum.reduceat(
-            np.where(cand & (vr == rep(br, counts)), nbr, _INT_MAX), starts)
-        best_d = np.minimum.reduceat(
-            np.where(cand & (vr == rep(br, counts)) & (nbr == rep(best, counts)),
-                     vd, _INT_MAX), starts)
-        r = np.where(fired1, br, r)
-        p = np.where(fired1, best, p)
-        d = np.where(fired1, best_d + 1, d)
+        if fired1.any():
+            cand &= vr == br.repeat(counts)
+            best = np.minimum.reduceat(np.where(cand, nbr, _INT_MAX), starts)
+            best_d = np.minimum.reduceat(
+                np.where(cand & (nbr == best.repeat(counts)), vd, _INT_MAX),
+                starts)
+            r = np.where(fired1, br, r)
+            p = np.where(fired1, best, p)
+            d = np.where(fired1, best_d + 1, d)
+            moved = True
 
         # -- R3: gentle distance repair on the untouched incoherent nodes ------
         fire3 = ~ncr & ~fired1 & ~cd
@@ -389,21 +404,23 @@ class ArrayKernel:
             r = np.where(reset, me, r)
             p = np.where(reset, me, p)
             d = np.where(reset, 0, d)
+            moved = True
 
         # -- fused degree layer (degree, sub_max, dmax, color) -----------------
-        child = vh & (vp == rep(me, counts))
-        pmask = (~child) & (rep(p, counts) == nbr)
-        degree = np.add.reduceat((child | pmask).astype(_I64), starts)
+        # A row is a tree edge when the neighbour names this node as its
+        # parent (child) or this node names the neighbour (on_p).
+        if moved:
+            on_p = p.repeat(counts) == nbr
+            prow = segment_row(on_p, rows, starts)
+            pvh = (prow >= 0) & vh[prow]
+        child = vh & (vp == me.repeat(counts))
+        degree = np.add.reduceat((child | on_p).astype(_I64), starts)
         child_max = np.maximum.reduceat(
             np.where(child, vsub, np.int64(-1)), starts)
         sub_max = np.maximum(degree, child_max)
-        prow, pvalid = self.parent_rows(idx, p)
-        prow_c = np.maximum(prow, 0)
-        pvh = np.where(pvalid, self.v_heard[prow_c], False)
-        pvdm = np.where(pvalid, self.v_dmax[prow_c], 0)
-        dmax = np.where(p == me, sub_max, np.where(pvh, pvdm, sub_max))
-        color = ~np.logical_or.reduceat(
-            vh & (vdm != rep(dmax, counts)), starts)
+        dmax = np.where(p == me, sub_max, np.where(pvh, vdm[prow], sub_max))
+        color = ~np.logical_or.reduceat(vh & (vdm != dmax.repeat(counts)),
+                                        starts)
 
         if predicates:
             # locally_stabilized = tree_stabilized & color & degree_stabilized
@@ -411,22 +428,11 @@ class ArrayKernel:
             # and distance, so tree_stabilized reduces to "no better parent";
             # color equals degree_stabilized by construction (it was just set
             # to it and nothing changed since).
-            bp = np.logical_or.reduceat(vh & (vr < rep(r, counts)), starts)
-            cstab = ~np.logical_or.reduceat(
-                vh & (vcol != rep(color, counts)), starts)
-            stab = ~bp & color & cstab
+            stab = color & ~np.logical_or.reduceat(
+                vh & ((vr < r.repeat(counts)) | (vcol != color.repeat(counts))),
+                starts)
 
-        if dense and len(S) != self.n:
-            self.root[S] = r[S]
-            self.parent[S] = p[S]
-            self.distance[S] = d[S]
-            self.sub_max[S] = sub_max[S]
-            self.dmax[S] = dmax[S]
-            self.color[S] = color[S]
-            self.degree[S] = degree[S]
-            if predicates:
-                self.locally_stab[S] = stab[S]
-        elif dense:
+        if n_s == self.n:
             self.root = r
             self.parent = p
             self.distance = d
@@ -437,15 +443,16 @@ class ArrayKernel:
             if predicates:
                 self.locally_stab = stab
         else:
-            self.root[S] = r
-            self.parent[S] = p
-            self.distance[S] = d
-            self.sub_max[S] = sub_max
-            self.dmax[S] = dmax
-            self.color[S] = color
-            self.degree[S] = degree
+            self.root[S] = r[at_s]
+            self.parent[S] = p[at_s]
+            self.distance[S] = d[at_s]
+            self.sub_max[S] = sub_max[at_s]
+            self.dmax[S] = dmax[at_s]
+            self.color[S] = color[at_s]
+            self.degree[S] = degree[at_s]
             if predicates:
-                self.locally_stab[S] = stab
+                self.locally_stab[S] = stab[at_s]
+        return verdict
 
     def compute_degrees(self, S: np.ndarray) -> np.ndarray:
         """Tree degree of every node in ``S`` (the derived ``deg_v``)."""
@@ -464,41 +471,6 @@ class ArrayKernel:
         pmask = (~child) & (np.repeat(self.parent[S], counts)
                             == self.nbr_ids[flat])
         return np.add.reduceat((child | pmask).astype(_I64), starts)
-
-    def stabilized_mask(self, S: np.ndarray) -> np.ndarray:
-        """Vectorized ``locally_stabilized`` over the node-index subset ``S``.
-
-        The batched twin of :meth:`ArrayMDSTNode.locally_stabilized`:
-        evaluates the predicate's five clauses for every node of ``S`` in
-        one pass, without writing any column.  Used to gate whole batches
-        of ``Search``/``Deblock`` deliveries at once (the handlers'
-        early-return) instead of calling the scalar predicate per message.
-        """
-        if len(S) == 0:
-            return np.zeros(0, dtype=bool)
-        me = self.ids[S]
-        r = self.root[S]
-        p = self.parent[S]
-        d = self.distance[S]
-        ok = (d < self.n_upper) & (r <= me)
-        self_parent = p == me
-        prow, pvalid = self.parent_rows(S, p)
-        prow_c = np.maximum(prow, 0)
-        pvh = pvalid & self.v_heard[prow_c]
-        ok &= np.where(
-            self_parent,
-            (r == me) & (d == 0),
-            pvalid & (~pvh | ((self.v_root[prow_c] == r)
-                              & (d == self.v_distance[prow_c] + 1))))
-        ok &= self.color[S]
-        if self.total:
-            flat, starts, counts = self.rows_of(S)
-            vh = self.v_heard[flat]
-            bad = vh & ((self.v_root[flat] < np.repeat(r, counts))
-                        | (self.v_dmax[flat] != np.repeat(self.dmax[S], counts))
-                        | (~self.v_color[flat]))
-            ok &= ~np.logical_or.reduceat(bad, starts)
-        return ok
 
 
 class NeighborProxy:
@@ -984,25 +956,38 @@ class ArrayChannel(Channel):
             yield self._net._gossip_minfo(self._src_i)
 
 
-def mdst_scalar_gate(network: "ArrayNetwork",
-                     scalars: List[Tuple[NodeId, NodeId, object]]) -> List[bool]:
-    """Which of the popped control messages ``(dst, src, msg)`` are no-ops.
+def mdst_slot_pass(network: "ArrayNetwork", rules: np.ndarray,
+                   scalars: List[Tuple[NodeId, NodeId, object]]) -> List[bool]:
+    """The one kernel pass of a slot: refresh ``rules``, judge ``scalars``.
 
-    The MDST handlers drop a large share of Search-storm traffic at the
-    door: ``Search``/``Deblock`` return immediately at a destination that is
-    not locally stabilized, ``UpdateDist`` is ignored unless it arrives from
+    ``rules`` are the node indices whose rules the slot runs (its gossip
+    destinations and its timeout actors); they are refreshed with the
+    reduction-layer predicate on.  The return value says which of the
+    popped control messages ``(dst, src, msg)`` are no-ops.  The MDST
+    handlers drop a large share of Search-storm traffic at the door:
+    ``Search``/``Deblock`` return immediately at a destination that is not
+    locally stabilized, ``UpdateDist`` is ignored unless it arrives from
     the destination's current parent, garbage never matches a handler, and
-    with the reduction layer disabled *every* non-gossip message is ignored.
-    Those early-returns read state but never write it, so they can be
-    evaluated in batch (one :meth:`ArrayKernel.stabilized_mask` pass per
-    slot) and the dropped messages accounted without running a handler.
-    Messages that would reach a real handler body are kept scalar.
+    with the reduction layer disabled *every* non-gossip message is
+    ignored.  Those early-returns read state but never write it, so the
+    dropped messages can be accounted without running a handler; messages
+    that would reach a real handler body are kept scalar.
+
+    The ``Search``/``Deblock`` verdicts come out of the same
+    :meth:`ArrayKernel.refresh` call as the rules, as its gate nodes.  A
+    slot holds one event per node, so those destinations are distinct and
+    disjoint from ``rules``.  Each verdict reads only its destination's own
+    columns and view rows, which no other event of the slot writes, so it
+    equals the predicate the handler would evaluate on arrival; and the
+    timeout refresh may run ahead of the slot's control handlers because a
+    handler writes only its own node's state and out-channels.
     """
     k = network.kernel
     nsc = len(scalars)
     if not network._enable_reduction:
         # MDSTNode.on_message returns before dispatch for every non-MInfo
         # message when the reduction layer is off.
+        k.refresh(rules)
         return [True] * nsc
     drop = [False] * nsc
     gated: List[int] = []
@@ -1014,16 +999,11 @@ def mdst_scalar_gate(network: "ArrayNetwork",
             gated.append(j)
         elif t is UpdateDist:
             drop[j] = int(k.parent[k.index[dst]]) != src
-    if gated:
-        S = np.fromiter((k.index[scalars[j][0]] for j in gated), dtype=_I64,
-                        count=len(gated))
-        # The subset helpers (rows_of in particular) expect sorted unique
-        # indices; a slot can gate several messages for one destination and
-        # asynchronous plans list destinations in event order.
-        uniq, inverse = np.unique(S, return_inverse=True)
-        stab = k.stabilized_mask(uniq)[inverse]
-        for jj, j in enumerate(gated):
-            drop[j] = not bool(stab[jj])
+    G = np.fromiter((k.index[scalars[j][0]] for j in gated), dtype=_I64,
+                    count=len(gated))
+    stab = k.refresh(rules, predicates=True, gate=G)
+    for j, ok in zip(gated, stab.tolist()):
+        drop[j] = not ok
     return drop
 
 
@@ -1906,6 +1886,7 @@ class ArrayNetwork(Network):
                     scalars.append((dst, e[0], e[1]))
             if not active:
                 break
+            S = _NO_NODES
             if batch_rows:
                 P = np.asarray(batch_rows, dtype=np.intp)
                 src_idx = k.nbr_node_idx[P]
@@ -1930,12 +1911,16 @@ class ArrayNetwork(Network):
                     k.v_dmax[pos] = cols[5]
                     k.v_color[pos] = np.asarray(cols[6], dtype=bool)
                 S = np.asarray(batch_dsti, dtype=_I64)
-                # NOTE: unlike phase 2a, the refresh here must be
-                # unconditional -- a control handler earlier in this round
-                # can change the destination's *own* state so that a rule
-                # fires on a later gossip delivery even when that delivery
-                # leaves the view row unchanged.
-                k.refresh(S)
+            # One kernel pass per slot: the gossip destinations' rules and
+            # the batched control gate (Search/Deblock at a non-stabilized
+            # destination, UpdateDist from a non-parent and garbage are
+            # handler no-ops -- account them in bulk, skip the dispatch).
+            # Unlike phase 2a the refresh is unconditional: a control
+            # handler earlier in this round can change the destination's
+            # *own* state so that a rule fires on a later gossip delivery
+            # even when that delivery leaves the view row unchanged.
+            drop = mdst_slot_pass(self, S, scalars)
+            if batch_rows:
                 count = len(batch_rows)
                 for dst in batch_dst_ids:
                     processes[dst].steps_taken += 1
@@ -1953,15 +1938,10 @@ class ArrayNetwork(Network):
                         rec = trace.rounds[-1]
                         rec.steps += count
                         rec.deliveries += count
-            if scalars:
-                # Batched control gate: Search/Deblock at a non-stabilized
-                # destination, UpdateDist from a non-parent and garbage are
-                # handler no-ops -- account them in bulk, skip the dispatch.
-                drop = mdst_scalar_gate(self, scalars)
-                if True in drop:
-                    dropped = [s for s, dr in zip(scalars, drop) if dr]
-                    scalars = [s for s, dr in zip(scalars, drop) if not dr]
-                    account_dropped_deliveries(self, trace, stats, dropped)
+            if True in drop:
+                dropped = [s for s, dr in zip(scalars, drop) if dr]
+                scalars = [s for s, dr in zip(scalars, drop) if not dr]
+                account_dropped_deliveries(self, trace, stats, dropped)
             for dst, src, msg in scalars:
                 process = processes[dst]
                 process.on_message(src, msg)

@@ -50,7 +50,7 @@ from ..exceptions import SimulationError
 from ..stabilization.pif import DegreeInfo, MaxDegreeProcess
 from ..stabilization.spanning_tree import STInfo, SpanningTreeProcess
 from ..types import NodeId
-from .array_kernel import _build_csr
+from .array_kernel import _build_csr, segment_row
 from .messages import GarbageMessage
 from .network import Network
 
@@ -123,24 +123,6 @@ class STKernel(SubstrateKernel):
         self.v_parent = self.nbr_ids.copy()
         self.v_distance = np.zeros(self.total, dtype=_I64)
         self.v_heard = np.zeros(self.total, dtype=bool)
-        # -- parent-pointer lookup (same construction as ArrayKernel) -----------
-        lo = int(min(self.ids.min(initial=0), -5)) - 1
-        hi = int(max(self.ids.max(initial=0), self.n_upper + 5, 100)) + 1
-        self._key_off = -lo
-        self._key_mod = hi - lo + 1
-        owner_idx = np.repeat(np.arange(self.n, dtype=_I64),
-                              np.diff(self.indptr).astype(_I64))
-        self.flat_keys = owner_idx * self._key_mod + (self.nbr_ids + self._key_off)
-
-    def parent_rows(self, S: np.ndarray, parents: np.ndarray):
-        """Flat view row of each node's parent pointer (or -1 when absent)."""
-        shifted = parents + self._key_off
-        in_range = (shifted >= 0) & (shifted < self._key_mod)
-        qkeys = S * self._key_mod + np.where(in_range, shifted, 0)
-        pos = np.searchsorted(self.flat_keys, qkeys)
-        pos_c = np.minimum(pos, self.total - 1)
-        valid = in_range & (pos < self.total) & (self.flat_keys[pos_c] == qkeys)
-        return np.where(valid, pos_c, -1), valid
 
     def refresh(self, S: np.ndarray) -> None:
         """Vectorized ``SpanningTreeProcess.apply_rules`` over the subset ``S``.
@@ -167,6 +149,7 @@ class STKernel(SubstrateKernel):
         root, parent, dist = self.root, self.parent, self.distance
         vh, vr, vd = self.v_heard, self.v_root, self.v_distance
         flat, starts, counts = self.rows_of(S)
+        nbr = self.nbr_ids[flat]
         sid = ids[S]
         r = root[S]
         p = parent[S]
@@ -175,7 +158,8 @@ class STKernel(SubstrateKernel):
         selfp = p == sid
         cp = r <= sid
         cp &= np.where(selfp, (r == sid) & (d == 0), True)
-        prow, valid = self.parent_rows(S, p)
+        prow = segment_row(np.repeat(p, counts) == nbr, flat, starts)
+        valid = prow >= 0
         other = ~selfp
         ok = np.where(other, valid, True)
         m = other & valid
@@ -212,8 +196,8 @@ class STKernel(SubstrateKernel):
         p = parent[S]
         d = dist[S]
         selfp = p == sid
-        prow, valid = self.parent_rows(S, p)
-        m = (~selfp) & valid
+        prow = segment_row(np.repeat(p, counts) == nbr, flat, starts)
+        m = (~selfp) & (prow >= 0)
         heard_p = np.zeros(len(S), dtype=bool)
         pd = np.zeros(len(S), dtype=_I64)
         if m.any():
@@ -558,11 +542,17 @@ class _SubstrateOps:
     def view_row(self, src: NodeId, dst: NodeId) -> int:
         return self.kernel.pos[(dst, src)]
 
-    def refresh_deliver(self, S: np.ndarray) -> None:
-        self.kernel.refresh(S)
+    def slot_pass(self, R: np.ndarray,
+                  scalars: List[Tuple[NodeId, NodeId, object]]) -> List[bool]:
+        """Refresh the rule nodes ``R``; return which ``scalars`` are no-ops.
 
-    def refresh_timeout(self, S: np.ndarray) -> None:
-        self.kernel.refresh(S)
+        The substrate handlers ignore anything that is not their gossip
+        type; garbage is the only such traffic, and dropping it batched
+        matches the scalar no-op handler byte for byte.
+        """
+        if len(R):
+            self.kernel.refresh(R)
+        return [type(msg) is GarbageMessage for _dst, _src, msg in scalars]
 
     def send_gossip(self, T: np.ndarray, t_nodes: List[NodeId]) -> int:
         """Broadcast this slot's timeout gossip through the object path.
@@ -587,12 +577,6 @@ class _SubstrateOps:
 
     def timeout_hook(self, process, v: NodeId, i: int) -> int:
         return 0
-
-    def gate(self, scalars: List[Tuple[NodeId, NodeId, object]]) -> List[bool]:
-        # The substrate handlers ignore anything that is not their gossip
-        # type; garbage is the only such traffic, and dropping it batched
-        # matches the scalar no-op handler byte for byte.
-        return [type(msg) is GarbageMessage for _dst, _src, msg in scalars]
 
 
 class STArrayOps(_SubstrateOps):

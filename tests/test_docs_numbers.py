@@ -87,4 +87,5 @@ def test_experiments_table_matches_the_record():
 @pytest.mark.parametrize("figure, expected", [("156.9", True), ("157", True),
                                               ("157.0", False), ("1395", False)])
 def test_figures_match_at_the_quoted_precision(figure, expected):
-    assert matches_a_row(figure, recorded_rows()) is expected
+    # A fixed row, so the matcher's check outlives re-records.
+    assert matches_a_row(figure, [{"ms_per_round": 156.9}]) is expected

@@ -13,6 +13,12 @@ exactly what their plain forms compute:
   ``_new_root_candidate()`` once.  Both are checked against their clause
   by clause forms on corrupted states (and on the states a few synchronous
   rounds later), on the object and the array-backed state.
+* **The fused slot pass** -- :meth:`ArrayKernel.refresh` runs a slot's
+  rules and its control gate in one vectorized pass.  On corrupted array
+  states with random disjoint rule and gate sets, on both sides of its
+  dense/sparse switch, the gate verdicts must equal the scalar
+  ``locally_stabilized()``, the rule rows the scalar ``MDSTNode._refresh``
+  of an object twin, and every other row must stay untouched.
 """
 
 from __future__ import annotations
@@ -30,7 +36,8 @@ from repro.core.messages import Back, MInfo, Remove, Search
 from repro.core.node_algorithm import MDSTNode
 from repro.core.protocol import MDSTConfig, build_mdst_network
 from repro.graphs.generators import GRAPH_FAMILIES
-from repro.sim.array_kernel import build_array_mdst_network
+from repro.sim.array_kernel import (ArrayNetwork, ArraySyncScheduler,
+                                    build_array_mdst_network)
 from repro.sim.messages import (TYPE_TAG_BITS, GarbageMessage, estimate_bits,
                                 id_bits)
 from repro.sim.scheduler import SynchronousScheduler
@@ -262,3 +269,143 @@ def test_predicate_sample_covers_both_outcomes():
             seen.update(_locally_stabilized_by_clauses(net.processes[v])
                         for v in net.node_ids)
     assert seen == {True, False}
+
+
+# -- the fused slot pass -------------------------------------------------------
+
+_OWN = ("root", "parent", "distance", "sub_max", "dmax", "color", "degree",
+        "locally_stab")
+_VIEW = ("v_root", "v_parent", "v_distance", "v_degree", "v_sub_max",
+         "v_dmax", "v_color", "v_heard")
+_VIEW_FIELDS = ("root", "parent", "distance", "degree", "sub_max", "dmax",
+                "color", "heard")
+
+
+def _corrupted_array_network(n: int, graph_seed: int, corrupt_seed: int,
+                             rounds: int) -> ArrayNetwork:
+    """``_corrupted_network("array", ...)`` with its rounds run by the
+    vectorized synchronous scheduler (byte-identical, and much faster at
+    n >= 64)."""
+    net = _corrupted_network("array", n, graph_seed, corrupt_seed, 0)
+    sched = ArraySyncScheduler()
+    for _ in range(rounds):
+        sched.run_round(net)
+    return net
+
+
+def _perturb(net: ArrayNetwork, rng: np.random.Generator) -> None:
+    """Knock single clauses out of (often stabilized) states: flip own
+    colours, point parents at non-neighbours, push distances past the
+    bound -- so the gate meets nodes that fail exactly one clause."""
+    k = net.kernel
+    n = k.n
+    flip = rng.random(n) < 0.25
+    k.color[flip] = ~k.color[flip]
+    wild = rng.random(n) < 0.1
+    k.parent[wild] = rng.integers(-5, k.n_upper + 5, size=int(wild.sum()))
+    far = rng.random(n) < 0.1
+    k.distance[far] = k.n_upper + rng.integers(0, 3, size=int(far.sum()))
+
+
+def _object_twin(net: ArrayNetwork, graph, n_upper: int):
+    """An object network holding exactly the array network's state."""
+    twin = build_mdst_network(graph, MDSTConfig(n_upper=n_upper))
+    k = net.kernel
+    for v in twin.node_ids:
+        i = k.index[v]
+        s = twin.processes[v].s
+        s.root = int(k.root[i])
+        s.parent = int(k.parent[i])
+        s.distance = int(k.distance[i])
+        s.sub_max = int(k.sub_max[i])
+        s.dmax = int(k.dmax[i])
+        s.color = bool(k.color[i])
+        for u, view in s.view.items():
+            f = k.pos[(v, u)]
+            for name in _VIEW_FIELDS:
+                setattr(view, name, getattr(k, "v_" + name)[f].item())
+    return twin
+
+
+def _own_state(node: MDSTNode):
+    s = node.s
+    return (s.root, s.parent, s.distance, s.sub_max, s.dmax, s.color,
+            s.degree)
+
+
+@pytest.mark.parametrize("geometry", ["dense", "sparse"])
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), graph_seed=st.integers(min_value=0, max_value=10_000),
+       corrupt_seed=st.integers(min_value=0, max_value=10_000),
+       rounds=st.sampled_from([0, 1, 3, 12, 40]),
+       predicates=st.booleans())
+def test_fused_slot_pass_matches_the_scalar_node(geometry, data, graph_seed,
+                                                 corrupt_seed, rounds,
+                                                 predicates):
+    # n=16 with most nodes in play computes over the full columns; n >= 64
+    # with a handful of nodes gathers the subset geometry.
+    if geometry == "dense":
+        n = 16
+        size = data.draw(st.integers(min_value=4, max_value=n))
+    else:
+        n = data.draw(st.integers(min_value=64, max_value=96))
+        size = data.draw(st.integers(min_value=1, max_value=n // 4 - 1))
+    n_upper = n + 1
+    net = _corrupted_array_network(n, graph_seed, corrupt_seed, rounds)
+    _perturb(net, np.random.default_rng(corrupt_seed))
+    k = net.kernel
+    assert (4 * size >= n) == (geometry == "dense")
+    order = data.draw(st.permutations(range(n)))
+    n_rules = data.draw(st.integers(min_value=0, max_value=size))
+    R = np.asarray(order[:n_rules], dtype=np.int64)
+    G = np.asarray(order[n_rules:size], dtype=np.int64)
+    ids = k.node_ids
+    expected_verdict = [bool(net.processes[ids[i]].locally_stabilized())
+                        for i in G.tolist()]
+    graph = GRAPH_FAMILIES["erdos_renyi_sparse"](n, seed=graph_seed)
+    twin = _object_twin(net, graph, n_upper)
+    before = {name: getattr(k, name).copy() for name in _OWN + _VIEW}
+
+    verdict = k.refresh(R, predicates=predicates, gate=G)
+
+    assert verdict.tolist() == expected_verdict
+    for name in _VIEW:
+        assert np.array_equal(getattr(k, name), before[name]), name
+    untouched = np.ones(n, dtype=bool)
+    untouched[R] = False
+    for name in _OWN:
+        # Without predicates the pass writes no locally_stab row at all.
+        kept = (slice(None) if name == "locally_stab" and not predicates
+                else untouched)
+        assert np.array_equal(getattr(k, name)[kept], before[name][kept]), name
+    for i in R.tolist():
+        node = twin.processes[ids[i]]
+        node._refresh()
+        assert (int(k.root[i]), int(k.parent[i]), int(k.distance[i]),
+                int(k.sub_max[i]), int(k.dmax[i]), bool(k.color[i]),
+                int(k.degree[i])) == _own_state(node)
+        if predicates:
+            assert bool(k.locally_stab[i]) is node.locally_stabilized()
+
+
+def test_fused_slot_pass_sample_covers_both_verdicts():
+    """The gate inputs above reach both verdicts, and a node whose only
+    failing clause is its own colour."""
+    verdicts = set()
+    colour_only = 0
+    for corrupt_seed in range(6):
+        net = _corrupted_array_network(16, 3, corrupt_seed, 40)
+        _perturb(net, np.random.default_rng(corrupt_seed))
+        k = net.kernel
+        G = np.arange(16, dtype=np.int64)
+        verdicts.update(k.refresh(np.zeros(0, dtype=np.int64),
+                                  gate=G).tolist())
+        for i in range(16):
+            node = net.processes[k.node_ids[i]]
+            if not k.color[i]:
+                k.color[i] = True
+                colour_only += bool(node.locally_stabilized())
+                k.color[i] = False
+    assert verdicts == {True, False}
+    assert colour_only > 0
