@@ -32,9 +32,11 @@ only the csr_direct n=10_000 case against its committed guard.
 Every number is a *marginal* cost, measured by two-budget warm-up
 subtraction: each configuration runs twice, once for ``warmup`` rounds
 and once for ``warmup + window`` rounds, and the reported seconds are the
-difference.  That cancels everything both runs share -- graph and network
-construction, initial-policy installation, cold caches -- so rounds/sec
-reflects steady per-round kernel cost rather than a setup-amortization
+difference, the median over ``REPEATS`` such pairs (one noisy sample on a
+shared host does not become the recorded point).  That cancels everything
+both runs share -- graph and network construction, initial-policy
+installation, cold caches -- so rounds/sec reflects steady per-round
+kernel cost rather than a setup-amortization
 artifact (the previous revision's fixed per-size budgets made larger
 networks look disproportionately slow purely because setup was a bigger
 share of a smaller budget).  ``stability_window`` is set above the budget
@@ -75,6 +77,7 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -116,6 +119,9 @@ ASYNC_WARMUP = 2
 ASYNC_WINDOW = 6
 
 SEED = 11
+
+#: Two-budget pairs per point; the row reports their median marginal.
+REPEATS = 3
 
 #: Smoke workload: small, fast, fixed -- the CI guard compares like for
 #: like.  The (array, random) combination keeps the async planner path on
@@ -170,7 +176,7 @@ def _workload_fingerprint() -> Dict[str, object]:
         "scheduler": "synchronous",
         "initial": "isolated",
         "task": "throughput",
-        "measurement": "two-budget warm-up subtraction",
+        "measurement": f"two-budget warm-up subtraction, median of {REPEATS}",
     }
 
 
@@ -184,7 +190,7 @@ def _smoke_fingerprint() -> Dict[str, object]:
         "seed": SEED,
         "initial": "isolated",
         "task": "throughput",
-        "measurement": "two-budget warm-up subtraction",
+        "measurement": f"two-budget warm-up subtraction, median of {REPEATS}",
     }
 
 
@@ -238,22 +244,25 @@ def _timed_run(engine: SweepEngine, family: str, n: int, backend: str,
 def _measure(engine: SweepEngine, family: str, n: int, backend: str,
              warmup: int, window: int,
              scheduler: str = "synchronous") -> Dict[str, object]:
-    """Marginal cost of ``window`` rounds after a ``warmup``-round prefix.
+    """Median marginal cost of ``window`` rounds after a ``warmup``-round
+    prefix, over ``REPEATS`` two-budget pairs.
 
-    Raises ``ValueError`` when the marginal is not positive at the recorded
-    precision: ``window`` rounds cannot take no time, so such a difference
-    is noise swamping the window and must not become a row.
+    Raises ``ValueError`` when the median marginal is not positive at the
+    recorded precision: ``window`` rounds cannot take no time, so such a
+    difference is noise swamping the window and must not become a row.
     """
-    t_warm = _timed_run(engine, family, n, backend, scheduler, warmup)
-    t_full = _timed_run(engine, family, n, backend, scheduler,
-                        warmup + window)
-    seconds = t_full - t_warm
+    marginals = []
+    for _ in range(REPEATS):
+        t_warm = _timed_run(engine, family, n, backend, scheduler, warmup)
+        t_full = _timed_run(engine, family, n, backend, scheduler,
+                            warmup + window)
+        marginals.append(t_full - t_warm)
+    seconds = statistics.median(marginals)
     if round(seconds, 4) <= 0:
         raise ValueError(
-            f"{family} n={n} backend={backend} scheduler={scheduler}: "
-            f"{warmup + window} rounds took {t_full:.4f} s but the "
-            f"{warmup}-round prefix took {t_warm:.4f} s; a marginal of "
-            f"{seconds:.4f} s for {window} rounds is impossible")
+            f"{family} n={n} backend={backend} scheduler={scheduler}: a "
+            f"median marginal of {seconds:.4f} s for {window} rounds "
+            f"(pairs: {[round(m, 4) for m in marginals]}) is impossible")
     return {
         "family": family,
         "n": n,
@@ -264,6 +273,7 @@ def _measure(engine: SweepEngine, family: str, n: int, backend: str,
         "seconds": round(seconds, 4),
         "rounds_per_sec": round(window / seconds, 2),
         "ms_per_round": round(1000.0 * seconds / window, 3),
+        "marginal_seconds": [round(m, 4) for m in marginals],
     }
 
 

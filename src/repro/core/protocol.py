@@ -118,8 +118,8 @@ class MDSTConfig:
     backend:
         Simulation kernel backend: ``"object"`` (one process object per
         node, the historical kernel) or ``"array"`` (flat numpy columns
-        plus a vectorized synchronous round --
-        :mod:`repro.sim.array_kernel`).  The backends are byte-identical
+        plus rounds vectorized under every scheduler --
+        :mod:`repro.sim.array_engine`).  The backends are byte-identical
         in results; ``"array"`` is the large-``n`` fast path but rejects
         live topology churn and adversary models.
     """

@@ -100,8 +100,8 @@ class ProtocolRunConfig:
     backend:
         Simulation kernel backend: ``"object"`` (the historical
         object-per-node kernel) or ``"array"`` (flat numpy state columns
-        with vectorized synchronous rounds, see
-        :mod:`repro.sim.array_kernel`).  Gated per adapter by the
+        and rounds vectorized under every scheduler, see
+        :mod:`repro.sim.array_engine`).  Gated per adapter by the
         ``supports_array_backend`` capability flag; the array backend
         rejects live topology churn and adversary models.
     options:

@@ -118,8 +118,8 @@ class RunSpec:
         window opening after ``byzantine_start``.
     backend:
         Simulation kernel backend, ``"object"`` or ``"array"`` (flat numpy
-        state columns with vectorized synchronous rounds, see
-        :mod:`repro.sim.array_kernel`).  Results are byte-identical across
+        state columns, rounds vectorized under every scheduler, see
+        :mod:`repro.sim.array_engine`).  Results are byte-identical across
         backends; the field is seed-free and only changes how rounds are
         executed, but it is part of the cache key so per-backend timing
         rows never alias.

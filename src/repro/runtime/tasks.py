@@ -420,10 +420,7 @@ def run_throughput_task(spec: RunSpec) -> RunOutcome:
         # first use inside run_protocol.  In a cold process that one-time
         # import storm would land inside the timed region -- and the
         # profiled one -- so warm it up before the clock starts.
-        try:
-            import scipy.sparse          # noqa: F401
-        except ImportError:  # the CSR build then runs on numpy alone
-            pass
+        import scipy.sparse          # noqa: F401
         import repro.sim.array_engine    # noqa: F401
         import repro.sim.array_kernel    # noqa: F401
         import repro.sim.array_substrates  # noqa: F401

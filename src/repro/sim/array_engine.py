@@ -1,16 +1,23 @@
-"""Vectorized asynchronous scheduling for the array backend.
+"""The array backend's one execution engine: array-form plans, run slot by slot.
 
-PR 7's array kernel batched only the synchronous round; every other
-scheduler still walked the per-object path, so ``backend="array"`` lost its
-edge the moment a run asked for asynchrony.  This module closes that gap
-with a *slot-major* batched engine that the asynchronous schedulers drive
-through the exact per-event ordering semantics of the object kernel:
+Every scheduler of the array backend -- synchronous, random, adversarial
+and weighted, for all three protocols -- runs its rounds through
+:func:`execute_plan`.  A scheduler is reduced to a small *plan builder*
+that reproduces the object scheduler's execution order exactly, and the
+engine executes the plan with a few vectorized passes per slot:
 
-* **Plans.**  Each scheduler first *plans* its round exactly as the object
-  implementation would execute it -- same pool construction, same rng
-  draws, same slow-link bookkeeping -- but instead of executing events one
-  by one it extracts, per node, that node's subsequence of events (its
-  timeout actions and the deliveries addressed to it, in plan order).
+* **Plans.**  A round's plan is one :class:`Plan` of four arrays: the
+  acting node indices (ascending), each actor's start and count in the
+  flat event array, and the event array itself, whose entries are the
+  destination's flat view row for a delivery or ``-1`` for a timeout.
+  The entries of one actor are that node's own subsequence of the
+  object scheduler's total order.  The synchronous, adversarial and
+  weighted builders read the round-start backlog straight from the
+  channel counters in CSR segment order (destination ascending, source
+  ascending -- the object schedulers' delivery order) and append each
+  node's timeouts; the random builder draws the object scheduler's single
+  ``rng.permutation`` over the same event pool and groups it by actor
+  with a stable argsort.
 * **Commutation.**  Two enabled events at *distinct* nodes always commute:
   a delivery writes only the destination's own state and view row and pops
   a message whose content was frozen at send time, and a timeout writes
@@ -20,45 +27,43 @@ through the exact per-event ordering semantics of the object kernel:
   appends only in the source's (send order preserved), and a round's plan
   never pops beyond the round-start backlog -- so any interleaving that
   preserves each node's own subsequence produces byte-identical results.
-* **Slots.**  The engine therefore executes *slot* ``j`` of every node
-  together, with at most one vectorized kernel pass per slot: the gossip
-  deliveries become one batched scatter, then a single rules pass
-  (:func:`~repro.sim.array_kernel.mdst_slot_pass`) refreshes the gossip
-  destinations and the timeout actors together and, in the same pass,
-  returns the no-op gate verdict of the slot's ``Search``/``Deblock``
-  destinations; the gate drops the Search-storm traffic a non-stabilized
-  destination would ignore, the surviving control messages run the real
-  scalar handlers, and the timeouts finish with a batched gossip send and
-  the search-initiation hook.  Moving the timeout refresh and the gate
+* **Slots.**  The engine therefore executes *slot* ``j`` -- the ``j``-th
+  event of every actor -- together: ``events[starts[counts > j] + j]``.
+  Virtual gossip pops become one batched scatter, then a single rules pass
+  (the driver's ``slot_pass``) refreshes the gossip destinations and the
+  timeout actors together (a destination whose view row the pop left
+  unchanged skips it while its columns are a settled fixpoint of the
+  rules) and, in the same pass, returns the no-op verdict of the slot's
+  control deliveries; the surviving control messages run the real scalar
+  handlers, and the timeouts finish with their gossip send and the
+  search-initiation hook.  Moving the timeout refresh and the gate
   ahead of the handlers is the commutation argument again: a slot holds
   one event per node, a handler writes only its own node's state and
   out-channels, and the gate reads only its destination's own columns and
   view rows, which no other event of the slot writes.
 * **Virtual gossip.**  On an :class:`~repro.sim.array_kernel.ArrayNetwork`
-  the round's gossip never becomes message objects at all: timeout slots
-  mint the same per-source virtual tokens the synchronous fast path uses
-  (:meth:`~repro.sim.array_kernel.ArrayNetwork._mint`), and delivery
-  slots consume them straight from the gossip snapshot columns.  An
-  asynchronous plan consumes a source's tokens one channel at a time, so
-  consumption is a per-directed-edge counter and a channel can hold up to
+  the gossip never becomes message objects: timeouts mint per-source
+  virtual tokens (:meth:`~repro.sim.array_kernel.ArrayNetwork._mint`) and
+  delivery slots consume them straight from the gossip snapshot columns.
+  Consumption is a per-directed-edge counter and a channel can hold up to
   *two* generations at once -- the source's current snapshot (``g_*``)
   and, when the source minted again before this channel delivered, the
-  previous one (``go_*``); the scatter splits its batch by generation.
-  By the FIFO invariant (physical traffic always logically precedes the
-  in-flight tokens) a planned delivery pops the physical queue first and
-  goes virtual only once it is empty, and all channel statistics fold
-  lazily from the counters -- the slot loop never touches a channel
-  object for pure gossip.
+  previous one (``go_*``).  A planned delivery pops whatever the channel
+  holds first -- its tokens ahead of the physical queue, the queue, then
+  the remaining tokens (see :class:`~repro.sim.array_kernel.ArrayChannel`)
+  -- and a per-edge flag tells the slot which rows pop physically.
+
+Per-event Python is left only where a channel holds a physical queue:
+control traffic, materialized tokens and the substrates' plain channels
+(their ``virtual_gossip`` is ``False``).  Per-node Python is left for the
+step counters and the timeout hooks, once per round.
 
 The engine is protocol-agnostic: it talks to the columns through a small
 *ops* driver (:class:`MDSTArrayOps` here; the spanning-tree and PIF
-substrate drivers live in :mod:`repro.sim.array_substrates` and run the
-same engine with plain physical channels, ``virtual_gossip = False``).
-Any configuration outside the batched contract -- full event logs,
-disabled nodes, a slow-link backlog carrying stateful control payloads --
-falls back to the scalar scheduler, which stays byte-identical because
-virtual tokens materialize on demand under scalar delivery and are
-counted by ``ArrayNetwork.enabled_deliveries``.
+drivers live in :mod:`repro.sim.array_substrates`).  Full event logs and
+disabled nodes fall back to the object scheduler, which stays
+byte-identical because virtual tokens materialize on demand under scalar
+delivery and are counted by ``ArrayNetwork.enabled_deliveries``.
 
 What stays scalar, honestly: ``Search``/``Back``/``Remove`` forwarding
 carries variable-length path/visited tuples that have no fixed column
@@ -69,21 +74,15 @@ no-op deliveries in bulk, which is where the volume is.
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from ..core.messages import MInfo
+from ..core.messages import Deblock, MInfo, Search, UpdateDist
 from ..types import NodeId
-from .array_kernel import (
-    ArrayNetwork,
-    ArraySyncScheduler,
-    account_dropped_deliveries,
-    mdst_slot_pass,
-)
+from .array_kernel import ArrayNetwork, channel_rows
 from .messages import GarbageMessage
-from .network import EnabledEvents, Network
+from .network import Network
 from .scheduler import (
     AdversarialScheduler,
     RandomAsyncScheduler,
@@ -97,20 +96,37 @@ from .trace import TraceRecorder
 __all__ = [
     "ArrayAdversarialScheduler",
     "ArrayRandomAsyncScheduler",
+    "ArraySyncScheduler",
     "ArrayWeightedFairScheduler",
     "MDSTArrayOps",
+    "Plan",
     "execute_plan",
     "get_ops",
-    "sync_plan",
     "wrap_scheduler_for_array",
 ]
 
 _I64 = np.int64
+_NO_NODES = np.zeros(0, dtype=_I64)
 
-#: A per-node event plan: each node maps to its own event subsequence,
-#: entries ``("t",)`` (one timeout action) or ``("d", channel, src)``
-#: (deliver the head message of ``channel``).
-Plan = Dict[NodeId, List[tuple]]
+
+class Plan(NamedTuple):
+    """One round's events in array form.
+
+    ``events[starts[a]:starts[a] + counts[a]]`` is the event subsequence of
+    node index ``actors[a]``: a flat view row (a delivery on the channel
+    that row stands for) or ``-1`` (a timeout).  ``actors`` is ascending.
+    """
+
+    actors: np.ndarray
+    starts: np.ndarray
+    counts: np.ndarray
+    events: np.ndarray
+
+
+def _exclusive_cumsum(counts: np.ndarray) -> np.ndarray:
+    out = np.zeros(len(counts), dtype=_I64)
+    np.cumsum(counts[:-1], out=out[1:])
+    return out
 
 
 class MDSTArrayOps:
@@ -127,110 +143,150 @@ class MDSTArrayOps:
         self.enable_reduction = network._enable_reduction
         self.gossip_bits = network._minfo_bits
 
-    def view_row(self, src: NodeId, dst: NodeId) -> int:
-        return self.kernel.pos[(dst, src)]
-
     def fields_of(self, msg: MInfo) -> tuple:
         """The scatter-column values carried by one physical gossip object."""
         return (msg.root, msg.parent, msg.distance, msg.degree, msg.sub_max,
                 msg.dmax, msg.color)
 
-    def scatter(self, P: np.ndarray, pos: List[int], fields: List[tuple],
-                vsel: Optional[np.ndarray] = None) -> None:
-        """Write the slot's gossip batch into the view rows ``P``.
+    def scatter_tokens(self, P: np.ndarray, D: np.ndarray) -> np.ndarray:
+        """Pop one virtual token into each of the view rows ``P`` (of the
+        destinations ``D``); return the destinations whose rules must run.
 
-        Rows default to their senders' *current*-generation token content
-        (the ``g_*`` snapshot columns).  ``vsel`` indexes the rows that
-        are virtual token pops: any of them whose channel still holds two
-        generations consumes the *older* one (``go_*``) instead, and all
-        of them advance the consumed counters -- the whole per-channel
-        bookkeeping of a gossip pop is these few array ops, the channel
-        statistics fold lazily from the counters later.  The rows at
-        ``P[pos]`` were real ``MInfo`` objects (start-up traffic,
-        materialized tokens) and carry their own frozen ``fields``, which
-        override the column scatter.
+        Rows take their senders' *current*-generation snapshot (``g_*``)
+        unless the channel still holds two generations, in which case the
+        pop consumes the *older* one (``go_*``).  Advancing the consumed
+        counters is the whole per-channel bookkeeping of a gossip pop; the
+        channel statistics fold lazily from the counters later.
+
+        A destination whose view row this pop leaves unchanged skips its
+        rules pass when its columns are :attr:`~repro.sim.array_kernel.
+        ArrayKernel.settled`: nothing has written them since a pass that
+        left a fixpoint (a scalar handler, a fault or an initial
+        configuration clears the flag), so the pass would change nothing.
         """
         k = self.kernel
-        src_idx = k.nbr_node_idx[P]
-        k.v_root[P] = k.g_root[src_idx]
-        k.v_parent[P] = k.g_parent[src_idx]
-        k.v_distance[P] = k.g_distance[src_idx]
-        k.v_degree[P] = k.g_degree[src_idx]
-        k.v_sub_max[P] = k.g_sub_max[src_idx]
-        k.v_dmax[P] = k.g_dmax[src_idx]
-        k.v_color[P] = k.g_color[src_idx]
-        if vsel is not None:
-            net = self.network
-            dr = net._vg_del_row
-            rows_v = P[vsel]
-            old = dr[rows_v] + 1 < net._vg_sent_src[src_idx[vsel]]
-            if old.any():
-                at = rows_v[old]
-                osrc = src_idx[vsel[old]]
-                k.v_root[at] = k.go_root[osrc]
-                k.v_parent[at] = k.go_parent[osrc]
-                k.v_distance[at] = k.go_distance[osrc]
-                k.v_degree[at] = k.go_degree[osrc]
-                k.v_sub_max[at] = k.go_sub_max[osrc]
-                k.v_dmax[at] = k.go_dmax[osrc]
-                k.v_color[at] = k.go_color[osrc]
-            # Rows are unique within a slot (one event per actor), so the
-            # batched bump is exact.
-            dr[rows_v] += 1
-            nv = len(rows_v)
-            net._vg_virtual_total -= nv
-            net._pending_total -= nv
-            net._version += nv
-        if fields:
-            at = P[np.asarray(pos, dtype=np.intp)]
-            cols = list(zip(*fields))
-            k.v_root[at] = cols[0]
-            k.v_parent[at] = cols[1]
-            k.v_distance[at] = cols[2]
-            k.v_degree[at] = cols[3]
-            k.v_sub_max[at] = cols[4]
-            k.v_dmax[at] = cols[5]
-            k.v_color[at] = np.asarray(cols[6], dtype=bool)
+        net = self.network
+        src = k.nbr_node_idx[P]
+        dr = net._vg_del_row
+        old = dr[P] + 1 < net._vg_sent_src[src]
+        tokens = [g[src] for g in k.g_cols]
+        if old.any():
+            at, osrc = np.nonzero(old)[0], src[old]
+            for col, go in zip(tokens, k.go_cols):
+                col[at] = go[osrc]
+        run = ~k.settled[D]
+        if run.all():
+            for v, col in zip(k.v_cols, tokens):
+                v[P] = col
+        else:
+            run |= ~k.v_heard[P]
+            for v, col in zip(k.v_cols, tokens):
+                run |= v[P] != col
+                v[P] = col
+        k.v_heard[P] = True
+        # Rows are unique within a slot (one event per actor), so the
+        # batched bumps are exact.  A popped ahead token may uncover the
+        # physical queue behind it.
+        dr[P] += 1
+        ahead = net._vg_ahead[P]
+        if ahead.any():
+            net._vg_ahead[P] = np.maximum(ahead - 1, 0)
+            net._row_physical[P[ahead == 1]] = True
+        nv = len(P)
+        net._vg_virtual_total -= nv
+        net._pending_total -= nv
+        net._version += nv
+        return D[run]
+
+    def scatter_fields(self, P: np.ndarray, fields: List[tuple]) -> None:
+        """Write popped gossip objects (start-up traffic, materialized
+        tokens) into their view rows ``P``."""
+        k = self.kernel
+        for v, col in zip(k.v_cols, zip(*fields)):
+            v[P] = col
         k.v_heard[P] = True
 
     def slot_pass(self, R: np.ndarray,
                   scalars: List[Tuple[NodeId, NodeId, object]]) -> List[bool]:
-        """Refresh the rule nodes ``R``; return which ``scalars`` are no-ops.
+        """The one kernel pass of a slot: refresh ``R``, judge ``scalars``.
 
-        Unconditional (unlike the sync fast path's changed-mask): a control
-        handler earlier in the round can change a destination's own state
-        so that a rule fires on an unchanged view row.
+        ``R`` are the node indices whose rules the slot runs (its gossip
+        destinations and its timeout actors); they are refreshed with the
+        reduction-layer predicate on.  The return value says which of the
+        popped control messages ``(dst, src, msg)`` are no-ops.  The MDST
+        handlers drop a large share of Search-storm traffic at the door:
+        ``Search``/``Deblock`` return immediately at a destination that is
+        not locally stabilized, ``UpdateDist`` is ignored unless it arrives
+        from the destination's current parent, garbage never matches a
+        handler, and with the reduction layer disabled *every* non-gossip
+        message is ignored.  Those early-returns read state but never write
+        it, so the dropped messages are accounted without running a
+        handler; messages that would reach a real handler body stay scalar.
+
+        The ``Search``/``Deblock`` verdicts come out of the same
+        :meth:`~repro.sim.array_kernel.ArrayKernel.refresh` call as the
+        rules, as its gate nodes.  A slot holds one event per node, so those
+        destinations are distinct and disjoint from ``R``, and each verdict
+        reads only its destination's own columns and view rows.
         """
-        return mdst_slot_pass(self.network, R, scalars)
-
-    def send_gossip(self, T: np.ndarray, t_nodes: List[NodeId]) -> int:
-        """Mint the slot's timeout gossip as virtual tokens.
-
-        The asynchronous twin of the synchronous phase 3 send:
-        :meth:`~repro.sim.array_kernel.ArrayNetwork._mint` materializes
-        any still-unconsumed previous-generation token of these sources
-        (its snapshot buffer is about to be reused), shifts the snapshot
-        generations and advances the sent counters.  Channels already
-        carrying physical traffic need no special step: the new token is
-        logically *behind* that traffic by the FIFO invariant, exactly
-        matching the send order.  Returns the number of (virtual) sends.
-        """
-        return self.network._mint(T)
-
-    def timeout_pre(self, process) -> None:
-        process._timeout_count += 1
-
-    def timeout_hook(self, process, v: NodeId, i: int) -> int:
-        """The search-initiation hook of ``MDSTNode.on_timeout`` (post-gossip)."""
+        k = self.kernel
+        nsc = len(scalars)
         if not self.enable_reduction:
-            return 0
-        if process._jitter.random() < 1.0 / process.search_period:
-            k = self.kernel
-            if k.locally_stab[i] and k.dmax[i] >= 3:
+            # MDSTNode.on_message returns before dispatch for every
+            # non-MInfo message when the reduction layer is off.
+            k.refresh(R)
+            return [True] * nsc
+        if not nsc:
+            k.refresh(R, predicates=True)
+            return []
+        drop = [False] * nsc
+        gated: List[int] = []
+        index = k.index
+        for j, (dst, src, msg) in enumerate(scalars):
+            t = type(msg)
+            if t is GarbageMessage:
+                drop[j] = True
+            elif t is Search or t is Deblock:
+                gated.append(j)
+            elif t is UpdateDist:
+                drop[j] = int(k.parent[index[dst]]) != src
+        G = np.fromiter((index[scalars[j][0]] for j in gated), dtype=_I64,
+                        count=len(gated))
+        stab = k.refresh(R, predicates=True, gate=G)
+        for j, ok in zip(gated, stab.tolist()):
+            drop[j] = not ok
+        return drop
+
+    def run_timeouts(self, T: np.ndarray) -> int:
+        """The timeout actions of the node indices ``T`` after their refresh.
+
+        The gossip goes out as virtual tokens
+        (:meth:`~repro.sim.array_kernel.ArrayNetwork._mint`); channels
+        already carrying physical traffic need no special step, since the
+        new token is logically *behind* that traffic, exactly matching the
+        send order.  Then each node runs the search-initiation hook of
+        ``MDSTNode.on_timeout``.  Returns the number of messages sent.
+        """
+        net = self.network
+        k = self.kernel
+        sent = net._mint(T)
+        # Physical sends tick the version through the channel watcher;
+        # virtual mints are counted here.
+        net._version += sent
+        processes = net.processes
+        node_ids = k.node_ids
+        reduction = self.enable_reduction
+        stab, dmax = k.locally_stab, k.dmax
+        for i in T.tolist():
+            process = processes[node_ids[i]]
+            process._timeout_count += 1
+            if (reduction
+                    and process._jitter.random() < 1.0 / process.search_period
+                    and stab[i] and dmax[i] >= 3):
                 process._initiate_searches(idblock=None, limit=1)
                 if process.outbox._items:
-                    return self.network.flush_outbox(v)
-        return 0
+                    sent += net.flush_outbox(node_ids[i])
+        return sent
 
 
 def get_ops(network: Network):
@@ -242,278 +298,273 @@ def get_ops(network: Network):
     return ops
 
 
-def execute_plan(network: Network, ops, seqs: Plan,
-                 trace: Optional[TraceRecorder], stats: RoundStats) -> None:
-    """Execute a per-node event plan slot by slot, batching each slot.
+def backlog_plan(kernel, backlog: np.ndarray, timeouts: np.ndarray) -> Plan:
+    """The synchronous-style plan: each node's round-start backlog in CSR
+    segment order (sources ascending), then ``timeouts[i]`` timeouts."""
+    rows = np.repeat(kernel._full_flat, backlog)
+    cum = np.zeros(kernel.total + 1, dtype=_I64)
+    np.cumsum(backlog, out=cum[1:])
+    first = cum[kernel.indptr[:-1]]
+    received = cum[kernel.indptr[1:]] - first
+    counts = received + timeouts
+    starts = _exclusive_cumsum(counts)
+    events = np.full(int(cum[-1] + timeouts.sum()), -1, dtype=_I64)
+    # Delivery k of node i sits at starts[i] + (k - first[i]).
+    events[np.arange(len(rows), dtype=_I64)
+           + np.repeat(starts - first, received)] = rows
+    return Plan(kernel._all_idx, starts, counts, events)
 
-    Slot ``j`` runs the ``j``-th planned event of every node: gossip
-    deliveries (virtual tokens and physical messages alike) as one
-    scatter, then one ``ops.slot_pass`` call -- the rules of the
+
+def execute_plan(network: Network, ops, plan: Plan,
+                 trace: Optional[TraceRecorder], stats: RoundStats) -> None:
+    """Execute an array-form plan slot by slot, batching each slot.
+
+    Slot ``j`` runs the ``j``-th planned event of every actor: virtual
+    gossip pops as one scatter, physical pops one by one (gossip objects
+    join the scatter), then one ``ops.slot_pass`` call -- the rules of the
     gossip destinations and the timeout actors plus the no-op gate of the
     control deliveries -- then the surviving scalar handlers, and last the
-    timeouts' gossip send and hooks (ascending node id).  Per-node event
+    timeouts' gossip send and hooks.  Within a slot the order across nodes
+    is immaterial (events at distinct nodes commute).  Per-node event
     order is the plan's order, which the commutation argument in the
     module docstring makes equivalent to the object scheduler's total
     order -- byte for byte, including channel statistics, trace counters
     and rng evolution.
     """
     kernel = ops.kernel
-    index = kernel.index
+    node_ids = kernel.node_ids
+    row_src = kernel.nbr_ids
     processes = network.processes
-    dirty = network._dirty
     gossip_type = ops.gossip_type
-    use_virtual = ops.virtual_gossip
-    actors = list(seqs.items())
-    slot = 0
-    while actors:
-        g_rows: List[int] = []
-        g_dsts: List[NodeId] = []
-        g_pos: List[int] = []
-        g_fields: List[tuple] = []
-        n_virtual = 0
+    virtual = ops.virtual_gossip
+    physical = network._row_physical if virtual else None
+    row_channel = channel_rows(network)[0]
+    # Steps already credited to actors whose control handler ran: the
+    # Deblock cooldown reads ``steps_taken``, so it is exact at every
+    # handler call; all other steps are credited after the round.
+    credited: Dict[NodeId, int] = {}
+    n_gossip = n_handled = sent = 0
+    mtc = trace.message_type_counts if trace is not None else None
+    events = plan.events
+    # Actors by descending event count, so each slot's actors are a prefix.
+    by_count = np.argsort(-plan.counts, kind="stable")
+    A, S = plan.actors[by_count], plan.starts[by_count]
+    sorted_counts = plan.counts[by_count]
+    lives = np.searchsorted(-sorted_counts,
+                            -np.arange(int(sorted_counts[0])),
+                            side="left").tolist() if len(A) else []
+    for j, live in enumerate(lives):
+        A, S = A[:live], S[:live]
+        E = events[S + j]
+        is_t = E < 0
+        T = A[is_t]
+        deliver = ~is_t
+        rows = E[deliver]
+        dsts = A[deliver]
+        f_rows: List[int] = []
+        f_dsts: List[int] = []
+        fields: List[tuple] = []
         scalars: List[Tuple[NodeId, NodeId, object]] = []
-        t_nodes: List[NodeId] = []
-        nxt: List[Tuple[NodeId, List[tuple]]] = []
-        nslot = slot + 1
-        for item in actors:
-            v, seq = item
-            ev = seq[slot]
-            if len(seq) > nslot:
-                nxt.append(item)
-            if ev[0] == "t":
-                t_nodes.append(v)
-                continue
-            ch = ev[1]
-            if use_virtual and not ch._queue:
-                # Virtual token pop: content comes straight from the
-                # sender's gossip snapshot columns, no message object.
-                # (The plan never pops beyond the round-start backlog, so
-                # an empty physical queue here implies a pending token.)
-                g_rows.append(ch._row)
-                g_dsts.append(v)
-                n_virtual += 1
-                continue
-            if not ch:  # the object path's emptiness guard
-                continue
-            src = ev[2]
-            msg = ch.deliver()
-            if type(msg) is gossip_type:
-                g_rows.append(ops.view_row(src, v))
-                g_dsts.append(v)
-                g_pos.append(len(g_rows) - 1)
-                g_fields.append(ops.fields_of(msg))
+        if virtual:
+            phys = physical[rows]
+            if phys.any():
+                vrows, vdsts = rows[~phys], dsts[~phys]
+                rows, dsts = rows[phys], dsts[phys]
             else:
-                scalars.append((v, src, msg))
-        actors = nxt
-        if g_rows:
-            vsel = None
-            if n_virtual:
-                if n_virtual == len(g_rows):
-                    vsel = np.arange(n_virtual, dtype=np.intp)
+                vrows, vdsts = rows, dsts
+                rows = dsts = ()
+            n_gossip += len(vrows)
+            if len(vrows):
+                vdsts = ops.scatter_tokens(vrows, vdsts)
+        else:
+            vdsts = _NO_NODES
+        if len(rows):
+            for row, di in zip(rows.tolist(), dsts.tolist()):
+                msg = row_channel[row].deliver()
+                if type(msg) is gossip_type:
+                    f_rows.append(row)
+                    f_dsts.append(di)
+                    fields.append(ops.fields_of(msg))
                 else:
-                    mark = np.ones(len(g_rows), dtype=bool)
-                    mark[np.asarray(g_pos, dtype=np.intp)] = False
-                    vsel = np.nonzero(mark)[0]
-            ops.scatter(np.asarray(g_rows, dtype=np.intp), g_pos, g_fields,
-                        vsel)
-        t_nodes.sort()
-        ng = len(g_dsts)
-        nt = len(t_nodes)
-        drop = ()
-        if ng or nt or scalars:
-            # The slot's one rules pass: gossip destinations and timeout
-            # actors together, plus the control gate.
-            R = np.fromiter((index[v] for v in chain(g_dsts, t_nodes)),
-                            dtype=_I64, count=ng + nt)
-            drop = ops.slot_pass(R, scalars)
-        if ng:
-            for dst in g_dsts:
-                processes[dst].steps_taken += 1
-            dirty.update(g_dsts)
-            network._version += ng
-            stats.steps += ng
-            stats.deliveries += ng
-            if trace is not None:
-                mtc = trace.message_type_counts
-                mtc[ops.gossip_name] = mtc.get(ops.gossip_name, 0) + ng
-                if ops.gossip_bits > trace.max_message_bits:
-                    trace.max_message_bits = ops.gossip_bits
-                trace.total_deliveries += ng
-                if trace.rounds:
-                    rec = trace.rounds[-1]
-                    rec.steps += ng
-                    rec.deliveries += ng
+                    scalars.append((node_ids[di], int(row_src[row]), msg))
+            if f_rows:
+                ops.scatter_fields(np.asarray(f_rows, dtype=np.intp), fields)
+        n_gossip += len(f_rows)
+        # The slot's one rules pass: gossip destinations and timeout actors
+        # together, plus the control gate.
+        R = (np.concatenate((vdsts, np.asarray(f_dsts, dtype=_I64), T))
+             if f_dsts else np.concatenate((vdsts, T)))
+        drop = ops.slot_pass(R, scalars)
         if True in drop:
-            dropped = [s for s, dr in zip(scalars, drop) if dr]
-            scalars = [s for s, dr in zip(scalars, drop) if not dr]
-            account_dropped_deliveries(network, trace, stats, dropped)
+            kept = []
+            for s, dropped in zip(scalars, drop):
+                if not dropped:
+                    kept.append(s)
+                elif mtc is not None:
+                    name = s[2].type_name()
+                    mtc[name] = mtc.get(name, 0) + 1
+                    bits = s[2].size_bits(trace.network_size)
+                    if bits > trace.max_message_bits:
+                        trace.max_message_bits = bits
+            scalars = kept
         for dst, src, msg in scalars:
+            # Exactly Scheduler._deliver_one after the channel pop.
             process = processes[dst]
+            process.steps_taken += j - credited.get(dst, 0)
             process.on_message(src, msg)
             process.steps_taken += 1
+            credited[dst] = j + 1
             network.note_step(dst)
-            sent = network.flush_outbox(dst)
-            stats.steps += 1
-            stats.deliveries += 1
-            stats.messages_sent += sent
+            out = network.flush_outbox(dst)
+            stats.messages_sent += out
             if trace is not None:
-                trace.record_delivery(src, dst, msg, sent)
-        if nt:
-            # The timeouts' refresh ran in the slot pass; their gossip
-            # mint and search-initiation hook run after the handlers.
-            T = R[ng:]
-            gossip_sends = ops.send_gossip(T, t_nodes)
-            total_sent = gossip_sends
-            for v, i in zip(t_nodes, T.tolist()):
-                process = processes[v]
-                ops.timeout_pre(process)
-                total_sent += ops.timeout_hook(process, v, i)
-                process.steps_taken += 1
-            dirty.update(t_nodes)
-            # Physical gossip sends tick the version through the channel
-            # watcher; virtual mints must be counted here.
-            network._version += nt + (gossip_sends if use_virtual else 0)
-            stats.steps += nt
-            stats.timeouts += nt
-            stats.messages_sent += total_sent
-            if trace is not None:
-                trace.total_timeouts += nt
-                trace.total_messages_sent += total_sent
-                if trace.rounds:
-                    rec = trace.rounds[-1]
-                    rec.steps += nt
-                    rec.timeouts += nt
-                    rec.messages_sent += total_sent
-        slot += 1
+                trace.record_delivery(src, dst, msg, out)
+        n_handled += len(scalars)
+        if len(T):
+            sent += ops.run_timeouts(T)
+
+    # -- per-round accounting of every event without a scalar handler ------
+    actor_ids = [node_ids[i] for i in plan.actors.tolist()]
+    for v, c in zip(actor_ids, plan.counts.tolist()):
+        processes[v].steps_taken += c
+    for v, c in credited.items():
+        processes[v].steps_taken -= c
+    network._dirty.update(actor_ids)
+    n_timeouts = int(np.count_nonzero(events < 0))
+    n_steps = len(events) - n_handled
+    n_deliveries = n_steps - n_timeouts
+    network._version += n_steps
+    stats.steps += len(events)
+    stats.deliveries += len(events) - n_timeouts
+    stats.timeouts += n_timeouts
+    stats.messages_sent += sent
+    if trace is not None:
+        if n_gossip:
+            name = ops.gossip_name
+            mtc[name] = mtc.get(name, 0) + n_gossip
+            if ops.gossip_bits > trace.max_message_bits:
+                trace.max_message_bits = ops.gossip_bits
+        trace.total_deliveries += n_deliveries
+        trace.total_timeouts += n_timeouts
+        trace.total_messages_sent += sent
+        if trace.rounds:
+            rec = trace.rounds[-1]
+            rec.steps += n_steps
+            rec.deliveries += n_deliveries
+            rec.timeouts += n_timeouts
+            rec.messages_sent += sent
 
 
 # -- plan builders: each replicates its scheduler's execution order exactly ----
 
 
-#: The shared timeout plan entry (entries are read-only, so one tuple
-#: object serves every slot of every plan).
-_T = ("t",)
+class _ArrayPlanned:
+    """The shared round of the array schedulers: build a plan, execute it.
 
-
-def sync_plan(network: Network, events: EnabledEvents) -> Plan:
-    """The synchronous order: backlog per destination, then all timeouts."""
-    seqs: Plan = {}
-    channels = network.channels
-    for dst, sources in Scheduler._deliveries_by_dst(events):
-        seq = seqs.setdefault(dst, [])
-        for src, count in sources:
-            entry = ("d", channels[(src, dst)], src)
-            if count == 1:
-                seq.append(entry)
-            else:
-                seq.extend([entry] * count)
-    for v in events.timeouts:
-        seqs.setdefault(v, []).append(_T)
-    return seqs
-
-
-class _ArrayAsyncBase:
-    """Shared engine routing for the array async schedulers.
-
-    ``schedule_round`` routes to the engine when the network has a column
-    driver and the configuration is inside the batched contract; otherwise
-    the scalar parent runs, and any in-flight virtual gossip stays
-    transparent to it (tokens materialize on demand under scalar delivery
-    and are counted by ``ArrayNetwork.enabled_deliveries``).
+    The engine runs when the network has a column driver and the round is
+    inside the batched contract; full event logs (which need per-event
+    records), disabled nodes (which need the object scheduler's per-event
+    gating) and a refused plan take the object scheduler instead, and any
+    in-flight virtual gossip stays transparent to it (tokens materialize on
+    demand under scalar delivery and are counted by
+    ``ArrayNetwork.enabled_deliveries``).
     """
 
-    def schedule_round(self, network: Network, events: EnabledEvents,
-                       trace: Optional[TraceRecorder],
-                       stats: RoundStats) -> None:
+    def run_round(self, network: Network,
+                  trace: Optional[TraceRecorder] = None) -> RoundStats:
         ops = get_ops(network)
         if (ops is None or network._disabled
                 or (trace is not None and trace.keep_events)):
-            super().schedule_round(network, events, trace, stats)
-            return
-        seqs = self._plan(network, ops, events)
-        if seqs is None:  # plan refused (outside the batched contract)
-            super().schedule_round(network, events, trace, stats)
-            return
-        execute_plan(network, ops, seqs, trace, stats)
+            return super().run_round(network, trace)
+        plan = self._plan(network, ops)
+        if plan is None:  # plan refused (outside the batched contract)
+            return super().run_round(network, trace)
+        stats = RoundStats()
+        execute_plan(network, ops, plan, trace, stats)
+        return stats
 
 
-class ArrayRandomAsyncScheduler(_ArrayAsyncBase, RandomAsyncScheduler):
+class ArraySyncScheduler(_ArrayPlanned, SynchronousScheduler):
+    """:class:`SynchronousScheduler` driving the batched engine: the
+    round-start backlog per destination, then one timeout per node."""
+
+    def _plan(self, network: Network, ops) -> Plan:
+        k = ops.kernel
+        return backlog_plan(k, network.backlog(), np.ones(k.n, dtype=_I64))
+
+
+class ArrayRandomAsyncScheduler(_ArrayPlanned, RandomAsyncScheduler):
     """:class:`RandomAsyncScheduler` driving the batched engine.
 
-    The event pool and the seeded permutation are built exactly as the
-    parent builds them -- same pool order, same single ``rng.permutation``
-    draw -- so the rng evolves identically and the per-node subsequences
-    are the parent's execution order restricted to each node.
+    The event pool is built in the parent's order -- every node's timeout
+    by ascending id, then each channel's backlog in channel creation order
+    -- and drawn with the same single ``rng.permutation``, so the rng
+    evolves identically; a stable argsort by actor then yields each node's
+    subsequence of the parent's execution order.
     """
 
-    def _plan(self, network: Network, ops,
-              events: EnabledEvents) -> Optional[Plan]:
-        channels = network.channels
-        pool: List[Tuple[NodeId, tuple]] = [(v, _T) for v in events.timeouts]
-        for src, dst, count in events.deliveries:
-            item = (dst, ("d", channels[(src, dst)], src))
-            if count == 1:
-                pool.append(item)
-            else:
-                pool.extend([item] * count)
-        order = self.rng.permutation(len(pool))
-        seqs: Plan = {}
-        get = seqs.get
-        for idx in order.tolist():
-            actor, entry = pool[idx]
-            seq = get(actor)
-            if seq is None:
-                seqs[actor] = [entry]
-            else:
-                seq.append(entry)
-        return seqs
+    def _plan(self, network: Network, ops) -> Plan:
+        k = ops.kernel
+        _row_channel, row_order, row_dst = channel_rows(network)
+        backlog = network.backlog()
+        rows = np.nonzero(backlog)[0]
+        rows = rows[np.argsort(row_order[rows], kind="stable")]
+        reps = backlog[rows]
+        pool_events = np.concatenate((np.full(k.n, -1, dtype=_I64),
+                                      np.repeat(rows, reps)))
+        pool_actors = np.concatenate((k._all_idx,
+                                      np.repeat(row_dst[rows], reps)))
+        order = self.rng.permutation(len(pool_events))
+        actors = pool_actors[order]
+        by_actor = np.argsort(actors, kind="stable")
+        counts = np.bincount(actors, minlength=k.n).astype(_I64)
+        return Plan(k._all_idx, _exclusive_cumsum(counts), counts,
+                    pool_events[order][by_actor])
 
 
-class ArrayAdversarialScheduler(_ArrayAsyncBase, AdversarialScheduler):
+class ArrayAdversarialScheduler(_ArrayPlanned, AdversarialScheduler):
     """:class:`AdversarialScheduler` driving the batched engine.
 
-    The slow-link age bookkeeping runs at plan time in the parent's exact
-    loop order.  Release bursts deliver ``len(channel)`` messages measured
-    mid-phase in the parent; that length is plan-time-computable exactly
-    when the delivery phase emits no sends, i.e. when every queued message
-    is gossip or garbage -- any stateful control payload on a round-start
-    queue refuses the plan and falls back to the scalar parent (ages
-    untouched: the parent then performs the identical bookkeeping).
+    The slow-link age bookkeeping runs at plan time, link by link in the
+    parent's order.  Release bursts deliver ``len(channel)`` messages
+    measured mid-phase in the parent; that length is the plan-time backlog
+    exactly when the delivery phase emits no sends, i.e. when every queued
+    message is gossip or garbage -- any stateful control payload on a
+    round-start queue refuses the plan and falls back to the scalar parent
+    (ages untouched: the parent then performs the identical bookkeeping).
     """
 
-    def _plan(self, network: Network, ops,
-              events: EnabledEvents) -> Optional[Plan]:
+    def _plan(self, network: Network, ops) -> Optional[Plan]:
         slow = self.slow_links
-        channels = network.channels
+        k = ops.kernel
+        backlog = network.backlog()
         if slow:
             gossip_type = ops.gossip_type
-            for src, dst, _count in events.deliveries:
+            channels = network.channels
+            for key in network._active:
                 # Only the physical queue can hold control payloads; a
                 # virtual token is gossip by construction.
-                for m in channels[(src, dst)]._queue:
+                for m in channels[key]._queue:
                     if (type(m) is not gossip_type
                             and type(m) is not GarbageMessage):
                         return None
-        seqs: Plan = {}
-        for dst, sources in self._deliveries_by_dst(events):
-            for src, count in sources:
-                link = (src, dst)
-                if link in slow:
-                    age = self._age.get(link, 0) + 1
-                    if age < self.max_delay:
-                        self._age[link] = age
-                        continue
+            links = sorted((k.pos[(dst, src)], (src, dst))
+                           for src, dst in slow
+                           if (src, dst) in network.channels)
+            for row, link in links:
+                if not backlog[row]:
+                    continue
+                age = self._age.get(link, 0) + 1
+                if age < self.max_delay:
+                    self._age[link] = age
+                    backlog[row] = 0
+                else:
+                    # Released: the whole queue is the plan-time backlog.
                     self._age[link] = 0
-                    count = len(channels[link])
-                if count:
-                    entry = ("d", channels[link], src)
-                    seqs.setdefault(dst, []).extend([entry] * count)
-        for v in events.timeouts:
-            seqs.setdefault(v, []).append(_T)
-        return seqs
+        return backlog_plan(k, backlog, np.ones(k.n, dtype=_I64))
 
 
-class ArrayWeightedFairScheduler(_ArrayAsyncBase, WeightedFairScheduler):
+class ArrayWeightedFairScheduler(_ArrayPlanned, WeightedFairScheduler):
     """:class:`WeightedFairScheduler` driving the batched engine.
 
     The parent's timeout phase runs in passes; per node that is simply
@@ -523,15 +574,11 @@ class ArrayWeightedFairScheduler(_ArrayAsyncBase, WeightedFairScheduler):
     identically).
     """
 
-    def _plan(self, network: Network, ops,
-              events: EnabledEvents) -> Optional[Plan]:
-        seqs = sync_plan(network, events)
-        # sync_plan already appended pass 0's timeout for every node.
-        for v in events.timeouts:
-            extra = self.weight(v) - 1
-            if extra > 0:
-                seqs[v].extend([_T] * extra)
-        return seqs
+    def _plan(self, network: Network, ops) -> Plan:
+        k = ops.kernel
+        weights = np.fromiter((self.weight(v) for v in k.node_ids),
+                              dtype=_I64, count=k.n)
+        return backlog_plan(k, network.backlog(), weights)
 
 
 def wrap_scheduler_for_array(scheduler: Scheduler) -> Scheduler:

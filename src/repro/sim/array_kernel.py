@@ -8,7 +8,7 @@ throughput ceiling (BENCH_scaling.json).  This module provides the
 contracts:
 
 * **Topology** lives in a CSR adjacency structure (built through
-  :mod:`scipy.sparse` when available): ``indptr``/``nbr_idx``/``nbr_ids``
+  :mod:`scipy.sparse`): ``indptr``/``nbr_idx``/``nbr_ids``
   arrays over the sorted node ids.  A node's neighbour views are the flat
   rows of its CSR segment, and every vectorized pass works on segments.
 * **Node state** is a set of flat numpy columns -- one per slotted
@@ -21,22 +21,20 @@ contracts:
   merely *reads and writes the shared columns*
   (:class:`ArrayBackedState` / :class:`NeighborProxy`).  The control layers
   (Search/Remove/Back/Deblock/Reverse/UpdateDist), fault injection
-  (``corrupt``), the initial-configuration installers, the monitors and
-  every non-synchronous scheduler therefore run the *identical* algorithm
-  code against array storage -- the vectorized fast path below is an
-  optimization of the synchronous round only, and any configuration it does
-  not cover falls back to the shared scalar code path.
-* **The synchronous round is batched** (:meth:`ArrayNetwork.run_sync_round`):
-  the round-start ``MInfo`` backlog is applied as vectorized per-slot
-  scatter writes followed by one vectorized rule evaluation per slot
-  (sequential per-message semantics are preserved: slot ``j`` applies the
-  ``j``-th delivery of every destination, exactly the per-destination order
-  of :meth:`~repro.sim.scheduler.Scheduler._deliver_round_start_backlog`),
-  the spanning-tree rules R1/R2/R3 and the PIF degree layer are evaluated
-  with CSR segment reductions (``np.ufunc.reduceat``), and the
-  legitimacy-relevant predicate columns (``locally_stabilized``) come out of
-  the same pass.  Control messages stay scalar -- they are rare by design
-  (the gossip is the O(m)-per-round traffic).
+  (``corrupt``), the initial-configuration installers, the monitors and the
+  object schedulers' fallback rounds therefore run the *identical*
+  algorithm code against array storage.
+* **Rounds run in the slot engine** of :mod:`repro.sim.array_engine`:
+  every scheduler hands :func:`~repro.sim.array_engine.execute_plan` an
+  array-form plan, and slot ``j`` applies the ``j``-th event of every node
+  at once.  This module supplies what the engine batches over: the
+  vectorized rules pass (:meth:`ArrayKernel.refresh` -- the spanning-tree
+  rules R1/R2/R3, the PIF degree layer and the ``locally_stabilized`` gate
+  as CSR segment reductions, ``np.ufunc.reduceat``) and the *virtual
+  gossip* of :class:`ArrayNetwork`, where the O(m)-per-round ``MInfo``
+  traffic lives in per-source snapshot columns and per-edge counters
+  instead of message objects.  Control messages stay scalar -- they are
+  rare by design.
 
 Byte identity with the object backend is part of the contract and is
 enforced by tests: identical final snapshots, rounds, per-node step counts,
@@ -52,17 +50,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import networkx as nx
 import numpy as np
+from scipy.sparse import csr_matrix
 
-from ..core.messages import Deblock, MInfo, Search, UpdateDist
+from ..core.messages import MInfo
 from ..core.node_algorithm import MDSTNode
 from ..exceptions import ProtocolError, SimulationError
 from ..graphs.edge_array import EdgeArrayGraph
 from ..types import NodeId
 from .channel import Channel
-from .messages import GarbageMessage
-from .network import EnabledEvents, Network
-from .scheduler import RoundStats, SynchronousScheduler
-from .trace import TraceRecorder
+from .network import Network
 
 __all__ = [
     "ArrayChannel",
@@ -70,14 +66,19 @@ __all__ = [
     "ArrayBackedState",
     "ArrayMDSTNode",
     "ArrayNetwork",
-    "ArraySyncScheduler",
     "build_array_mdst_network",
+    "channel_rows",
 ]
 
 _I64 = np.int64
 _INT_MAX = np.iinfo(np.int64).max
 #: The empty node-index set (``ArrayKernel.refresh`` with no gate nodes).
 _NO_NODES = np.zeros(0, dtype=_I64)
+#: The ``MInfo`` fields a gossip token carries, in message order: the view
+#: columns ``v_*`` and the snapshot generations ``g_*``/``go_*`` hold one
+#: column each.
+_GOSSIP_FIELDS = ("root", "parent", "distance", "degree", "sub_max", "dmax",
+                  "color")
 
 
 def _minfo_bits_for(network_size: int) -> int:
@@ -103,45 +104,24 @@ def segment_row(hit: np.ndarray, rows: np.ndarray,
 def _build_csr(graph: nx.Graph, node_ids: List[NodeId]):
     """CSR adjacency (indptr, neighbour indices, neighbour ids) over sorted ids.
 
-    Goes through :mod:`scipy.sparse` when available (the exemplar layout --
-    APGL's sparse-matrix graphs); otherwise assembles the same arrays
-    directly.  Neighbour lists come out sorted by id either way, matching
+    Goes through :mod:`scipy.sparse` (the exemplar layout -- APGL's
+    sparse-matrix graphs).  Neighbour lists come out sorted by id, matching
     the insertion order of the object backend's per-node view dicts.
     """
     n = len(node_ids)
     index = {v: i for i, v in enumerate(node_ids)}
-    try:  # pragma: no cover - exercised when scipy is installed (CI lane)
-        from scipy.sparse import csr_matrix
-
-        rows, cols = [], []
-        for u, v in graph.edges:
-            ui, vi = index[u], index[v]
-            rows.append(ui)
-            cols.append(vi)
-            rows.append(vi)
-            cols.append(ui)
-        data = np.ones(len(rows), dtype=np.int8)
-        adj = csr_matrix((data, (rows, cols)), shape=(n, n))
-        adj.sort_indices()
-        indptr = adj.indptr.astype(_I64)
-        nbr_idx = adj.indices.astype(_I64)
-    except ImportError:
-        counts = np.zeros(n + 1, dtype=_I64)
-        for u, v in graph.edges:
-            counts[index[u] + 1] += 1
-            counts[index[v] + 1] += 1
-        indptr = np.cumsum(counts).astype(_I64)
-        nbr_idx = np.zeros(int(indptr[-1]), dtype=_I64)
-        cursor = indptr[:-1].copy()
-        for u, v in graph.edges:
-            ui, vi = index[u], index[v]
-            nbr_idx[cursor[ui]] = vi
-            cursor[ui] += 1
-            nbr_idx[cursor[vi]] = ui
-            cursor[vi] += 1
-        for i in range(n):
-            seg = nbr_idx[indptr[i]:indptr[i + 1]]
-            seg.sort()
+    rows, cols = [], []
+    for u, v in graph.edges:
+        ui, vi = index[u], index[v]
+        rows.append(ui)
+        cols.append(vi)
+        rows.append(vi)
+        cols.append(ui)
+    data = np.ones(len(rows), dtype=np.int8)
+    adj = csr_matrix((data, (rows, cols)), shape=(n, n))
+    adj.sort_indices()
+    indptr = adj.indptr.astype(_I64)
+    nbr_idx = adj.indices.astype(_I64)
     ids = np.asarray(node_ids, dtype=_I64)
     nbr_ids = ids[nbr_idx]
     return index, indptr, nbr_idx, nbr_ids
@@ -199,12 +179,14 @@ class ArrayKernel:
         # -- scratch written by the vectorized passes ---------------------------
         self.degree = np.zeros(self.n, dtype=_I64)
         self.locally_stab = np.zeros(self.n, dtype=bool)
+        #: Whether a node's columns are a fixpoint of :meth:`refresh` (see
+        #: there); the network clears it on every other write.
+        self.settled = np.zeros(self.n, dtype=bool)
         # -- gossip snapshot columns --------------------------------------------
-        # The state each node last gossiped (copied at the end of the
-        # vectorized timeout phase).  A gossip *token* on a channel stands
-        # for "the MInfo ``src`` sent last round" and resolves against these
-        # columns, so the synchronous fast path never builds message objects
-        # for the O(m)-per-round gossip traffic.
+        # The state each node last gossiped (copied by its timeout's mint).
+        # A gossip *token* on a channel stands for "the MInfo ``src`` sent
+        # last" and resolves against these columns, so the slot engine
+        # never builds message objects for the O(m)-per-round gossip.
         self.g_root = np.zeros(self.n, dtype=_I64)
         self.g_parent = np.zeros(self.n, dtype=_I64)
         self.g_distance = np.zeros(self.n, dtype=_I64)
@@ -227,6 +209,11 @@ class ArrayKernel:
         self.go_sub_max = np.zeros(self.n, dtype=_I64)
         self.go_dmax = np.zeros(self.n, dtype=_I64)
         self.go_color = np.zeros(self.n, dtype=bool)
+        #: The gossip columns of each generation, in ``_GOSSIP_FIELDS``
+        #: order: the view rows, the current and the previous snapshot.
+        self.v_cols = tuple(getattr(self, "v_" + f) for f in _GOSSIP_FIELDS)
+        self.g_cols = tuple(getattr(self, "g_" + f) for f in _GOSSIP_FIELDS)
+        self.go_cols = tuple(getattr(self, "go_" + f) for f in _GOSSIP_FIELDS)
         #: node *index* (not id) of the neighbour at each flat view row.
         #: ``nbr_ids = ids[nbr_idx]`` with ``ids`` sorted and unique, so the
         #: index of each neighbour id is just ``nbr_idx`` itself (both
@@ -288,7 +275,10 @@ class ArrayKernel:
         _apply_tree_rules` / ``_update_degree_layer`` do per node, writing
         the state columns of ``S`` in place.  With ``predicates=True`` the
         pass also refreshes :attr:`locally_stab` (the reduction-layer gate)
-        for ``S``.
+        for ``S``, and marks in :attr:`settled` the nodes whose new state
+        is a fixpoint -- a second pass over the same view rows would change
+        nothing.  That is every node except one that R3's distance overflow
+        just reset to a fresh root, which R1 may move on the next pass.
 
         ``gate`` names nodes, disjoint from ``S``, whose rules do *not* run:
         the pass returns their ``locally_stabilized`` verdict on the state
@@ -398,6 +388,7 @@ class ArrayKernel:
 
         # -- R3: gentle distance repair on the untouched incoherent nodes ------
         fire3 = ~ncr & ~fired1 & ~cd
+        reset = None
         if fire3.any():
             d = np.where(fire3, pvd + 1, d)
             reset = fire3 & (d >= n_upper)
@@ -452,6 +443,8 @@ class ArrayKernel:
             self.degree[S] = degree[at_s]
             if predicates:
                 self.locally_stab[S] = stab[at_s]
+        self.settled[S] = (predicates if reset is None or not predicates
+                           else ~reset[at_s])
         return verdict
 
     def compute_degrees(self, S: np.ndarray) -> np.ndarray:
@@ -791,8 +784,9 @@ class ArrayMDSTNode(MDSTNode):
 
         The predicate is pure, so evaluating its five clauses over the
         node's CSR slice (instead of per-field proxy reads) returns the
-        identical boolean.  It gates every Search delivery, which makes it
-        the hottest scalar call of the array backend's sync fast path.
+        identical boolean.  It gates every Search a control handler
+        forwards, which makes it the hottest scalar call of the array
+        backend.
         """
         s = self.s
         k = s._k
@@ -848,15 +842,22 @@ class ArrayChannel(Channel):
     the counters into the raw :class:`~repro.sim.channel.ChannelStats`,
     and length/iteration/peek include the in-flight tokens.
 
-    The standing FIFO invariant is that every physically queued message
-    logically *precedes* every in-flight token: control traffic enqueued
-    behind a token first materializes the tokens, a mint appends the
-    newest token, and a mint that would overwrite a still-unconsumed
-    previous generation materializes that oldest token at the back of the
-    physical queue.  Delivery order is therefore always "physical queue
-    first, then tokens oldest-first".
+    Tokens are ordered against the physical queue by one per-edge count,
+    ``ArrayNetwork._vg_ahead``: the oldest ``ahead`` tokens logically
+    *precede* the physical queue, every other token follows it, so the
+    delivery order is "ahead tokens, physical queue, remaining tokens",
+    oldest token first.  A send onto an empty queue turns the in-flight
+    tokens into ahead tokens (no message object is built); a send onto a
+    non-empty queue with tokens behind it first materializes the tokens; a
+    mint appends the newest token, and a mint that would overwrite a
+    still-unconsumed previous generation materializes that oldest token.
+    Materialization always takes the oldest tokens, ahead ones to the
+    *front* of the queue, so the tokens left in flight are the newest and
+    a pop's generation follows from the in-flight count alone.  The ahead
+    count is non-zero only while the physical queue is non-empty, since
+    the queue pops only after the ahead tokens.
 
-    ``max_queue_length`` is best-effort on the fast path (a queue that only
+    ``max_queue_length`` is best-effort in the engine (a queue that only
     ever carried virtual gossip reports its token peak); per-channel
     queue-depth peaks are not part of the byte-identity contract (no
     run-result field reads them), while ``sent``/``delivered``/
@@ -910,26 +911,26 @@ class ArrayChannel(Channel):
         return int(net._vg_sent_src[self._src_i]) - int(net._vg_del_row[self._row])
 
     def _enqueue(self, message, index=None) -> None:
-        # Non-gossip traffic goes behind the in-flight tokens; make them
-        # physical first so the queue order is the send order.
-        if self._pending():
-            self._net._materialize_channel(self)
+        # The message goes behind the in-flight tokens: onto an empty queue
+        # they become ahead tokens; tokens behind a non-empty queue (or an
+        # out-of-order placement) materialize first.
+        p = self._pending()
+        if p:
+            net = self._net
+            if not self._queue and index is None:
+                net._vg_ahead[self._row] = p
+            elif p > net._vg_ahead[self._row] or index is not None:
+                net._materialize_channel(self)
         super()._enqueue(message, index)
 
     def deliver(self):
-        if not self._queue and self._pending():
+        if (self._net._vg_ahead[self._row]
+                or (not self._queue and self._pending())):
             self._net._materialize_channel(self)
         return super().deliver()
 
     def peek(self):
-        if self._queue:
-            return super().peek()
-        p = self._pending()
-        if p >= 2:
-            return self._net._gossip_minfo_old(self._src_i)
-        if p:
-            return self._net._gossip_minfo(self._src_i)
-        return super().peek()
+        return next(iter(self), None)
 
     def preload(self, messages) -> None:
         if self._pending():
@@ -948,101 +949,39 @@ class ArrayChannel(Channel):
         return bool(self._queue) or self._pending() > 0
 
     def __iter__(self):
-        yield from self._queue
         p = self._pending()
-        if p >= 2:
-            yield self._net._gossip_minfo_old(self._src_i)
-        if p:
-            yield self._net._gossip_minfo(self._src_i)
+        tokens = [self._net._gossip_minfo(self._src_i, old=p - g >= 2)
+                  for g in range(p)]
+        ahead = int(self._net._vg_ahead[self._row])
+        yield from tokens[:ahead]
+        yield from self._queue
+        yield from tokens[ahead:]
 
 
-def mdst_slot_pass(network: "ArrayNetwork", rules: np.ndarray,
-                   scalars: List[Tuple[NodeId, NodeId, object]]) -> List[bool]:
-    """The one kernel pass of a slot: refresh ``rules``, judge ``scalars``.
+def channel_rows(network: Network):
+    """Per flat view row: its channel, creation rank and destination index.
 
-    ``rules`` are the node indices whose rules the slot runs (its gossip
-    destinations and its timeout actors); they are refreshed with the
-    reduction-layer predicate on.  The return value says which of the
-    popped control messages ``(dst, src, msg)`` are no-ops.  The MDST
-    handlers drop a large share of Search-storm traffic at the door:
-    ``Search``/``Deblock`` return immediately at a destination that is not
-    locally stabilized, ``UpdateDist`` is ignored unless it arrives from
-    the destination's current parent, garbage never matches a handler, and
-    with the reduction layer disabled *every* non-gossip message is
-    ignored.  Those early-returns read state but never write it, so the
-    dropped messages can be accounted without running a handler; messages
-    that would reach a real handler body are kept scalar.
-
-    The ``Search``/``Deblock`` verdicts come out of the same
-    :meth:`ArrayKernel.refresh` call as the rules, as its gate nodes.  A
-    slot holds one event per node, so those destinations are distinct and
-    disjoint from ``rules``.  Each verdict reads only its destination's own
-    columns and view rows, which no other event of the slot writes, so it
-    equals the predicate the handler would evaluate on arrival; and the
-    timeout refresh may run ahead of the slot's control handlers because a
-    handler writes only its own node's state and out-channels.
+    Returns ``(row_channel, row_order, row_dst)`` for a network whose
+    ``kernel`` lays the views out in CSR rows: ``row_channel[f]`` is the
+    channel object that writes row ``f``, ``row_order[f]`` its rank in the
+    network's channel-creation order (the order of ``enabled_deliveries``)
+    and ``row_dst[f]`` the node index of its destination.  The topology is
+    frozen, so the structure is built once per network.
     """
-    k = network.kernel
-    nsc = len(scalars)
-    if not network._enable_reduction:
-        # MDSTNode.on_message returns before dispatch for every non-MInfo
-        # message when the reduction layer is off.
-        k.refresh(rules)
-        return [True] * nsc
-    drop = [False] * nsc
-    gated: List[int] = []
-    for j, (dst, src, msg) in enumerate(scalars):
-        t = type(msg)
-        if t is GarbageMessage:
-            drop[j] = True
-        elif t is Search or t is Deblock:
-            gated.append(j)
-        elif t is UpdateDist:
-            drop[j] = int(k.parent[k.index[dst]]) != src
-    G = np.fromiter((k.index[scalars[j][0]] for j in gated), dtype=_I64,
-                    count=len(gated))
-    stab = k.refresh(rules, predicates=True, gate=G)
-    for j, ok in zip(gated, stab.tolist()):
-        drop[j] = not ok
-    return drop
-
-
-def account_dropped_deliveries(network: Network,
-                               trace: Optional[TraceRecorder],
-                               stats: RoundStats,
-                               dropped: List[Tuple[NodeId, NodeId, object]]
-                               ) -> None:
-    """Batched accounting for deliveries whose handler body was skipped.
-
-    Exactly :meth:`Scheduler._deliver_one` minus the handler call and the
-    (empty) outbox flush: the destination still takes an atomic step, the
-    kernel still sees it, and the trace still counts the delivery with zero
-    emitted messages.  Channel ``deliver()`` accounting happened at pop
-    time.  Callers guarantee ``trace.keep_events`` is off (gated paths fall
-    back to the scalar scheduler for full event logs).
-    """
-    count = len(dropped)
-    processes = network.processes
-    for dst, _src, _msg in dropped:
-        processes[dst].steps_taken += 1
-    network._dirty.update(dst for dst, _src, _msg in dropped)
-    network._version += count
-    stats.steps += count
-    stats.deliveries += count
-    if trace is not None:
-        mtc = trace.message_type_counts
-        nsz = trace.network_size
-        for _dst, _src, msg in dropped:
-            name = msg.type_name()
-            mtc[name] = mtc.get(name, 0) + 1
-            bits = msg.size_bits(nsz)
-            if bits > trace.max_message_bits:
-                trace.max_message_bits = bits
-        trace.total_deliveries += count
-        if trace.rounds:
-            rec = trace.rounds[-1]
-            rec.steps += count
-            rec.deliveries += count
+    cache = getattr(network, "_channel_rows", None)
+    if cache is None:
+        k = network.kernel
+        pos = k.pos
+        row_channel: List[Optional[Channel]] = [None] * k.total
+        row_order = np.zeros(k.total, dtype=_I64)
+        order = network._channel_order
+        for (src, dst), ch in network.channels.items():
+            row = pos[(dst, src)]
+            row_channel[row] = ch
+            row_order[row] = order[(src, dst)]
+        cache = (row_channel, row_order, np.repeat(k._all_idx, k._row_counts))
+        network._channel_rows = cache
+    return cache
 
 
 class _LazyMap(dict):
@@ -1120,9 +1059,12 @@ class ArrayNetwork(Network):
     Subclasses the object kernel rather than duck-typing it: channels,
     enabled-event tracking, dirty-set snapshot caches, quiescence and the
     whole monitor/fault stack are inherited and therefore behave (and
-    count) identically.  What changes is (a) node state storage and (b) the
-    vectorized synchronous round (:meth:`run_sync_round`) that
-    :class:`ArraySyncScheduler` drives.  Live topology mutation is rejected:
+    count) identically.  What changes is (a) node state storage and (b)
+    *virtual gossip*: a timeout's ``MInfo`` broadcast is a token minted
+    from the sender's snapshot columns (:meth:`_mint`), which the slot
+    engine of :mod:`repro.sim.array_engine` consumes without building a
+    message object, and which materializes on demand whenever the object
+    code path looks at the channel.  Live topology mutation is rejected:
     the flat layout is frozen at construction.
     """
 
@@ -1154,11 +1096,15 @@ class ArrayNetwork(Network):
         self._vg_del_row = np.zeros(kernel.total, dtype=_I64)
         #: Total in-flight (virtual) tokens across all channels.
         self._vg_virtual_total = 0
-        #: Steady-state cache for :meth:`enabled_deliveries`: the full
-        #: channel list in channel order, one token per channel.
-        self._all_deliv_cache = None
-        #: Lazy per-row structures for the virtual-gossip machinery.
-        self._vg_structs_cache = None
+        #: In-flight tokens per directed edge that logically precede its
+        #: physical queue (see :class:`ArrayChannel`).
+        self._vg_ahead = np.zeros(kernel.total, dtype=_I64)
+        #: Whether the next pop of each directed edge is physical (a
+        #: non-empty queue and no ahead token): the engine pops those one
+        #: by one and all others virtually.
+        self._row_physical = np.zeros(kernel.total, dtype=bool)
+        #: Lazy CSR transpose for :meth:`_mint`.
+        self._out_rows_cache = None
 
         def factory(node_id: NodeId, neighbors: Sequence[NodeId]) -> ArrayMDSTNode:
             return ArrayMDSTNode(node_id, neighbors, kernel, n_upper=n_upper,
@@ -1170,8 +1116,6 @@ class ArrayNetwork(Network):
             self._init_from_arrays(graph, factory)
         else:
             super().__init__(graph, factory)
-        #: Lazily built per-node channel lists for the sync fast path.
-        self._sync_structs_cache = None
         #: ``snapshot_key`` cache: ``(version, key)`` over the state columns.
         self._acols_key_cache = None
 
@@ -1241,13 +1185,13 @@ class ArrayNetwork(Network):
         return proc
 
     def _make_channel(self, key) -> "ArrayChannel":
-        """Materialize one directed channel (the lazy-map factory).
+        """Build one directed channel (the lazy-map factory).
 
-        Mirrors :meth:`_install_channel` minus the order/registration
-        bookkeeping, which the lazy maps carry structurally.  Virtual-gossip
-        counters are global (indexed by source and flat row), so a channel
-        materializing mid-run observes exactly the token history an eagerly
-        built one would have.
+        :meth:`_install_channel` adds the order/registration bookkeeping of
+        the eager build; the lazy maps carry it structurally.
+        Virtual-gossip counters are global (indexed by source and flat
+        row), so a channel materializing mid-run observes exactly the token
+        history an eagerly built one would have.
         """
         src, dst = key
         channel = ArrayChannel(src, dst, self.n, self,
@@ -1319,13 +1263,7 @@ class ArrayNetwork(Network):
 
     def _install_channel(self, key) -> Channel:
         """Create an :class:`ArrayChannel` (virtual-gossip aware)."""
-        src, dst = key
-        channel = ArrayChannel(src, dst, self.n, self,
-                               int(self.kernel.index[src]),
-                               self.kernel.pos[(dst, src)])
-        channel.watch(self._channel_changed)
-        if self._channel_model is not None:
-            channel.set_model(self._channel_model)
+        channel = self._make_channel(key)
         self._channel_order[key] = self._channel_seq
         self._channel_seq += 1
         self.channels[key] = channel
@@ -1337,14 +1275,28 @@ class ArrayNetwork(Network):
         # leave keys active after a physical pop empties the queue.  The
         # active set here tracks *physical* queues only (in-flight tokens
         # are enumerated by ``enabled_deliveries`` straight from the
-        # counters), so key on the queue.
+        # counters), so key on the queue, and so does the per-row flag the
+        # engine reads; both change only when the queue empties or fills.
         self._pending_total += delta
-        key = (channel.src, channel.dst)
-        if channel._queue:
-            self._active.add(key)
-        else:
-            self._active.discard(key)
+        length = len(channel._queue)
+        if length == delta:  # the queue was empty
+            self._active.add((channel.src, channel.dst))
+            self._row_physical[channel._row] = not self._vg_ahead[channel._row]
+        elif not length:
+            self._active.discard((channel.src, channel.dst))
+            self._row_physical[channel._row] = False
         self._version += 1
+
+    def note_step(self, v: NodeId) -> None:
+        super().note_step(v)
+        self.kernel.settled[self.kernel.index[v]] = False
+
+    def note_state_write(self, node: Optional[NodeId] = None) -> None:
+        super().note_state_write(node)
+        if node is None:
+            self.kernel.settled[:] = False
+        else:
+            self.kernel.settled[self.kernel.index[node]] = False
 
     # -- dynamic topology is rejected ------------------------------------------
 
@@ -1402,260 +1354,135 @@ class ArrayNetwork(Network):
             self._snaps_stale = True
         dirty.clear()
 
-    # -- the vectorized synchronous round --------------------------------------
+    # -- virtual gossip --------------------------------------------------------
 
-    def _sync_structs(self):
-        """Per-node channel lists for the fast path, built once.
-
-        The topology is frozen, so the in-channel list of every destination
-        (ascending source, paired with the destination's flat view row) and
-        the out-channel list of every source (neighbour order) are static.
-        """
-        cache = self._sync_structs_cache
+    def _out_rows(self):
+        """The CSR transpose, built once: every source's out-channel rows
+        (``flat``), grouped by source index (``starts``/``counts``)."""
+        cache = self._out_rows_cache
         if cache is None:
             k = self.kernel
-            channels = self.channels
-            in_lists = []
-            for i, dst in enumerate(k.node_ids):
-                lo, hi = int(k.indptr[i]), int(k.indptr[i + 1])
-                chans = tuple(
-                    (channels[(int(k.nbr_ids[f]), dst)], f, int(k.nbr_ids[f]),
-                     int(k.nbr_node_idx[f]))
-                    for f in range(lo, hi))
-                in_lists.append((dst, i, chans))
-            out_lists = {
-                v: tuple(channels[(v, u)] for u in self.adjacency[v])
-                for v in k.node_ids}
-            all_keys = frozenset(channels)
-            all_nodes = tuple(k.node_ids)
-            cache = (in_lists, out_lists, all_keys, all_nodes)
-            self._sync_structs_cache = cache
+            counts = np.bincount(k.nbr_node_idx, minlength=k.n).astype(_I64)
+            starts = np.zeros(k.n, dtype=_I64)
+            np.cumsum(counts[:-1], out=starts[1:])
+            cache = (np.argsort(k.nbr_node_idx, kind="stable"), starts, counts)
+            self._out_rows_cache = cache
         return cache
 
-    def _vg_structs(self):
-        """Per-row structures for the virtual-gossip machinery, built once.
+    def _gossip_minfo(self, si: int, old: bool = False) -> MInfo:
+        """The ``MInfo`` a token of source ``si`` means: the current
+        generation's snapshot columns, or with ``old`` the previous one's."""
+        r, p, d, deg, sm, dm, c = (self.kernel.go_cols if old
+                                   else self.kernel.g_cols)
+        return MInfo(root=int(r[si]), parent=int(p[si]), distance=int(d[si]),
+                     degree=int(deg[si]), sub_max=int(sm[si]),
+                     dmax=int(dm[si]), color=bool(c[si]))
 
-        ``out_flat``/``out_starts``/``out_counts`` are the CSR transpose
-        (the out-channel rows of every source, grouped by source index);
-        ``row_channel`` maps a flat view row to its channel object,
-        ``row_key`` to its ``(src, dst)`` key and ``row_order`` to the
-        network's channel-creation order (the sort key of
-        ``enabled_deliveries``).
+    def _materialize_channel(self, ch: ArrayChannel,
+                             count: Optional[int] = None) -> None:
+        """Turn the ``count`` oldest in-flight tokens of ``ch`` (all of them
+        by default) into ``MInfo`` objects on its queue.
+
+        Ahead tokens go to the front of the queue and the others to its
+        back, so the queue keeps the delivery order; when the oldest token
+        is an ahead token, all ahead tokens go, so the tokens left in
+        flight are always the newest (the generation of a pop depends on
+        it).  The channel's delivered base runs ahead of the consumed
+        counter afterwards (a *lookahead*): the round trips complete as
+        physical deliveries instead, so the counter bumps must not be
+        folded into its stats a second time.
         """
-        cache = self._vg_structs_cache
-        if cache is None:
-            k = self.kernel
-            order = np.argsort(k.nbr_node_idx, kind="stable")
-            out_counts = np.bincount(k.nbr_node_idx,
-                                     minlength=k.n).astype(_I64)
-            out_starts = np.zeros(k.n, dtype=_I64)
-            np.cumsum(out_counts[:-1], out=out_starts[1:])
-            row_channel: List[Optional[ArrayChannel]] = [None] * k.total
-            row_key: List[Optional[Tuple[NodeId, NodeId]]] = [None] * k.total
-            row_order = np.zeros(k.total, dtype=_I64)
-            chorder = self._channel_order
-            for key, ch in self.channels.items():
-                row_channel[ch._row] = ch
-                row_key[ch._row] = key
-                row_order[ch._row] = chorder[key]
-            cache = (order, out_starts, out_counts, row_channel, row_key,
-                     row_order)
-            self._vg_structs_cache = cache
-        return cache
-
-    def _gossip_minfo(self, si: int) -> MInfo:
-        """The ``MInfo`` a current-generation token of source ``si`` means."""
-        k = self.kernel
-        return MInfo(root=int(k.g_root[si]), parent=int(k.g_parent[si]),
-                     distance=int(k.g_distance[si]),
-                     degree=int(k.g_degree[si]),
-                     sub_max=int(k.g_sub_max[si]),
-                     dmax=int(k.g_dmax[si]), color=bool(k.g_color[si]))
-
-    def _gossip_minfo_old(self, si: int) -> MInfo:
-        """The ``MInfo`` a previous-generation token of source ``si`` means."""
-        k = self.kernel
-        return MInfo(root=int(k.go_root[si]), parent=int(k.go_parent[si]),
-                     distance=int(k.go_distance[si]),
-                     degree=int(k.go_degree[si]),
-                     sub_max=int(k.go_sub_max[si]),
-                     dmax=int(k.go_dmax[si]), color=bool(k.go_color[si]))
-
-    def _materialize_channel(self, ch: ArrayChannel) -> None:
-        """Materialize every in-flight token of ``ch`` onto its queue.
-
-        Tokens append *behind* any physical traffic, oldest generation
-        first -- by the FIFO invariant everything physically queued
-        predates them.  The channel's delivered base runs ahead of the
-        consumed counter afterwards (a *lookahead*): the round trips
-        complete as physical deliveries instead, so the counter bumps must
-        not be folded into its stats a second time.
-        """
-        p = (int(self._vg_sent_src[ch._src_i])
-             - int(self._vg_del_row[ch._row]))
-        if p <= 0:
-            return
-        st = ch.stats  # flush the pending virtual ``sent`` first
+        row = ch._row
         si = ch._src_i
-        q = ch._queue
-        if p >= 2:
-            q.append(self._gossip_minfo_old(si))
-        q.append(self._gossip_minfo(si))
-        self._vg_del_row[ch._row] += p
-        ch._vd_base += p
-        self._vg_virtual_total -= p
-        length = len(q)
-        if length > st.max_queue_length:
-            st.max_queue_length = length
-        self._active.add((ch.src, ch.dst))
-
-    def _materialize_oldest(self, ch: ArrayChannel) -> None:
-        """Materialize only the *oldest* in-flight token of ``ch``.
-
-        Called by :meth:`_mint` just before the generation shift would
-        overwrite that token's snapshot; the newer token (if any) stays
-        virtual and survives the shift as the previous generation.
-        """
+        p = int(self._vg_sent_src[si]) - int(self._vg_del_row[row])
+        count = p if count is None else min(count, p)
+        if count <= 0:
+            return
+        ahead = int(self._vg_ahead[row])
+        count = max(count, ahead)
         st = ch.stats  # flush the pending virtual ``sent`` first
         q = ch._queue
-        q.append(self._gossip_minfo_old(ch._src_i))
-        self._vg_del_row[ch._row] += 1
-        ch._vd_base += 1
-        self._vg_virtual_total -= 1
+        tokens = [self._gossip_minfo(si, old=p - g >= 2)
+                  for g in range(count)]
+        q.extendleft(reversed(tokens[:ahead]))
+        q.extend(tokens[ahead:])
+        self._vg_ahead[row] = 0
+        self._vg_del_row[row] += count
+        ch._vd_base += count
+        self._vg_virtual_total -= count
         length = len(q)
         if length > st.max_queue_length:
             st.max_queue_length = length
         self._active.add((ch.src, ch.dst))
+        self._row_physical[row] = True
 
-    def materialize_gossip(self) -> None:
-        """Materialize every in-flight virtual gossip token.
-
-        Called before any fallback to the scalar scheduler (full event
-        logs, disabled nodes) so the object code path only ever sees real
-        message objects on physical queues.  Token content is the sender's
-        gossip snapshot columns, exactly what the fast path would have
-        scattered.
-        """
-        if not self._vg_virtual_total:
-            return
-        k = self.kernel
-        pending = self._vg_sent_src[k.nbr_node_idx] - self._vg_del_row
-        row_channel = self._vg_structs()[3]
-        for row in np.nonzero(pending > 0)[0].tolist():
-            self._materialize_channel(row_channel[row])
-
-    def _mint(self, S: np.ndarray, full: bool = False) -> int:
+    def _mint(self, S: np.ndarray) -> int:
         """Mint one gossip token per out-channel of the node indices ``S``.
 
-        The asynchronous/synchronous twin of a physical gossip broadcast:
-        any out-channel still holding the source's *previous*-generation
-        token materializes it (its snapshot buffer is about to be
-        reused), the snapshot generations shift (current -> previous), the
-        post-refresh state columns become the new current generation, and
-        the sent counters advance.  Returns the number of (virtual) sends;
-        the caller accounts version/stats/trace.
+        The array twin of a physical gossip broadcast: any out-channel
+        still holding the source's *previous*-generation token materializes
+        it (its snapshot buffer is about to be reused), the snapshot
+        generations shift (current -> previous), the post-refresh state
+        columns become the new current generation, and the sent counters
+        advance.  Returns the number of (virtual) sends; the caller
+        accounts version/stats/trace.
         """
         k = self.kernel
         vm = self._vg_sent_src
         dr = self._vg_del_row
-        structs = self._vg_structs()
-        if full:
-            stale = np.nonzero(dr < vm[k.nbr_node_idx] - 1)[0]
-        else:
-            out_flat, out_starts, out_counts = structs[0], structs[1], structs[2]
-            cnts = out_counts[S]
-            tot = int(cnts.sum())
-            starts = np.zeros(len(S), dtype=_I64)
-            np.cumsum(cnts[:-1], out=starts[1:])
-            R = out_flat[np.repeat(out_starts[S] - starts, cnts)
-                         + np.arange(tot, dtype=_I64)]
-            stale = R[dr[R] < vm[k.nbr_node_idx[R]] - 1]
+        out_flat, out_starts, out_counts = self._out_rows()
+        cnts = out_counts[S]
+        tot = int(cnts.sum())
+        starts = np.zeros(len(S), dtype=_I64)
+        np.cumsum(cnts[:-1], out=starts[1:])
+        R = out_flat[np.repeat(out_starts[S] - starts, cnts)
+                     + np.arange(tot, dtype=_I64)]
+        stale = R[dr[R] < vm[k.nbr_node_idx[R]] - 1]
         if len(stale):
-            row_channel = structs[3]
+            row_channel = channel_rows(self)[0]
             for row in stale.tolist():
-                self._materialize_oldest(row_channel[row])
-        if full:
-            np.copyto(k.go_root, k.g_root)
-            np.copyto(k.go_parent, k.g_parent)
-            np.copyto(k.go_distance, k.g_distance)
-            np.copyto(k.go_degree, k.g_degree)
-            np.copyto(k.go_sub_max, k.g_sub_max)
-            np.copyto(k.go_dmax, k.g_dmax)
-            np.copyto(k.go_color, k.g_color)
-            np.copyto(k.g_root, k.root)
-            np.copyto(k.g_parent, k.parent)
-            np.copyto(k.g_distance, k.distance)
-            np.copyto(k.g_degree, k.degree)
-            np.copyto(k.g_sub_max, k.sub_max)
-            np.copyto(k.g_dmax, k.dmax)
-            np.copyto(k.g_color, k.color)
-            vm += 1
-            sends = k.total
-        else:
-            k.go_root[S] = k.g_root[S]
-            k.go_parent[S] = k.g_parent[S]
-            k.go_distance[S] = k.g_distance[S]
-            k.go_degree[S] = k.g_degree[S]
-            k.go_sub_max[S] = k.g_sub_max[S]
-            k.go_dmax[S] = k.g_dmax[S]
-            k.go_color[S] = k.g_color[S]
-            k.g_root[S] = k.root[S]
-            k.g_parent[S] = k.parent[S]
-            k.g_distance[S] = k.distance[S]
-            k.g_degree[S] = k.degree[S]
-            k.g_sub_max[S] = k.sub_max[S]
-            k.g_dmax[S] = k.dmax[S]
-            k.g_color[S] = k.color[S]
-            vm[S] += 1
-            sends = int(k._row_counts[S].sum())
-        self._vg_virtual_total += sends
-        self._pending_total += sends
-        return sends
+                self._materialize_channel(row_channel[row], 1)
+        for name, g, go in zip(_GOSSIP_FIELDS, k.g_cols, k.go_cols):
+            go[S] = g[S]
+            g[S] = getattr(k, name)[S]
+        vm[S] += 1
+        self._vg_virtual_total += tot
+        self._pending_total += tot
+        return tot
+
+    def backlog(self) -> np.ndarray:
+        """Deliverable messages per flat view row: in-flight tokens plus
+        the physical queue of every active channel."""
+        k = self.kernel
+        counts = self._vg_sent_src[k.nbr_node_idx] - self._vg_del_row
+        channels = self.channels
+        for key in self._active:
+            ch = channels[key]
+            counts[ch._row] += len(ch._queue)
+        return counts
 
     def enabled_deliveries(self):
         """Enabled deliveries with in-flight virtual tokens made visible.
 
         The parent enumerates the active set, which tracks *physical*
         queues only; had the tokens been physical sends their channels
-        would all be active, so the asynchronous schedulers (whose event
-        pools, and therefore rng draws, depend on this list) must see
-        them.  Channel order, the disabled-destination skip and the
-        per-channel counts (``len`` includes the tokens) match the parent
-        exactly.  In gossip-only steady state -- one token in flight on
-        every channel, no physical backlog -- the answer is the static
-        full channel list with count 1, served from a cache.
+        would all be active, so the object schedulers of the fallback
+        rounds must see them.  Channel order, the disabled-destination skip
+        and the per-channel counts (``len`` includes the tokens) match the
+        parent exactly.
         """
         if not self._vg_virtual_total:
             return super().enabled_deliveries()
-        k = self.kernel
-        counts = self._vg_sent_src[k.nbr_node_idx] - self._vg_del_row
-        if (not self._active and not self._disabled
-                and self._vg_virtual_total == k.total
-                and bool((counts == 1).all())):
-            cache = self._all_deliv_cache
-            if cache is None:
-                order = self._channel_order
-                keys = sorted(self.channels, key=order.__getitem__)
-                cache = [(src, dst, 1) for src, dst in keys]
-                self._all_deliv_cache = cache
-            return list(cache)
-        channels = self.channels
-        if self._active:
-            for key in self._active:
-                ch = channels[key]
-                counts[ch._row] += len(ch._queue)
-        structs = self._vg_structs()
-        row_key, row_order = structs[4], structs[5]
-        rows = np.nonzero(counts > 0)[0]
+        counts = self.backlog()
+        row_channel, row_order, _ = channel_rows(self)
+        rows = np.nonzero(counts)[0]
         rows = rows[np.argsort(row_order[rows])]
         disabled = self._disabled
         enabled = []
-        counts_l = counts[rows].tolist()
-        for row, cnt in zip(rows.tolist(), counts_l):
-            src, dst = row_key[row]
-            if dst in disabled:
-                continue
-            enabled.append((src, dst, int(cnt)))
+        for row, cnt in zip(rows.tolist(), counts[rows].tolist()):
+            ch = row_channel[row]
+            if ch.dst not in disabled:
+                enabled.append((ch.src, ch.dst, cnt))
         return enabled
 
     def snapshot_key(self) -> tuple:
@@ -1683,380 +1510,6 @@ class ArrayNetwork(Network):
         key = ("array-cols", h.digest())
         self._acols_key_cache = (self._version, key)
         return key
-
-    def run_sync_round(self, events: EnabledEvents,
-                       trace: Optional[TraceRecorder],
-                       stats: RoundStats) -> None:
-        """One synchronous round, message delivery and refresh batched.
-
-        Reproduces :class:`~repro.sim.scheduler.SynchronousScheduler`
-        step-for-step: the round-start backlog is consumed per destination
-        (destinations ascending, sources ascending, frozen counts), then
-        every enabled node runs its timeout action in id order.  Gossip
-        deliveries and the refresh they trigger are applied as per-slot
-        vector operations -- slot ``j`` holds the ``j``-th backlog message
-        of every destination, so each node still observes its own delivery
-        sequence in order, and cross-node batching is sound because a
-        gossip step touches only the destination's own columns.
-        Destinations whose entire backlog is gossip are batched without any
-        per-message work; a destination that received control traffic is
-        replayed through the slot loop, control handlers running the real
-        scalar code.
-        """
-        k = self.kernel
-        processes = self.processes
-        in_lists, out_lists, all_keys, all_nodes = self._sync_structs()
-        minfo_bits = self._minfo_bits
-        dirty = self._dirty
-        active = self._active
-        vm = self._vg_sent_src
-        dr = self._vg_del_row
-        # -- phase 1: drain the round-start backlog ----------------------------
-        # The gossip backlog is *virtual* (the sent/consumed counters): in
-        # the steady state this phase is a handful of array operations and
-        # never touches a channel object.  Physical messages exist only on
-        # the channels in the active set (control traffic, fault preloads,
-        # materialized tokens); their destinations are replayed through the
-        # slot loop in exact (dst, src, FIFO) order -- everything physically
-        # queued on a channel predates its in-flight token (the standing
-        # FIFO invariant), matching the send order of the object backend.
-        mixed: List[Tuple[NodeId, List[object]]] = []
-        phys_delivered = 0
-        nvirt = 0
-        rows = counts = dsti_arr = starts = None
-        tok_dst_ids: Sequence[NodeId] = ()
-        ntok = 0
-        virt_total = self._vg_virtual_total
-        if (not active and virt_total == k.total
-                and bool((vm[k.nbr_node_idx] - dr == 1).all())):
-            # Steady state: every destination's backlog is exactly one
-            # (current-generation) token per in-edge, so the geometry is the
-            # cached full CSR layout.
-            rows = k._full_flat
-            counts = k._row_counts
-            starts = k._full_starts
-            dsti_arr = k._all_idx
-            tok_dst_ids = all_nodes
-            ntok = k.total
-            nvirt = k.total
-            dr += 1
-            self._vg_virtual_total = 0
-        else:
-            if virt_total:
-                # A synchronous history never leaves two generations in
-                # flight on one channel (each round drains everything the
-                # previous round minted); materialize the exception so the
-                # single-token fast geometry below stays sound.
-                multi = np.nonzero(vm[k.nbr_node_idx] - dr > 1)[0]
-                if len(multi):
-                    row_channel = self._vg_structs()[3]
-                    for row in multi.tolist():
-                        self._materialize_channel(row_channel[row])
-            mixed_idx = (sorted({int(k.index[d]) for (_, d) in active})
-                         if active else [])
-            if self._vg_virtual_total:
-                tok_mask = vm[k.nbr_node_idx] > dr
-                for i in mixed_idx:
-                    tok_mask[int(k.indptr[i]):int(k.indptr[i + 1])] = False
-                counts_all = np.add.reduceat(tok_mask.astype(_I64),
-                                             k._full_starts)
-                sel = counts_all > 0
-                rows = np.nonzero(tok_mask)[0]
-                counts = counts_all[sel]
-                dsti_arr = k._all_idx[sel]
-                starts = np.zeros(len(counts), dtype=_I64)
-                np.cumsum(counts[:-1], out=starts[1:])
-                tok_dst_ids = [k.node_ids[i] for i in dsti_arr.tolist()]
-                ntok = len(rows)
-                if ntok:
-                    dr[rows] += 1
-                    nvirt += ntok
-                    self._vg_virtual_total -= ntok
-            # Destinations with physical backlog: per-channel scalar drain,
-            # physical messages first, then the channel's in-flight token.
-            for i in mixed_idx:
-                dst = k.node_ids[i]
-                seq: List[object] = []
-                for ch, row, src, si in in_lists[i][2]:
-                    q = ch._queue
-                    cnt = len(q)
-                    if cnt:
-                        st = ch.stats
-                        st.delivered += cnt
-                        phys_delivered += cnt
-                        for _ in range(cnt):
-                            seq.append((src, q.popleft()))
-                    if vm[si] > dr[row]:
-                        seq.append(row)
-                        dr[row] += 1
-                        nvirt += 1
-                        self._vg_virtual_total -= 1
-                if seq:
-                    mixed.append((dst, seq))
-        delivered = nvirt + phys_delivered
-        if delivered:
-            # Batched twin of per-message Channel.deliver() accounting: every
-            # backlog queue is drained completely, so no channel stays active.
-            self._pending_total -= delivered
-            active.clear()
-            self._version += delivered
-        # -- phase 2a: pure-gossip destinations, fully vectorized --------------
-        if ntok:
-            nbr_node_idx = k.nbr_node_idx
-            for j in range(int(counts.max())):
-                if j == 0:
-                    P = rows[starts]
-                    S = dsti_arr
-                else:
-                    m = counts > j
-                    P = rows[starts[m] + j]
-                    S = dsti_arr[m]
-                src_idx = nbr_node_idx[P]
-                nr = k.g_root[src_idx]
-                npa = k.g_parent[src_idx]
-                nd = k.g_distance[src_idx]
-                ndeg = k.g_degree[src_idx]
-                nsm = k.g_sub_max[src_idx]
-                ndm = k.g_dmax[src_idx]
-                nc = k.g_color[src_idx]
-                # A refresh with an unchanged view is a no-op (the rules are
-                # idempotent: R1 adopts the minimum heard root, after which
-                # neither R1 nor R2 fires again, and the degree layer is a
-                # direct function of view and parent), so only destinations
-                # whose view row this write actually changed re-run it.
-                changed = ((k.v_root[P] != nr) | (k.v_parent[P] != npa)
-                           | (k.v_distance[P] != nd) | (k.v_degree[P] != ndeg)
-                           | (k.v_sub_max[P] != nsm) | (k.v_dmax[P] != ndm)
-                           | (k.v_color[P] != nc) | ~k.v_heard[P])
-                k.v_root[P] = nr
-                k.v_parent[P] = npa
-                k.v_distance[P] = nd
-                k.v_degree[P] = ndeg
-                k.v_sub_max[P] = nsm
-                k.v_dmax[P] = ndm
-                k.v_color[P] = nc
-                k.v_heard[P] = True
-                if changed.any():
-                    k.refresh(S[changed])
-            for dst, cnt in zip(tok_dst_ids, counts.tolist()):
-                processes[dst].steps_taken += cnt
-            dirty.update(tok_dst_ids)
-            self._version += ntok
-            stats.steps += ntok
-            stats.deliveries += ntok
-            if trace is not None:
-                mtc = trace.message_type_counts
-                mtc["MInfo"] = mtc.get("MInfo", 0) + ntok
-                if minfo_bits > trace.max_message_bits:
-                    trace.max_message_bits = minfo_bits
-                trace.total_deliveries += ntok
-                if trace.rounds:
-                    rec = trace.rounds[-1]
-                    rec.steps += ntok
-                    rec.deliveries += ntok
-        # -- phase 2b: destinations with control traffic, slot by slot ---------
-        slot = 0
-        while mixed:
-            batch_rows: List[int] = []
-            batch_dsti: List[int] = []
-            batch_dst_ids: List[NodeId] = []
-            batch_pos: List[int] = []
-            batch_fields: List[Tuple] = []
-            scalars: List[Tuple[NodeId, NodeId, object]] = []
-            active = False
-            for dst, seq in mixed:
-                if slot >= len(seq):
-                    continue
-                active = True
-                e = seq[slot]
-                if type(e) is int:
-                    batch_rows.append(e)
-                    batch_dsti.append(k.index[dst])
-                    batch_dst_ids.append(dst)
-                elif type(e[1]) is MInfo:
-                    msg = e[1]
-                    batch_rows.append(k.pos[(dst, e[0])])
-                    batch_dsti.append(k.index[dst])
-                    batch_dst_ids.append(dst)
-                    batch_pos.append(len(batch_rows) - 1)
-                    batch_fields.append((msg.root, msg.parent, msg.distance,
-                                         msg.degree, msg.sub_max, msg.dmax,
-                                         msg.color))
-                else:
-                    scalars.append((dst, e[0], e[1]))
-            if not active:
-                break
-            S = _NO_NODES
-            if batch_rows:
-                P = np.asarray(batch_rows, dtype=np.intp)
-                src_idx = k.nbr_node_idx[P]
-                k.v_root[P] = k.g_root[src_idx]
-                k.v_parent[P] = k.g_parent[src_idx]
-                k.v_distance[P] = k.g_distance[src_idx]
-                k.v_degree[P] = k.g_degree[src_idx]
-                k.v_sub_max[P] = k.g_sub_max[src_idx]
-                k.v_dmax[P] = k.g_dmax[src_idx]
-                k.v_color[P] = k.g_color[src_idx]
-                k.v_heard[P] = True
-                if batch_fields:
-                    # Real MInfo objects (start-up traffic, materialized
-                    # fallbacks) override the token scatter at their rows.
-                    pos = P[np.asarray(batch_pos, dtype=np.intp)]
-                    cols = list(zip(*batch_fields))
-                    k.v_root[pos] = cols[0]
-                    k.v_parent[pos] = cols[1]
-                    k.v_distance[pos] = cols[2]
-                    k.v_degree[pos] = cols[3]
-                    k.v_sub_max[pos] = cols[4]
-                    k.v_dmax[pos] = cols[5]
-                    k.v_color[pos] = np.asarray(cols[6], dtype=bool)
-                S = np.asarray(batch_dsti, dtype=_I64)
-            # One kernel pass per slot: the gossip destinations' rules and
-            # the batched control gate (Search/Deblock at a non-stabilized
-            # destination, UpdateDist from a non-parent and garbage are
-            # handler no-ops -- account them in bulk, skip the dispatch).
-            # Unlike phase 2a the refresh is unconditional: a control
-            # handler earlier in this round can change the destination's
-            # *own* state so that a rule fires on a later gossip delivery
-            # even when that delivery leaves the view row unchanged.
-            drop = mdst_slot_pass(self, S, scalars)
-            if batch_rows:
-                count = len(batch_rows)
-                for dst in batch_dst_ids:
-                    processes[dst].steps_taken += 1
-                dirty.update(batch_dst_ids)
-                self._version += count
-                stats.steps += count
-                stats.deliveries += count
-                if trace is not None:
-                    mtc = trace.message_type_counts
-                    mtc["MInfo"] = mtc.get("MInfo", 0) + count
-                    if minfo_bits > trace.max_message_bits:
-                        trace.max_message_bits = minfo_bits
-                    trace.total_deliveries += count
-                    if trace.rounds:
-                        rec = trace.rounds[-1]
-                        rec.steps += count
-                        rec.deliveries += count
-            if True in drop:
-                dropped = [s for s, dr in zip(scalars, drop) if dr]
-                scalars = [s for s, dr in zip(scalars, drop) if not dr]
-                account_dropped_deliveries(self, trace, stats, dropped)
-            for dst, src, msg in scalars:
-                process = processes[dst]
-                process.on_message(src, msg)
-                process.steps_taken += 1
-                self.note_step(dst)
-                sent = self.flush_outbox(dst)
-                stats.steps += 1
-                stats.deliveries += 1
-                stats.messages_sent += sent
-                if trace is not None:
-                    trace.record_delivery(src, dst, msg, sent)
-            slot += 1
-        # -- phase 3: the timeout actions, gossip as tokens --------------------
-        timeouts = events.timeouts
-        if not timeouts:
-            return
-        full = timeouts == all_nodes
-        if full:
-            S = k._all_idx
-        else:
-            S = np.fromiter((k.index[v] for v in timeouts), dtype=_I64,
-                            count=len(timeouts))
-        enable_reduction = self._enable_reduction
-        k.refresh(S, predicates=enable_reduction)
-        ls = k.locally_stab
-        dmax = k.dmax
-        n_to = len(timeouts)
-        # Virtual gossip send: one in-flight token per node, standing for one
-        # MInfo on each of its out-channels.  Channel objects are untouched;
-        # the mint shifts the gossip generations and snapshots the senders'
-        # post-refresh state into the current-generation columns.  Channels
-        # that carried control traffic earlier this round need no special
-        # step: the new token is logically *behind* every physical message
-        # (the standing FIFO invariant), exactly matching the send order.
-        gossip_sends = self._mint(S, full=full)
-        sent_total = gossip_sends
-        for j, v in enumerate(timeouts):
-            process = processes[v]
-            process._timeout_count += 1
-            if enable_reduction:
-                if process._jitter.random() < 1.0 / process.search_period:
-                    i = j if full else int(S[j])
-                    if ls[i] and dmax[i] >= 3:
-                        process._initiate_searches(idblock=None, limit=1)
-                        if process.outbox._items:
-                            sent_total += self.flush_outbox(v)
-            process.steps_taken += 1
-        # Batched twin of the per-step accounting (note_step + RoundStats and
-        # trace counters); the active set tracks physical queues only, so
-        # virtual sends do not touch it.
-        self._version += gossip_sends + n_to
-        dirty.update(timeouts)
-        stats.steps += n_to
-        stats.timeouts += n_to
-        stats.messages_sent += sent_total
-        if trace is not None:
-            trace.total_timeouts += n_to
-            trace.total_messages_sent += sent_total
-            if trace.rounds:
-                rec = trace.rounds[-1]
-                rec.steps += n_to
-                rec.timeouts += n_to
-                rec.messages_sent += sent_total
-
-
-class ArraySyncScheduler(SynchronousScheduler):
-    """Synchronous scheduler driving the vectorized round of an
-    :class:`ArrayNetwork`; any other network (or a full-event-log trace,
-    which needs per-message events) falls back to the scalar parent."""
-
-    name = "synchronous"
-
-    def run_round(self, network: Network,
-                  trace: Optional[TraceRecorder] = None) -> RoundStats:
-        if not isinstance(network, ArrayNetwork):
-            return super().run_round(network, trace)
-        if network._disabled or (trace is not None and trace.keep_events):
-            # Scalar fallback: virtual gossip tokens must become physical
-            # messages *before* the parent builds its enabled-event set,
-            # or the round would not see them as deliverable.
-            network.materialize_gossip()
-            return super().run_round(network, trace)
-        # Building the enabled-event set costs a sort over every active
-        # channel; the vectorized round scans the frozen channel lists
-        # directly, so on the fast path we skip it entirely.
-        stats = RoundStats()
-        all_nodes = network._sync_structs()[3]
-        events = EnabledEvents(timeouts=all_nodes, deliveries=())
-        network.run_sync_round(events, trace, stats)
-        return stats
-
-    def schedule_round(self, network: Network, events: EnabledEvents,
-                       trace: Optional[TraceRecorder],
-                       stats: RoundStats) -> None:
-        if not isinstance(network, ArrayNetwork):
-            # Substrate array networks (spanning tree, PIF) carry a column
-            # driver instead of virtual gossip; route them through the
-            # generic slot engine with a synchronous-shaped plan.
-            ops = getattr(network, "_array_ops", None)
-            if (ops is None or network._disabled
-                    or (trace is not None and trace.keep_events)):
-                super().schedule_round(network, events, trace, stats)
-                return
-            from .array_engine import execute_plan, sync_plan
-            execute_plan(network, ops, sync_plan(network, events), trace, stats)
-            return
-        if ((trace is not None and trace.keep_events)
-                or network._disabled):
-            # Scalar fallback: full event logs need per-message records,
-            # disabled nodes need the parent's per-event gating.  Queued
-            # gossip tokens must become real messages first.
-            network.materialize_gossip()
-            super().schedule_round(network, events, trace, stats)
-            return
-        network.run_sync_round(events, trace, stats)
 
 
 def build_array_mdst_network(graph: "nx.Graph | EdgeArrayGraph", *,

@@ -41,7 +41,7 @@ that order.  ``sent``/``delivered``/``max_message_bits`` stay exact.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import networkx as nx
 import numpy as np
@@ -526,10 +526,10 @@ class _SubstrateOps:
     """Shared column-driver plumbing for the substrate protocols.
 
     Satisfies the ops contract of :func:`~.array_engine.execute_plan`.
-    Timeout gossip goes through the ordinary object machinery
-    (``broadcast`` + ``flush_outbox``), so the only protocol-specific parts
-    are the vectorized rules pass, the gossip scatter and the message
-    (de)construction.
+    Every channel is a plain physical queue and timeout gossip goes through
+    the ordinary object machinery (``broadcast`` + ``flush_outbox``), so
+    the only protocol-specific parts are the vectorized rules pass, the
+    gossip scatter and the message (de)construction.
     """
 
     virtual_gossip = False
@@ -538,9 +538,6 @@ class _SubstrateOps:
         self.network = network
         self.kernel = network.kernel
         self.gossip_bits = self._proto_msg().size_bits(network.n)
-
-    def view_row(self, src: NodeId, dst: NodeId) -> int:
-        return self.kernel.pos[(dst, src)]
 
     def slot_pass(self, R: np.ndarray,
                   scalars: List[Tuple[NodeId, NodeId, object]]) -> List[bool]:
@@ -554,8 +551,9 @@ class _SubstrateOps:
             self.kernel.refresh(R)
         return [type(msg) is GarbageMessage for _dst, _src, msg in scalars]
 
-    def send_gossip(self, T: np.ndarray, t_nodes: List[NodeId]) -> int:
-        """Broadcast this slot's timeout gossip through the object path.
+    def run_timeouts(self, T: np.ndarray) -> int:
+        """Broadcast the timeout gossip of the node indices ``T`` through
+        the object path; returns the number of messages sent.
 
         The scalar timeout handler interleaves rule application and
         broadcast per node; batching all rule passes before all broadcasts
@@ -564,19 +562,15 @@ class _SubstrateOps:
         """
         network = self.network
         processes = network.processes
+        node_ids = self.kernel.node_ids
         flush = network.flush_outbox
         total = 0
-        for v in t_nodes:
+        for i in T.tolist():
+            v = node_ids[i]
             process = processes[v]
             process.broadcast(self._gossip_of(process))
             total += flush(v)
         return total
-
-    def timeout_pre(self, process) -> None:
-        pass
-
-    def timeout_hook(self, process, v: NodeId, i: int) -> int:
-        return 0
 
 
 class STArrayOps(_SubstrateOps):
@@ -597,8 +591,7 @@ class STArrayOps(_SubstrateOps):
     def fields_of(self, msg: STInfo) -> tuple:
         return (msg.root, msg.parent, msg.distance)
 
-    def scatter(self, P: np.ndarray, pos: List[int], fields: List[tuple],
-                vsel: Optional[np.ndarray] = None) -> None:
+    def scatter_fields(self, P: np.ndarray, fields: List[tuple]) -> None:
         k = self.kernel
         cols = list(zip(*fields))
         k.v_root[P] = cols[0]
@@ -626,8 +619,7 @@ class PIFArrayOps(_SubstrateOps):
         # The scalar handler ignores ``msg.degree``.
         return (msg.parent, msg.sub_max, msg.dmax)
 
-    def scatter(self, P: np.ndarray, pos: List[int], fields: List[tuple],
-                vsel: Optional[np.ndarray] = None) -> None:
+    def scatter_fields(self, P: np.ndarray, fields: List[tuple]) -> None:
         k = self.kernel
         cols = list(zip(*fields))
         k.vp_parent[P] = cols[0]
@@ -644,6 +636,15 @@ class _SubstrateNetwork(Network):
     The flat column layout is frozen at construction, so live topology
     churn is rejected exactly like :class:`~.array_kernel.ArrayNetwork`.
     """
+
+    def backlog(self) -> np.ndarray:
+        """Queued messages per flat view row (the active channels')."""
+        k = self.kernel
+        counts = np.zeros(k.total, dtype=_I64)
+        channels = self.channels
+        for src, dst in self._active:
+            counts[k.pos[(dst, src)]] += len(channels[(src, dst)]._queue)
+        return counts
 
     def add_edge(self, u: NodeId, v: NodeId) -> None:
         raise SimulationError(

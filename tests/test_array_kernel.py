@@ -31,6 +31,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -45,7 +46,9 @@ from repro.protocols.runner import run_protocol
 from repro.runtime.spec import CACHE_SCHEMA_VERSION, RunSpec, spec_key
 from repro.runtime.tasks import run_protocol_task
 from repro.sim.adversary import Adversary, make_channel_model
+from repro.sim.array_engine import wrap_scheduler_for_array
 from repro.sim.faults import ChurnPlan, FaultPlan
+from repro.sim.scheduler import make_scheduler
 
 from test_adversary_guard import E2_FAST_SLICE_MD5, LEGACY_V3_DICT
 
@@ -203,6 +206,78 @@ class TestStepForStepProperty:
                              scheduler=scheduler, initial=initial,
                              seed=run_seed, max_rounds=2500, fault_plan=plan)
         assert _result_key(obj) == _result_key(arr)
+
+
+_SCHEDULERS = ("synchronous", "random", "adversarial", "weighted")
+_PROTOCOLS = ("mdst", "spanning_tree", "pif_max_degree")
+
+
+def _fallback_config(protocol: str, scheduler: str, initial: str,
+                     backend: str, **extra) -> ProtocolRunConfig:
+    """A small run whose adversarial and weighted schedules are non-trivial:
+    slow links on both directions of two edges, weight 3 on two nodes."""
+    graph = _graph(12, 3)
+    edges = sorted(graph.edges)[:2]
+    slow = tuple(edges) + tuple((v, u) for u, v in edges)
+    return ProtocolRunConfig(protocol=protocol, scheduler=scheduler,
+                             initial=initial, seed=4, backend=backend,
+                             slow_links=slow, max_delay=3,
+                             node_weights={0: 3, 5: 3}, **extra)
+
+
+@pytest.mark.parametrize("initial", ["isolated", "corrupted"])
+@pytest.mark.parametrize("protocol", _PROTOCOLS)
+@pytest.mark.parametrize("scheduler", _SCHEDULERS)
+def test_full_event_log_matches_object(scheduler, protocol, initial):
+    """``keep_trace_events=True`` takes the scalar fallback on the array
+    backend; the run and its event log equal the object run's."""
+    graph = _graph(12, 3)
+    results = [run_protocol(graph, _fallback_config(
+        protocol, scheduler, initial, backend, max_rounds=60,
+        keep_trace_events=True)) for backend in ("object", "array")]
+    obj, arr = results
+    assert _result_key(obj) == _result_key(arr)
+    assert obj.trace.events and obj.trace.events == arr.trace.events
+
+
+def _run_with_a_disabled_node(protocol: str, scheduler: str, initial: str,
+                              backend: str):
+    """Per-round stats and final snapshots of a run in which node 2 is
+    disabled from round 8 to round 20 (its channels keep their queues)."""
+    config = _fallback_config(protocol, scheduler, initial, backend)
+    graph = _graph(12, 3)
+    adapter = PROTOCOLS[protocol]
+    rng = np.random.default_rng(config.seed)
+    network = (adapter.build_array_network(graph, config)
+               if backend == "array" else adapter.build_network(graph, config))
+    adapter.prepare_initial(network, config, rng)
+    sched = make_scheduler(scheduler, seed=config.seed,
+                           slow_links=config.slow_links,
+                           max_delay=config.max_delay,
+                           weights=config.node_weights)
+    if backend == "array":
+        sched = wrap_scheduler_for_array(sched)
+    per_round = []
+    for r in range(40):
+        if r in (8, 20):
+            network.set_node_enabled(2, r == 20)
+        stats = sched.run_round(network)
+        per_round.append((stats.steps, stats.deliveries, stats.timeouts,
+                          stats.messages_sent))
+    snaps = {v: dict(s) for v, s in network.snapshots().items()}
+    return per_round, snaps
+
+
+@pytest.mark.parametrize("initial", ["isolated", "corrupted"])
+@pytest.mark.parametrize("protocol", _PROTOCOLS)
+@pytest.mark.parametrize("scheduler", _SCHEDULERS)
+def test_disabled_node_matches_object(scheduler, protocol, initial):
+    """A node disabled mid-run sends the array backend to the scalar
+    fallback and back; every round and the final state equal the object
+    run's."""
+    obj = _run_with_a_disabled_node(protocol, scheduler, initial, "object")
+    arr = _run_with_a_disabled_node(protocol, scheduler, initial, "array")
+    assert obj == arr
 
 
 class TestHashSeedDeterminism:

@@ -19,6 +19,10 @@ exactly what their plain forms compute:
   dense/sparse switch, the gate verdicts must equal the scalar
   ``locally_stabilized()``, the rule rows the scalar ``MDSTNode._refresh``
   of an object twin, and every other row must stay untouched.
+* **Settled rows** -- the slot engine skips the rules of a destination
+  whose columns the last pass marked settled, so a second pass over such
+  a node must change nothing; the one outcome that is no fixpoint (R3's
+  distance-overflow reset) must stay unsettled.
 """
 
 from __future__ import annotations
@@ -36,8 +40,8 @@ from repro.core.messages import Back, MInfo, Remove, Search
 from repro.core.node_algorithm import MDSTNode
 from repro.core.protocol import MDSTConfig, build_mdst_network
 from repro.graphs.generators import GRAPH_FAMILIES
-from repro.sim.array_kernel import (ArrayNetwork, ArraySyncScheduler,
-                                    build_array_mdst_network)
+from repro.sim.array_engine import ArraySyncScheduler
+from repro.sim.array_kernel import ArrayNetwork, build_array_mdst_network
 from repro.sim.messages import (TYPE_TAG_BITS, GarbageMessage, estimate_bits,
                                 id_bits)
 from repro.sim.scheduler import SynchronousScheduler
@@ -409,3 +413,63 @@ def test_fused_slot_pass_sample_covers_both_verdicts():
                 k.color[i] = False
     assert verdicts == {True, False}
     assert colour_only > 0
+
+
+# -- settled rows ----------------------------------------------------------------
+
+def _sample_rules(data, n: int, size: int) -> np.ndarray:
+    order = data.draw(st.permutations(range(n)))
+    return np.sort(np.asarray(order[:size], dtype=np.int64))
+
+
+@pytest.mark.parametrize("geometry", ["dense", "sparse"])
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), graph_seed=st.integers(min_value=0, max_value=10_000),
+       corrupt_seed=st.integers(min_value=0, max_value=10_000),
+       rounds=st.sampled_from([0, 1, 3, 12]))
+def test_settled_rows_are_fixpoints_of_the_pass(geometry, data, graph_seed,
+                                                corrupt_seed, rounds):
+    """The slot engine skips the rules of a settled destination whose view
+    row a gossip pop left unchanged, which is exact only if a second pass
+    over a node the first pass marked settled changes nothing."""
+    if geometry == "dense":
+        n = 16
+        size = data.draw(st.integers(min_value=4, max_value=n))
+    else:
+        n = data.draw(st.integers(min_value=64, max_value=96))
+        size = data.draw(st.integers(min_value=1, max_value=n // 4 - 1))
+    net = _corrupted_array_network(n, graph_seed, corrupt_seed, rounds)
+    _perturb(net, np.random.default_rng(corrupt_seed))
+    k = net.kernel
+    R = _sample_rules(data, n, size)
+    k.refresh(R, predicates=True)
+    settled = R[k.settled[R]]
+    first = {name: getattr(k, name)[settled].copy() for name in _OWN}
+    k.refresh(R, predicates=True)
+    for name in _OWN:
+        assert np.array_equal(getattr(k, name)[settled], first[name]), name
+
+
+def test_settled_sample_covers_a_pass_that_is_no_fixpoint():
+    """The inputs above reach R3's distance-overflow reset, the one outcome
+    a second pass can still move, and the pass leaves it unsettled; state
+    writes outside the engine clear the flag."""
+    moved = 0
+    for corrupt_seed in range(12):
+        net = _corrupted_array_network(16, 3, corrupt_seed, 0)
+        _perturb(net, np.random.default_rng(corrupt_seed))
+        k = net.kernel
+        k.refresh(k._all_idx, predicates=True)
+        settled = k.settled.copy()
+        first = k.root.copy(), k.parent.copy(), k.distance.copy()
+        k.refresh(k._all_idx, predicates=True)
+        changed = ((k.root != first[0]) | (k.parent != first[1])
+                   | (k.distance != first[2]))
+        moved += int(changed.sum())
+        assert not (changed & settled).any()
+    assert moved > 0
+    net.note_step(net.node_ids[0])
+    assert not k.settled[0]
+    net.note_state_write()
+    assert not k.settled.any()
