@@ -31,16 +31,18 @@ engine executes the plan with a few vectorized passes per slot:
   event of every actor -- together: ``events[starts[counts > j] + j]``.
   Virtual gossip pops become one batched scatter, then a single rules pass
   (the driver's ``slot_pass``) refreshes the gossip destinations and the
-  timeout actors together (a destination whose view row the pop left
-  unchanged skips it while its columns are a settled fixpoint of the
-  rules) and, in the same pass, returns the no-op verdict of the slot's
-  control deliveries; the surviving control messages run the real scalar
-  handlers, and the timeouts finish with their gossip send and the
-  search-initiation hook.  Moving the timeout refresh and the gate
+  timeout actors together and, in the same pass, returns the no-op verdict
+  of the slot's control deliveries; the surviving control messages run the
+  real scalar handlers, and the timeouts finish with their gossip send and
+  the search-initiation hook.  Moving the timeout refresh and the gate
   ahead of the handlers is the commutation argument again: a slot holds
   one event per node, a handler writes only its own node's state and
   out-channels, and the gate reads only its destination's own columns and
-  view rows, which no other event of the slot writes.
+  view rows, which no other event of the slot writes.  A node whose
+  columns are *settled* -- a fixpoint of the rules that no write has
+  touched since; a pop that repeats what its view row holds is no write
+  -- skips the pass, and its gate verdict is the ``locally_stab`` the
+  last pass left; a slot of settled nodes runs no pass at all.
 * **Virtual gossip.**  On an :class:`~repro.sim.array_kernel.ArrayNetwork`
   the gossip never becomes message objects: timeouts mint per-source
   virtual tokens (:meth:`~repro.sim.array_kernel.ArrayNetwork._mint`) and
@@ -148,9 +150,9 @@ class MDSTArrayOps:
         return (msg.root, msg.parent, msg.distance, msg.degree, msg.sub_max,
                 msg.dmax, msg.color)
 
-    def scatter_tokens(self, P: np.ndarray, D: np.ndarray) -> np.ndarray:
+    def scatter_tokens(self, P: np.ndarray, D: np.ndarray) -> None:
         """Pop one virtual token into each of the view rows ``P`` (of the
-        destinations ``D``); return the destinations whose rules must run.
+        destinations ``D``).
 
         Rows take their senders' *current*-generation snapshot (``g_*``)
         unless the channel still holds two generations, in which case the
@@ -158,11 +160,10 @@ class MDSTArrayOps:
         counters is the whole per-channel bookkeeping of a gossip pop; the
         channel statistics fold lazily from the counters later.
 
-        A destination whose view row this pop leaves unchanged skips its
-        rules pass when its columns are :attr:`~repro.sim.array_kernel.
-        ArrayKernel.settled`: nothing has written them since a pass that
-        left a fixpoint (a scalar handler, a fault or an initial
-        configuration clears the flag), so the pass would change nothing.
+        A pop that changes a destination's view row clears its
+        :attr:`~repro.sim.array_kernel.ArrayKernel.settled` flag; a pop
+        that repeats what the row holds keeps it, so the slot's pass skips
+        that destination.
         """
         k = self.kernel
         net = self.network
@@ -174,14 +175,14 @@ class MDSTArrayOps:
             at, osrc = np.nonzero(old)[0], src[old]
             for col, go in zip(tokens, k.go_cols):
                 col[at] = go[osrc]
-        run = ~k.settled[D]
-        if run.all():
+        if k.settled[D].any():
+            changed = ~k.v_heard[P]
             for v, col in zip(k.v_cols, tokens):
+                changed |= v[P] != col
                 v[P] = col
+            k.settled[D[changed]] = False
         else:
-            run |= ~k.v_heard[P]
             for v, col in zip(k.v_cols, tokens):
-                run |= v[P] != col
                 v[P] = col
         k.v_heard[P] = True
         # Rows are unique within a slot (one event per actor), so the
@@ -196,15 +197,16 @@ class MDSTArrayOps:
         net._vg_virtual_total -= nv
         net._pending_total -= nv
         net._version += nv
-        return D[run]
 
     def scatter_fields(self, P: np.ndarray, fields: List[tuple]) -> None:
         """Write popped gossip objects (start-up traffic, materialized
-        tokens) into their view rows ``P``."""
+        tokens) into their view rows ``P``, clearing the owners'
+        :attr:`~repro.sim.array_kernel.ArrayKernel.settled` flags."""
         k = self.kernel
         for v, col in zip(k.v_cols, zip(*fields)):
             v[P] = col
         k.v_heard[P] = True
+        k.settled[np.searchsorted(k.indptr, P, side="right") - 1] = False
 
     def slot_pass(self, R: np.ndarray,
                   scalars: List[Tuple[NodeId, NodeId, object]]) -> List[bool]:
@@ -228,16 +230,25 @@ class MDSTArrayOps:
         rules, as its gate nodes.  A slot holds one event per node, so those
         destinations are distinct and disjoint from ``R``, and each verdict
         reads only its destination's own columns and view rows.
+
+        :attr:`~repro.sim.array_kernel.ArrayKernel.settled` nodes take no
+        part in the pass: their rules are a fixpoint, so the refresh of a
+        settled member of ``R`` would write back what its columns hold, and
+        a settled gate node's verdict is its ``locally_stab``.  The pass
+        runs only for the rest, and not at all when nothing is left.
         """
         k = self.kernel
+        R = R[~k.settled[R]]
         nsc = len(scalars)
         if not self.enable_reduction:
             # MDSTNode.on_message returns before dispatch for every
             # non-MInfo message when the reduction layer is off.
-            k.refresh(R)
+            if len(R):
+                k.refresh(R)
             return [True] * nsc
         if not nsc:
-            k.refresh(R, predicates=True)
+            if len(R):
+                k.refresh(R, predicates=True)
             return []
         drop = [False] * nsc
         gated: List[int] = []
@@ -252,7 +263,10 @@ class MDSTArrayOps:
                 drop[j] = int(k.parent[index[dst]]) != src
         G = np.fromiter((index[scalars[j][0]] for j in gated), dtype=_I64,
                         count=len(gated))
-        stab = k.refresh(R, predicates=True, gate=G)
+        on = k.settled[G]
+        stab = k.locally_stab[G]
+        if len(R) or not on.all():
+            stab[~on] = k.refresh(R, predicates=True, gate=G[~on])
         for j, ok in zip(gated, stab.tolist()):
             drop[j] = not ok
         return drop
@@ -375,7 +389,7 @@ def execute_plan(network: Network, ops, plan: Plan,
                 rows = dsts = ()
             n_gossip += len(vrows)
             if len(vrows):
-                vdsts = ops.scatter_tokens(vrows, vdsts)
+                ops.scatter_tokens(vrows, vdsts)
         else:
             vdsts = _NO_NODES
         if len(rows):

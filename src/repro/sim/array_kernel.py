@@ -179,8 +179,11 @@ class ArrayKernel:
         # -- scratch written by the vectorized passes ---------------------------
         self.degree = np.zeros(self.n, dtype=_I64)
         self.locally_stab = np.zeros(self.n, dtype=bool)
-        #: Whether a node's columns are a fixpoint of :meth:`refresh` (see
-        #: there); the network clears it on every other write.
+        #: Whether a node's columns are a fixpoint of :meth:`refresh` and
+        #: its ``locally_stab`` and ``degree`` rows are current (see there).
+        #: A function of the node's own columns and view rows alone: the
+        #: pass sets it, and every write to those columns clears it -- the
+        #: state setters, the engine's scatters, ``note_state_write``.
         self.settled = np.zeros(self.n, dtype=bool)
         # -- gossip snapshot columns --------------------------------------------
         # The state each node last gossiped (copied by its timeout's mint).
@@ -278,7 +281,10 @@ class ArrayKernel:
         for ``S``, and marks in :attr:`settled` the nodes whose new state
         is a fixpoint -- a second pass over the same view rows would change
         nothing.  That is every node except one that R3's distance overflow
-        just reset to a fresh root, which R1 may move on the next pass.
+        just reset to a fresh root, which R1 may move on the next pass.  The
+        flag stays set until something writes the node's columns, so the
+        slot engine skips the pass for a settled node and reads its gate
+        verdict from :attr:`locally_stab`.
 
         ``gate`` names nodes, disjoint from ``S``, whose rules do *not* run:
         the pass returns their ``locally_stabilized`` verdict on the state
@@ -466,80 +472,47 @@ class ArrayKernel:
         return np.add.reduceat((child | pmask).astype(_I64), starts)
 
 
+def _column(name: str, cast):
+    """A state property over the kernel column ``name`` at ``self._at``.
+
+    Reads convert to Python scalars (``cast``) so values flowing into
+    messages, snapshots and JSON rows are indistinguishable from the object
+    backend.  Writes clear :attr:`ArrayKernel.settled` of the owning node
+    ``self._i``: every per-field write of a state object goes through here
+    (``ArrayBackedState.corrupt`` writes whole columns and clears the flag
+    itself).
+    """
+
+    def get(self):
+        return cast(getattr(self._k, name)[self._at])
+
+    def put(self, value) -> None:
+        k = self._k
+        getattr(k, name)[self._at] = value
+        k.settled[self._i] = False
+
+    return property(get, put)
+
+
 class NeighborProxy:
-    """A :class:`~repro.core.state.NeighborState` view over one flat row."""
+    """A :class:`~repro.core.state.NeighborState` view over the flat row
+    ``_at`` of node index ``_i``."""
 
-    __slots__ = ("_k", "_f")
+    __slots__ = ("_k", "_at", "_i")
 
-    def __init__(self, kernel: ArrayKernel, flat: int):
+    def __init__(self, kernel: ArrayKernel, flat: int, owner: int):
         self._k = kernel
-        self._f = flat
+        self._at = flat
+        self._i = owner
 
-    # Getters convert to Python scalars so values flowing into messages,
-    # snapshots and JSON rows are indistinguishable from the object backend.
-    @property
-    def root(self) -> int:
-        return int(self._k.v_root[self._f])
-
-    @root.setter
-    def root(self, value) -> None:
-        self._k.v_root[self._f] = value
-
-    @property
-    def parent(self) -> int:
-        return int(self._k.v_parent[self._f])
-
-    @parent.setter
-    def parent(self, value) -> None:
-        self._k.v_parent[self._f] = value
-
-    @property
-    def distance(self) -> int:
-        return int(self._k.v_distance[self._f])
-
-    @distance.setter
-    def distance(self, value) -> None:
-        self._k.v_distance[self._f] = value
-
-    @property
-    def degree(self) -> int:
-        return int(self._k.v_degree[self._f])
-
-    @degree.setter
-    def degree(self, value) -> None:
-        self._k.v_degree[self._f] = value
-
-    @property
-    def sub_max(self) -> int:
-        return int(self._k.v_sub_max[self._f])
-
-    @sub_max.setter
-    def sub_max(self, value) -> None:
-        self._k.v_sub_max[self._f] = value
-
-    @property
-    def dmax(self) -> int:
-        return int(self._k.v_dmax[self._f])
-
-    @dmax.setter
-    def dmax(self, value) -> None:
-        self._k.v_dmax[self._f] = value
-
-    @property
-    def color(self) -> bool:
-        return bool(self._k.v_color[self._f])
-
-    @color.setter
-    def color(self, value) -> None:
-        self._k.v_color[self._f] = value
-
-    @property
-    def heard(self) -> bool:
-        return bool(self._k.v_heard[self._f])
-
-    @heard.setter
-    def heard(self, value) -> None:
-        self._k.v_heard[self._f] = value
+    root = _column("v_root", int)
+    parent = _column("v_parent", int)
+    distance = _column("v_distance", int)
+    degree = _column("v_degree", int)
+    sub_max = _column("v_sub_max", int)
+    dmax = _column("v_dmax", int)
+    color = _column("v_color", bool)
+    heard = _column("v_heard", bool)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (f"NeighborProxy(root={self.root}, parent={self.parent}, "
@@ -562,7 +535,7 @@ class ArrayViewMap:
         self._lo = int(kernel.indptr[node_index])
         hi = int(kernel.indptr[node_index + 1])
         self._nbrs = tuple(int(u) for u in kernel.nbr_ids[self._lo:hi])
-        self._proxies = tuple(NeighborProxy(kernel, self._lo + i)
+        self._proxies = tuple(NeighborProxy(kernel, self._lo + i, node_index)
                               for i in range(hi - self._lo))
         self._local = {u: i for i, u in enumerate(self._nbrs)}
 
@@ -603,12 +576,12 @@ class ArrayBackedState:
     fallback paths (searches, removals) at high degree.
     """
 
-    __slots__ = ("_k", "_i", "_lo", "_hi", "node_id", "neighbors", "n_upper",
-                 "view", "_nbr_arr")
+    __slots__ = ("_k", "_i", "_at", "_lo", "_hi", "node_id", "neighbors",
+                 "n_upper", "view", "_nbr_arr")
 
     def __init__(self, kernel: ArrayKernel, node_id: NodeId):
         self._k = kernel
-        self._i = kernel.index[node_id]
+        self._i = self._at = kernel.index[node_id]
         self._lo = int(kernel.indptr[self._i])
         self._hi = int(kernel.indptr[self._i + 1])
         self.node_id = node_id
@@ -619,53 +592,12 @@ class ArrayBackedState:
 
     # -- own variables ---------------------------------------------------------
 
-    @property
-    def root(self) -> int:
-        return int(self._k.root[self._i])
-
-    @root.setter
-    def root(self, value) -> None:
-        self._k.root[self._i] = value
-
-    @property
-    def parent(self) -> int:
-        return int(self._k.parent[self._i])
-
-    @parent.setter
-    def parent(self, value) -> None:
-        self._k.parent[self._i] = value
-
-    @property
-    def distance(self) -> int:
-        return int(self._k.distance[self._i])
-
-    @distance.setter
-    def distance(self, value) -> None:
-        self._k.distance[self._i] = value
-
-    @property
-    def sub_max(self) -> int:
-        return int(self._k.sub_max[self._i])
-
-    @sub_max.setter
-    def sub_max(self, value) -> None:
-        self._k.sub_max[self._i] = value
-
-    @property
-    def dmax(self) -> int:
-        return int(self._k.dmax[self._i])
-
-    @dmax.setter
-    def dmax(self, value) -> None:
-        self._k.dmax[self._i] = value
-
-    @property
-    def color(self) -> bool:
-        return bool(self._k.color[self._i])
-
-    @color.setter
-    def color(self, value) -> None:
-        self._k.color[self._i] = value
+    root = _column("root", int)
+    parent = _column("parent", int)
+    distance = _column("distance", int)
+    sub_max = _column("sub_max", int)
+    dmax = _column("dmax", int)
+    color = _column("color", bool)
 
     # -- derived quantities (vectorized over the CSR slice) --------------------
 
@@ -714,25 +646,27 @@ class ArrayBackedState:
     # -- corruption / accounting (byte-identical to MDSTState) -----------------
 
     def corrupt(self, rng: np.random.Generator) -> None:
-        # Exactly the draw sequence of MDSTState.corrupt, scattered into
-        # the columns.
-        pool = list(self.neighbors) + [self.node_id,
-                                       int(rng.integers(-5, self.n_upper + 5))]
-        self.root = int(rng.choice(pool))
-        self.parent = int(rng.choice(list(self.neighbors) + [self.node_id]))
-        self.distance = int(rng.integers(0, max(2, self.n_upper)))
-        self.sub_max = int(rng.integers(0, max(2, self.n_upper)))
-        self.dmax = int(rng.integers(0, max(2, self.n_upper)))
-        self.color = bool(rng.integers(0, 2))
-        for view in self.view.values():
-            view.root = int(rng.choice(pool))
-            view.parent = int(rng.choice(pool))
-            view.distance = int(rng.integers(0, max(2, self.n_upper)))
-            view.degree = int(rng.integers(0, max(2, self.n_upper)))
-            view.sub_max = int(rng.integers(0, max(2, self.n_upper)))
-            view.dmax = int(rng.integers(0, max(2, self.n_upper)))
-            view.color = bool(rng.integers(0, 2))
-            view.heard = bool(rng.integers(0, 2))
+        # Exactly the draw sequence of MDSTState.corrupt, written into the
+        # columns with one store per column and one clear of the node's
+        # settled flag.
+        k = self._k
+        i, lo, hi = self._i, self._lo, self._hi
+        top = max(2, self.n_upper)
+        pool = np.array(list(self.neighbors) + [
+            self.node_id, int(rng.integers(-5, self.n_upper + 5))])
+        k.root[i] = rng.choice(pool)
+        k.parent[i] = rng.choice(list(self.neighbors) + [self.node_id])
+        k.distance[i] = rng.integers(0, top)
+        k.sub_max[i] = rng.integers(0, top)
+        k.dmax[i] = rng.integers(0, top)
+        k.color[i] = rng.integers(0, 2)
+        rows = [(rng.choice(pool), rng.choice(pool), rng.integers(0, top),
+                 rng.integers(0, top), rng.integers(0, top),
+                 rng.integers(0, top), rng.integers(0, 2), rng.integers(0, 2))
+                for _ in range(hi - lo)]
+        for col, values in zip(k.v_cols + (k.v_heard,), zip(*rows)):
+            col[lo:hi] = values
+        k.settled[i] = False
 
     def state_bits(self, network_size: int) -> int:
         import math
@@ -786,11 +720,15 @@ class ArrayMDSTNode(MDSTNode):
         node's CSR slice (instead of per-field proxy reads) returns the
         identical boolean.  It gates every Search a control handler
         forwards, which makes it the hottest scalar call of the array
-        backend.
+        backend.  A :attr:`~ArrayKernel.settled` node answers from
+        ``locally_stab``: nothing has written its columns since the pass
+        that computed that verdict.
         """
         s = self.s
         k = s._k
         i = s._i
+        if k.settled[i]:
+            return bool(k.locally_stab[i])
         lo, hi = s._lo, s._hi
         root = k.root[i]
         d = k.distance[i]
@@ -1286,10 +1224,6 @@ class ArrayNetwork(Network):
             self._active.discard((channel.src, channel.dst))
             self._row_physical[channel._row] = False
         self._version += 1
-
-    def note_step(self, v: NodeId) -> None:
-        super().note_step(v)
-        self.kernel.settled[self.kernel.index[v]] = False
 
     def note_state_write(self, node: Optional[NodeId] = None) -> None:
         super().note_state_write(node)

@@ -19,10 +19,12 @@ exactly what their plain forms compute:
   dense/sparse switch, the gate verdicts must equal the scalar
   ``locally_stabilized()``, the rule rows the scalar ``MDSTNode._refresh``
   of an object twin, and every other row must stay untouched.
-* **Settled rows** -- the slot engine skips the rules of a destination
-  whose columns the last pass marked settled, so a second pass over such
-  a node must change nothing; the one outcome that is no fixpoint (R3's
-  distance-overflow reset) must stay unsettled.
+* **Settled rows** -- the slot engine skips the pass for a node whose
+  columns the last pass marked settled and reads its gate verdict from
+  ``locally_stab``, so a second pass over such a node must change nothing
+  and its cached verdict must equal the scalar predicate; the one outcome
+  that is no fixpoint (R3's distance-overflow reset) must stay unsettled,
+  and every write to a node's columns must clear its flag.
 """
 
 from __future__ import annotations
@@ -36,15 +38,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.messages import Back, MInfo, Remove, Search
+from repro.core.messages import (Back, Deblock, MInfo, Remove, Reverse,
+                                 Search, UpdateDist)
 from repro.core.node_algorithm import MDSTNode
 from repro.core.protocol import MDSTConfig, build_mdst_network
 from repro.graphs.generators import GRAPH_FAMILIES
-from repro.sim.array_engine import ArraySyncScheduler
+from repro.sim.array_engine import ArraySyncScheduler, wrap_scheduler_for_array
 from repro.sim.array_kernel import ArrayNetwork, build_array_mdst_network
 from repro.sim.messages import (TYPE_TAG_BITS, GarbageMessage, estimate_bits,
                                 id_bits)
-from repro.sim.scheduler import SynchronousScheduler
+from repro.sim.scheduler import (RandomAsyncScheduler, RoundStats, Scheduler,
+                                 SynchronousScheduler)
 
 
 # -- message sizing ------------------------------------------------------------
@@ -309,6 +313,7 @@ def _perturb(net: ArrayNetwork, rng: np.random.Generator) -> None:
     k.parent[wild] = rng.integers(-5, k.n_upper + 5, size=int(wild.sum()))
     far = rng.random(n) < 0.1
     k.distance[far] = k.n_upper + rng.integers(0, 3, size=int(far.sum()))
+    net.note_state_write()
 
 
 def _object_twin(net: ArrayNetwork, graph, n_upper: int):
@@ -469,7 +474,113 @@ def test_settled_sample_covers_a_pass_that_is_no_fixpoint():
         moved += int(changed.sum())
         assert not (changed & settled).any()
     assert moved > 0
-    net.note_step(net.node_ids[0])
-    assert not k.settled[0]
+    # The flag follows writes to a node's columns, not its steps.
+    k.refresh(k._all_idx, predicates=True)
+    i = int(np.flatnonzero(k.settled)[0])
+    node = net.processes[k.node_ids[i]]
+    count = int(k.settled.sum())
+    net.note_step(node.node_id)
+    assert k.settled[i]
+    node.s.color = node.s.color
+    assert not k.settled[i]
+    assert int(k.settled.sum()) == count - 1
+    k.refresh(k._all_idx, predicates=True)
+    assert k.settled[i] and int(k.settled.sum()) == count
+    view = next(iter(node.s.view.values()))
+    view.heard = view.heard
+    assert not k.settled[i]
+    assert int(k.settled.sum()) == count - 1
     net.note_state_write()
     assert not k.settled.any()
+
+
+def _control_message(data, v: int, u: int, ids, n_upper: int):
+    """A drawn control message for ``v`` from its neighbour ``u``."""
+    w = data.draw(st.sampled_from(ids))
+    kind = data.draw(st.sampled_from(
+        ["search", "deblock", "update", "remove", "back", "reverse"]))
+    if kind == "search":
+        return Search(init_edge=(u, w), idblock=None, path=((u, v),),
+                      visited=(u,))
+    if kind == "deblock":
+        return Deblock(idblock=w)
+    if kind == "update":
+        return UpdateDist(target_edge=(u, v),
+                          dist=data.draw(st.integers(0, n_upper)))
+    if kind == "remove":
+        return Remove(init_edge=(u, w), deg_max=data.draw(st.integers(2, 6)),
+                      target_edge=(u, v), path=(u, v))
+    if kind == "back":
+        return Back(init_edge=(u, w), path=(w, u, v), position=2)
+    return Reverse(target=w)
+
+
+_WRITABLE = {"own": ("root", "parent", "distance", "sub_max", "dmax",
+                     "color"),
+             "view": _VIEW_FIELDS}
+
+
+@pytest.mark.parametrize("geometry", ["dense", "sparse"])
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), graph_seed=st.integers(min_value=0, max_value=10_000),
+       corrupt_seed=st.integers(min_value=0, max_value=10_000),
+       rounds=st.sampled_from([1, 12, 40]))
+def test_settled_nodes_answer_the_scalar_predicate(geometry, data, graph_seed,
+                                                   corrupt_seed, rounds):
+    """A settled node is one the slot engine neither refreshes nor gates:
+    after random array rounds, setter writes and scalar control deliveries,
+    every settled node's ``locally_stab`` must be the scalar predicate of
+    its current state and a second pass must leave its columns alone."""
+    n = 16 if geometry == "dense" else data.draw(st.integers(64, 96))
+    n_upper = n + 1
+    net = _corrupted_network("array", n, graph_seed, corrupt_seed, 0)
+    sched = wrap_scheduler_for_array(RandomAsyncScheduler(seed=corrupt_seed))
+    for _ in range(rounds):
+        sched.run_round(net)
+    k = net.kernel
+    ids = k.node_ids
+    for _ in range(data.draw(st.integers(1, 16))):
+        # Aim at settled nodes: a write that fails to clear their flag is
+        # what the checks below must catch.
+        settled = np.flatnonzero(k.settled).tolist()
+        v = ids[data.draw(st.sampled_from(settled or list(range(n))))]
+        node = net.processes[v]
+        # Half the time a tree neighbour, whose row feeds the rules.
+        nbrs = list(node.s.view)
+        tree = [w for w in nbrs if node.s.is_tree_edge(w)]
+        u = data.draw(st.sampled_from(tree if tree and data.draw(st.booleans())
+                                      else nbrs))
+        op = data.draw(st.sampled_from(
+            ["own", "view", "view", "control", "deliver"]))
+        if op == "control":
+            node.on_message(u, _control_message(data, v, u, ids, n_upper))
+            net.note_step(v)
+            net.flush_outbox(v)
+        elif op == "deliver":
+            enabled = net.enabled_deliveries()
+            if enabled:
+                src, dst, _ = data.draw(st.sampled_from(enabled))
+                Scheduler._deliver_one(net, src, dst, None, RoundStats())
+        else:
+            name = data.draw(st.sampled_from(_WRITABLE[op]))
+            target = node.s if op == "own" else node.s.view[u]
+            now = getattr(target, name)
+            value = (not now if name in ("color", "heard")
+                     else data.draw(st.sampled_from(
+                         [v, u, now - 1, now + 1, -1, n_upper])))
+            setattr(target, name, value)
+    settled = np.flatnonzero(k.settled)
+    graph = GRAPH_FAMILIES["erdos_renyi_sparse"](n, seed=graph_seed)
+    twin = _object_twin(net, graph, n_upper)
+    for i in settled.tolist():
+        expected = twin.processes[ids[i]].locally_stabilized()
+        assert bool(k.locally_stab[i]) is expected
+        assert net.processes[ids[i]].locally_stabilized() is expected
+    first = {name: getattr(k, name)[settled].copy() for name in _OWN}
+    # One pass over all of them computes over the full columns; one pass
+    # per node gathers the subset geometry.
+    for S in (settled[None] if geometry == "dense" else settled[:, None]):
+        k.refresh(S, predicates=True)
+    for name in _OWN:
+        assert np.array_equal(getattr(k, name)[settled], first[name]), name
