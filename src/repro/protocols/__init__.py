@@ -23,7 +23,6 @@ from .base import ProtocolAdapter, ProtocolRunConfig, corrupt_configuration
 from .registry import (
     PROTOCOLS,
     capable_names,
-    churn_capable_names,
     get_protocol,
     protocol_names,
     register_protocol,
@@ -36,7 +35,6 @@ __all__ = [
     "ProtocolResult",
     "ProtocolRunConfig",
     "capable_names",
-    "churn_capable_names",
     "corrupt_configuration",
     "get_protocol",
     "protocol_names",

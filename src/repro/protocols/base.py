@@ -21,11 +21,12 @@ self-stabilizing protocol through that stack:
   ``(snapshot_key, topology_version)`` -- stays sound for every protocol,
 * a **per-run metrics extractor** (:meth:`~ProtocolAdapter.extract_metrics`),
 * **capability flags**: whether the protocol survives live topology churn
-  (``supports_churn``), transient fault injection (``supports_faults``),
-  an explicit initial spanning tree (``supports_initial_tree``), and the
-  adversary axis -- unreliable channels
-  (``supports_unreliable_channels``), crash/recover node faults
-  (``supports_crash``) and Byzantine gossip (``supports_byzantine``).
+  (``supports_churn``), accepts an explicit initial spanning tree
+  (``supports_initial_tree``) and runs on the array backend
+  (``supports_array_backend``), each checked through
+  :meth:`~ProtocolAdapter.require`.  Transient faults and every adversary
+  model need no flag: every registered protocol implements ``corrupt`` and
+  re-sends its full state by gossip.
 
 Adapters are stateless singletons: one instance serves every run, so all
 per-run data must flow through the config, the network or the rng.
@@ -95,15 +96,15 @@ class ProtocolRunConfig:
     adversary:
         Optional :class:`~repro.sim.adversary.Adversary` applied to the
         run (unreliable channels, crash/recover node faults, Byzantine
-        gossip).  Gated per adapter by the ``supports_unreliable_channels``
-        / ``supports_crash`` / ``supports_byzantine`` capability flags.
+        gossip).
     backend:
         Simulation kernel backend: ``"object"`` (the historical
         object-per-node kernel) or ``"array"`` (flat numpy state columns
         and rounds vectorized under every scheduler, see
         :mod:`repro.sim.array_engine`).  Gated per adapter by the
-        ``supports_array_backend`` capability flag; the array backend
-        rejects live topology churn and adversary models.
+        ``supports_array_backend`` capability flag, which only ``mdst``
+        sets; the array backend rejects live topology churn and adversary
+        models.
     options:
         Adapter-specific extras (see each adapter's docstring).
     """
@@ -176,37 +177,17 @@ class ProtocolAdapter(abc.ABC):
     #: (requires the ``neighbor_added``/``neighbor_removed`` delta hooks and
     #: a legitimacy predicate that reads the *live* graph).
     supports_churn: bool = False
-    #: Whether the protocol implements state corruption (transient faults).
-    supports_faults: bool = True
     #: Whether :func:`~repro.protocols.runner.run_protocol` accepts an
     #: explicit ``initial_tree`` for this protocol.
     supports_initial_tree: bool = False
-    #: Whether the protocol tolerates an unreliable channel model (message
-    #: loss, duplication, reordering).  Defaults ``True``: the periodic
-    #: gossip of self-stabilizing protocols re-sends state, so channel
-    #: noise degrades but does not wedge them.  Adapters whose correctness
-    #: depends on exact FIFO delivery should opt out.
-    supports_unreliable_channels: bool = True
-    #: Whether the protocol tolerates crash/recover node faults.  Recovery
-    #: re-randomises the node through its ``corrupt`` hook, so the default
-    #: is conservative (``False``) -- an adapter whose processes do not
-    #: implement ``corrupt`` cannot claim crash tolerance untested.
-    supports_crash: bool = False
-    #: Whether the protocol tolerates Byzantine gossip (selected processes
-    #: emitting corrupted state each round).  Conservative default for the
-    #: same reason as ``supports_crash``.
-    supports_byzantine: bool = False
-    #: Whether the adapter can build the array-backed kernel network
-    #: (``backend="array"``, see :mod:`repro.sim.array_kernel`).  Adapters
-    #: opting in must implement :meth:`build_array_network` and guarantee
-    #: byte-identical results against their object backend.
+    #: Whether the adapter builds the array-backed MDST kernel network
+    #: (``backend="array"``, see :mod:`repro.sim.array_kernel`): its
+    #: :meth:`build_array_network` returns an
+    #: :class:`~repro.sim.array_kernel.ArrayNetwork`, byte-identical to the
+    #: object backend, and accepts an
+    #: :class:`~repro.graphs.edge_array.EdgeArrayGraph` as well as an
+    #: ``nx.Graph``.  Only ``mdst`` sets it.
     supports_array_backend: bool = False
-    #: Whether :meth:`build_array_network` additionally accepts an
-    #: :class:`~repro.graphs.edge_array.EdgeArrayGraph` and builds its
-    #: kernel straight from the container's CSR (the large-n construction
-    #: fast path).  Adapters without it receive a materialized ``nx.Graph``
-    #: from the runner instead.
-    supports_csr_direct: bool = False
 
     # -- abstract hooks --------------------------------------------------------
 
@@ -240,8 +221,8 @@ class ProtocolAdapter(abc.ABC):
                             config: ProtocolRunConfig) -> Network:
         """Build the array-backed network (adapters with
         ``supports_array_backend`` opt in)."""
-        raise ConfigurationError(
-            f"protocol {self.name!r} does not support the array backend")
+        self.require("supports_array_backend", "the array backend")
+        raise NotImplementedError
 
     def extract_metrics(self, network: Network, report: SimulationReport,
                         config: ProtocolRunConfig) -> Dict[str, object]:
@@ -256,28 +237,20 @@ class ProtocolAdapter(abc.ABC):
                 f"protocol {self.name!r} supports initial policies "
                 f"{self.initial_policies}, got {config.initial!r}")
 
-    def check_adversary(self, adversary: Adversary) -> None:
-        """Reject an adversary model this protocol does not declare.
+    def require(self, flag: str, what: str) -> None:
+        """Raise unless this protocol's capability ``flag`` is set.
 
-        Each present model is gated by its capability flag: an unreliable
-        channel model by ``supports_unreliable_channels``, node faults by
-        ``supports_crash``, Byzantine gossip by ``supports_byzantine``.  The
-        error lists the protocols that are capable.
+        The one capability check: the runner, the churn task and the CLI's
+        pre-run checks all go through it, so a refusal reads the same
+        everywhere -- it names ``what`` is missing and lists the capable
+        protocols.
         """
-        # The registry imports this module, so it is imported on use.
-        from .registry import capable_names
-        cm = adversary.channel_model
-        for present, flag, what in (
-                (cm is not None and not cm.is_reliable,
-                 "supports_unreliable_channels", "unreliable channels"),
-                (adversary.node_faults is not None,
-                 "supports_crash", "crash/recover faults"),
-                (adversary.byzantine is not None,
-                 "supports_byzantine", "Byzantine gossip")):
-            if present and not getattr(self, flag):
-                raise ConfigurationError(
-                    f"protocol {self.name!r} does not support {what}; "
-                    f"capable protocols: {', '.join(capable_names(flag))}")
+        if not getattr(self, flag):
+            # The registry imports this module, so it is imported on use.
+            from .registry import capable_names
+            raise ConfigurationError(
+                f"protocol {self.name!r} does not support {what}; "
+                f"capable protocols: {', '.join(capable_names(flag))}")
 
     def default_n_upper(self, graph: nx.Graph,
                         config: ProtocolRunConfig) -> int:

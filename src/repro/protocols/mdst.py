@@ -45,18 +45,11 @@ class MDSTProtocol(ProtocolAdapter):
                    "(spanning tree + PIF + degree reduction, deg <= OPT+1)")
     initial_policies = ("bfs_tree", "random_tree", "isolated", "corrupted")
     supports_churn = True
-    supports_faults = True
     supports_initial_tree = True
-    # The MDST node implements ``corrupt`` and its gossip re-sends full
-    # state, so every adversary model is a tested axis.
-    supports_crash = True
-    supports_byzantine = True
     # The array kernel reproduces the MDST node byte-for-byte (guarded by
-    # the E2 md5 anchors and the object≡array hypothesis property).
+    # the E2 md5 anchors and the object≡array hypothesis property), and
+    # build_array_network builds it straight from an EdgeArrayGraph's CSR.
     supports_array_backend = True
-    # build_array_network accepts EdgeArrayGraph containers and builds the
-    # kernel straight from their CSR (construction never touches nx).
-    supports_csr_direct = True
 
     @staticmethod
     def _mdst_config(config: ProtocolRunConfig) -> MDSTConfig:

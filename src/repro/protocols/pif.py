@@ -51,10 +51,6 @@ class PIFMaxDegreeProtocol(ProtocolAdapter):
                    "tree (feedback up, propagation down)")
     initial_policies = ("isolated", "corrupted")
     supports_churn = False
-    supports_faults = True
-    supports_crash = True
-    supports_byzantine = True
-    supports_array_backend = True
 
     #: Per-graph memo of ``(parent_map, expected_dmax)``: the fixed tree is
     #: a deterministic function of the (static -- no churn) graph, and one
@@ -78,14 +74,6 @@ class PIFMaxDegreeProtocol(ProtocolAdapter):
         check_network(graph)
         parent_map, _ = self._fixed_tree(graph)
         return Network(graph, max_degree_process_factory(parent_map))
-
-    def build_array_network(self, graph: nx.Graph,
-                            config: ProtocolRunConfig) -> Network:
-        from ..sim.array_substrates import build_array_pif_network
-
-        check_network(graph)
-        parent_map, _ = self._fixed_tree(graph)
-        return build_array_pif_network(graph, parent_map)
 
     def prepare_initial(self, network: Network, config: ProtocolRunConfig,
                         rng: np.random.Generator) -> None:

@@ -16,8 +16,8 @@ from typing import Dict, Iterator, List, Mapping
 from ..exceptions import ConfigurationError
 from .base import ProtocolAdapter
 
-__all__ = ["PROTOCOLS", "capable_names", "churn_capable_names",
-           "get_protocol", "protocol_names", "register_protocol"]
+__all__ = ["PROTOCOLS", "capable_names", "get_protocol", "protocol_names",
+           "register_protocol"]
 
 _ADAPTERS: Dict[str, ProtocolAdapter] = {}
 _BUILTINS_LOADED = False
@@ -70,23 +70,18 @@ def protocol_names() -> List[str]:
     return sorted(_ADAPTERS)
 
 
-def churn_capable_names() -> List[str]:
-    """Sorted names of the registered protocols that support topology churn
-    (the one listing both the churn task and the CLI error messages use)."""
-    return capable_names("supports_churn")
-
-
 def capable_names(flag: str) -> List[str]:
     """Sorted names of the protocols whose capability ``flag`` is set.
 
-    ``flag`` is any of the :class:`~repro.protocols.base.ProtocolAdapter`
-    capability attributes (``supports_churn``, ``supports_crash``,
-    ``supports_byzantine``, ``supports_unreliable_channels``, ...); the CLI
-    uses this to list the eligible protocols in early-validation errors.
+    ``flag`` is one of the :class:`~repro.protocols.base.ProtocolAdapter`
+    capability attributes (``supports_churn``, ``supports_initial_tree``,
+    ``supports_array_backend``); ``ProtocolAdapter.require`` lists them in
+    its refusal.  A name that is no capability attribute raises
+    ``AttributeError``.
     """
     _load_builtins()
     return sorted(name for name, adapter in _ADAPTERS.items()
-                  if getattr(adapter, flag, False))
+                  if getattr(adapter, flag))
 
 
 class _ProtocolRegistry(Mapping):

@@ -95,8 +95,7 @@ def run_protocol(graph: nx.Graph,
         Explicit initial spanning tree (overrides ``config.initial``); only
         protocols with ``supports_initial_tree`` accept it.
     fault_plan:
-        Optional schedule of mid-run transient faults; requires
-        ``supports_faults``.
+        Optional schedule of mid-run transient faults.
     churn_plan:
         Optional schedule of live topology changes; requires
         ``supports_churn``.  Convergence is then judged against the
@@ -105,10 +104,7 @@ def run_protocol(graph: nx.Graph,
         headroom.
     adversary:
         Optional :class:`~repro.sim.adversary.Adversary` (falls back to
-        ``config.adversary``).  Each present model is gated by the
-        matching capability flag: an unreliable channel model requires
-        ``supports_unreliable_channels``, node faults ``supports_crash``,
-        Byzantine gossip ``supports_byzantine``.
+        ``config.adversary``).
 
     Returns
     -------
@@ -120,37 +116,26 @@ def run_protocol(graph: nx.Graph,
     if adapter is None:
         adapter = get_protocol(config.protocol)
     adapter.validate_config(config)
-    if churn_plan is not None and not adapter.supports_churn:
-        raise ConfigurationError(
-            f"protocol {adapter.name!r} does not support topology churn")
-    if fault_plan is not None and not adapter.supports_faults:
-        raise ConfigurationError(
-            f"protocol {adapter.name!r} does not support fault injection")
-    if initial_tree is not None and not adapter.supports_initial_tree:
-        raise ConfigurationError(
-            f"protocol {adapter.name!r} does not accept an explicit initial tree")
+    if churn_plan is not None:
+        adapter.require("supports_churn", "topology churn")
+    if initial_tree is not None:
+        adapter.require("supports_initial_tree", "an explicit initial tree")
     if adversary is None:
         adversary = config.adversary
-    if adversary is not None:
-        adapter.check_adversary(adversary)
     if config.backend == "array":
         # The array kernel freezes the topology at build time and owns the
         # channel objects; live churn and adversary channel rewiring are
         # object-backend features.
-        if not adapter.supports_array_backend:
-            raise ConfigurationError(
-                f"protocol {adapter.name!r} does not support the array backend")
+        adapter.require("supports_array_backend", "the array backend")
         if churn_plan is not None:
             raise ConfigurationError(
                 "backend='array' does not support topology churn")
         if adversary is not None:
             raise ConfigurationError(
                 "backend='array' does not support adversary models")
-    if isinstance(graph, EdgeArrayGraph) and not (
-            config.backend == "array"
-            and getattr(adapter, "supports_csr_direct", False)):
-        # Callers may hand any adapter an edge-array container; only
-        # CSR-direct adapters consume it natively, everyone else gets the
+    if isinstance(graph, EdgeArrayGraph) and config.backend != "array":
+        # Callers may hand any adapter an edge-array container; only the
+        # array build consumes it natively, the object build gets the
         # equivalent nx graph (identical canonical insertion order).
         graph = graph.to_networkx()
     rng = np.random.default_rng(config.seed)

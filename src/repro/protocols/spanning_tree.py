@@ -41,24 +41,12 @@ class SpanningTreeProtocol(ProtocolAdapter):
                    "(min-id root, BFS-like, rules R1-R3)")
     initial_policies = ("isolated", "corrupted")
     supports_churn = True
-    supports_faults = True
-    supports_crash = True
-    supports_byzantine = True
-    supports_array_backend = True
 
     def build_network(self, graph: nx.Graph, config: ProtocolRunConfig) -> Network:
         check_network(graph)
         factory = spanning_tree_process_factory(
             n_upper=self.default_n_upper(graph, config))
         return Network(graph, factory)
-
-    def build_array_network(self, graph: nx.Graph,
-                            config: ProtocolRunConfig) -> Network:
-        from ..sim.array_substrates import build_array_st_network
-
-        check_network(graph)
-        return build_array_st_network(
-            graph, n_upper=self.default_n_upper(graph, config))
 
     def prepare_initial(self, network: Network, config: ProtocolRunConfig,
                         rng: np.random.Generator) -> None:

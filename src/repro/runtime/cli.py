@@ -44,8 +44,7 @@ from ..analysis.tables import format_table
 from ..exceptions import ReproError
 from ..graphs.generators import (GRAPH_FAMILIES, family_info, family_names,
                                  validate_graph_params)
-from ..protocols import (PROTOCOLS, capable_names, churn_capable_names,
-                         protocol_names)
+from ..protocols import PROTOCOLS, protocol_names
 from .cache import ResultCache
 from .engine import SweepEngine, default_workers
 from .spec import RunSpec, SweepSpec
@@ -147,10 +146,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     # would let a static-topology row masquerade as a churn measurement.
     _check_churn_flags(args)
     _check_fault_flags(args)
-    _check_churn_protocols(args, [args.protocol])
-    _check_adversary_flags(args)
-    _check_adversary_protocols(args, [args.protocol])
-    _check_backend_flags(args, [args.protocol])
+    _check_adversarial_flags(args)
+    _check_backend_flags(args)
+    _check_capabilities(args, [args.protocol])
     spec = RunSpec(
         task=args.task,
         protocol=args.protocol,
@@ -211,26 +209,13 @@ def _check_fault_flags(args: argparse.Namespace) -> None:
             f"{'/'.join(FAULT_CAPABLE_TASKS)} (got --task {args.task})")
 
 
-def _check_churn_protocols(args: argparse.Namespace,
-                           protocols: Sequence[str]) -> None:
-    """For churn sweeps, every protocol must be churn-capable up front."""
-    if args.task != "churn":
-        return
-    unable = sorted(p for p in protocols if not PROTOCOLS[p].supports_churn)
-    if unable:
-        raise ReproError(
-            f"protocol(s) {', '.join(repr(p) for p in unable)} do not "
-            f"support topology churn; churn-capable protocols: "
-            f"{', '.join(churn_capable_names())}")
-
-
 def _adversary_flags_set(args: argparse.Namespace) -> bool:
     """Whether any adversary knob is non-default."""
     return (args.loss > 0 or args.dup > 0 or args.reorder > 0
             or args.crash_count > 0 or args.byzantine_count > 0)
 
 
-def _check_adversary_flags(args: argparse.Namespace) -> None:
+def _check_adversarial_flags(args: argparse.Namespace) -> None:
     """Early validation of the adversary knobs (see :func:`_check_churn_flags`).
 
     Rates must be probabilities, counts non-negative, and the knobs only
@@ -259,29 +244,7 @@ def _check_adversary_flags(args: argparse.Namespace) -> None:
             "(--loss/--dup/--reorder/--crash-count/--byzantine-count)")
 
 
-def _check_adversary_protocols(args: argparse.Namespace,
-                               protocols: Sequence[str]) -> None:
-    """Every protocol must be capable of each enabled adversary model."""
-    checks = (
-        (args.loss > 0 or args.dup > 0 or args.reorder > 0,
-         "supports_unreliable_channels", "unreliable channels"),
-        (args.crash_count > 0, "supports_crash", "crash/recover faults"),
-        (args.byzantine_count > 0, "supports_byzantine", "Byzantine gossip"),
-    )
-    for enabled, flag, what in checks:
-        if not enabled:
-            continue
-        unable = sorted(p for p in protocols
-                        if not getattr(PROTOCOLS[p], flag, False))
-        if unable:
-            raise ReproError(
-                f"protocol(s) {', '.join(repr(p) for p in unable)} do not "
-                f"support {what}; capable protocols: "
-                f"{', '.join(capable_names(flag))}")
-
-
-def _check_backend_flags(args: argparse.Namespace,
-                         protocols: Sequence[str]) -> None:
+def _check_backend_flags(args: argparse.Namespace) -> None:
     """Early validation of ``--backend`` (see :func:`_check_churn_flags`).
 
     The array kernel freezes the topology at build time and owns the
@@ -295,14 +258,21 @@ def _check_backend_flags(args: argparse.Namespace,
         raise ReproError("--backend array does not support topology churn")
     if args.task == "adversary" or _adversary_flags_set(args):
         raise ReproError("--backend array does not support adversary models")
-    unable = sorted(p for p in protocols
-                    if not getattr(PROTOCOLS[p], "supports_array_backend",
-                                   False))
-    if unable:
-        raise ReproError(
-            f"protocol(s) {', '.join(repr(p) for p in unable)} do not "
-            f"support the array backend; capable protocols: "
-            f"{', '.join(capable_names('supports_array_backend'))}")
+
+
+def _check_capabilities(args: argparse.Namespace,
+                        protocols: Sequence[str]) -> None:
+    """Every protocol must declare the capabilities the run asks for.
+
+    The same :meth:`~repro.protocols.base.ProtocolAdapter.require` check
+    the runner and the churn task make, run before any work is dispatched.
+    """
+    for p in sorted(protocols):
+        adapter = PROTOCOLS[p]
+        if args.task == "churn":
+            adapter.require("supports_churn", "topology churn")
+        if args.backend == "array":
+            adapter.require("supports_array_backend", "the array backend")
 
 
 def _sweep_from_args(args: argparse.Namespace) -> SweepSpec:
@@ -346,10 +316,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     _check_protocols(args.protocols)
     _check_churn_flags(args)
     _check_fault_flags(args)
-    _check_churn_protocols(args, args.protocols)
-    _check_adversary_flags(args)
-    _check_adversary_protocols(args, args.protocols)
-    _check_backend_flags(args, args.protocols)
+    _check_adversarial_flags(args)
+    _check_backend_flags(args)
+    _check_capabilities(args, args.protocols)
     sweep = _sweep_from_args(args)
     specs = sweep.expand()
     cache = ResultCache(args.cache_dir) if args.cache_dir else None
@@ -429,10 +398,6 @@ def cmd_protocols(args: argparse.Namespace) -> int:
         rows.append({
             "protocol": name,
             "churn": "yes" if adapter.supports_churn else "no",
-            "faults": "yes" if adapter.supports_faults else "no",
-            "lossy": "yes" if adapter.supports_unreliable_channels else "no",
-            "crash": "yes" if adapter.supports_crash else "no",
-            "byzantine": "yes" if adapter.supports_byzantine else "no",
             "array": "yes" if adapter.supports_array_backend else "no",
             "initial policies": "/".join(adapter.initial_policies),
             "description": adapter.description,
@@ -559,8 +524,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--backend", default="object",
                      choices=("object", "array"),
                      help="simulation kernel: per-object message passing "
-                          "or the vectorized array kernel (byte-identical "
-                          "results, much faster at large n)")
+                          "or the vectorized array kernel (mdst only; "
+                          "byte-identical results, much faster at large n)")
     run.add_argument("--json", action="store_true",
                      help="print the full outcome as JSON instead of a table")
     run.set_defaults(func=cmd_run)
@@ -603,7 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("object", "array"),
                        help="simulation kernel for every run of the matrix "
                             "(byte-identical results; 'array' is the "
-                            "vectorized large-n kernel)")
+                            "vectorized large-n kernel, mdst only)")
     sweep.add_argument("--workers", type=int, default=1,
                        help="worker processes (1 = serial fallback; "
                             f"this machine's default would be {default_workers()})")

@@ -63,9 +63,8 @@ from ..exceptions import ConfigurationError
 from ..graphs.generators import hard_hub_graph
 from ..graphs.properties import is_hamiltonian_path_certificate, mdst_lower_bound
 from ..graphs.spanning import bfs_spanning_tree, tree_degree
-from ..protocols.registry import churn_capable_names, get_protocol
+from ..protocols.registry import get_protocol
 from ..protocols.runner import run_protocol
-from ..sim.adversary import Adversary
 from ..sim.faults import FaultPlan
 from .spec import RunSpec
 
@@ -115,20 +114,6 @@ def _fault_plan(spec: RunSpec) -> Optional[FaultPlan]:
         return None
     return FaultPlan().add(round_index=spec.fault_round,
                            node_fraction=spec.fault_fraction)
-
-
-def _adversary(spec: RunSpec) -> Optional[Adversary]:
-    """The spec's adversary, gated by the adapter's capability flags.
-
-    Mirrors the churn task's early rejection: a spec pairing an adversary
-    model with a protocol whose adapter does not declare the matching
-    capability fails fast with the eligible protocols listed, instead of
-    silently mislabelling a row.
-    """
-    adversary = spec.build_adversary()
-    if adversary is not None:
-        get_protocol(spec.protocol).check_adversary(adversary)
-    return adversary
 
 
 def _require_mdst(spec: RunSpec) -> None:
@@ -228,7 +213,7 @@ def run_protocol_task(spec: RunSpec) -> RunOutcome:
     graph = spec.build_graph()
     result = run_protocol(graph, spec.protocol_run_config(),
                           fault_plan=_fault_plan(spec),
-                          adversary=_adversary(spec))
+                          adversary=spec.build_adversary())
     record = _record_for(spec, graph, result)
     convergence_round = result.run.extra.get("convergence_round")
     row = _identify(spec, graph)
@@ -413,7 +398,7 @@ def run_throughput_task(spec: RunSpec) -> RunOutcome:
     """
     graph = spec.build_graph()
     config = spec.protocol_run_config()
-    adversary = _adversary(spec)
+    adversary = spec.build_adversary()
     profile_top = int(spec.param("profile", 0))
     if config.backend == "array":
         # The array modules (and scipy underneath them) import lazily on
@@ -423,7 +408,6 @@ def run_throughput_task(spec: RunSpec) -> RunOutcome:
         import scipy.sparse          # noqa: F401
         import repro.sim.array_engine    # noqa: F401
         import repro.sim.array_kernel    # noqa: F401
-        import repro.sim.array_substrates  # noqa: F401
     profiler = None
     if profile_top > 0:
         import cProfile
@@ -478,11 +462,7 @@ def run_churn_task(spec: RunSpec) -> RunOutcome:
     ``supports_churn = False`` (the fixed-tree PIF aggregation) are
     rejected before any work happens.
     """
-    adapter = get_protocol(spec.protocol)
-    if not adapter.supports_churn:
-        raise ConfigurationError(
-            f"protocol {spec.protocol!r} does not support topology churn; "
-            f"churn-capable protocols: {', '.join(churn_capable_names())}")
+    get_protocol(spec.protocol).require("supports_churn", "topology churn")
     graph = spec.build_graph()
     plan = spec.build_churn_plan(graph)
     config = spec.protocol_run_config()
@@ -490,7 +470,7 @@ def run_churn_task(spec: RunSpec) -> RunOutcome:
         # Joins may grow the network past the input size: keep the distance
         # bound legal for every topology the plan can produce.
         config.n_upper = graph.number_of_nodes() + spec.churn_events + 1
-    adversary = _adversary(spec)
+    adversary = spec.build_adversary()
     start = time.perf_counter()
     result = run_protocol(graph, config, fault_plan=_fault_plan(spec),
                           churn_plan=plan, adversary=adversary)
@@ -544,15 +524,14 @@ def run_adversary_task(spec: RunSpec) -> RunOutcome:
     wall-clock timing, so the engine never caches them (see
     :data:`UNCACHEABLE_TASKS`).
 
-    Dispatches on ``spec.protocol``; each enabled model is gated by the
-    adapter's matching capability flag (``supports_unreliable_channels``/
-    ``supports_crash``/``supports_byzantine``) before any work happens.
+    Dispatches on ``spec.protocol``; every registered protocol accepts
+    every adversary model.
     """
     if not spec.adversary_enabled:
         raise ConfigurationError(
             "the adversary task needs at least one adversary knob "
             "(--loss/--dup/--reorder/--crash-count/--byzantine-count)")
-    adversary = _adversary(spec)
+    adversary = spec.build_adversary()
     graph = spec.build_graph()
     config = spec.protocol_run_config()
     start = time.perf_counter()

@@ -1,10 +1,10 @@
 """The array backend's one execution engine: array-form plans, run slot by slot.
 
 Every scheduler of the array backend -- synchronous, random, adversarial
-and weighted, for all three protocols -- runs its rounds through
-:func:`execute_plan`.  A scheduler is reduced to a small *plan builder*
-that reproduces the object scheduler's execution order exactly, and the
-engine executes the plan with a few vectorized passes per slot:
+and weighted -- runs its rounds through :func:`execute_plan`.  A scheduler
+is reduced to a small *plan builder* that reproduces the object
+scheduler's execution order exactly, and the engine executes the plan with
+a few vectorized passes per slot:
 
 * **Plans.**  A round's plan is one :class:`Plan` of four arrays: the
   acting node indices (ascending), each actor's start and count in the
@@ -30,19 +30,19 @@ engine executes the plan with a few vectorized passes per slot:
 * **Slots.**  The engine therefore executes *slot* ``j`` -- the ``j``-th
   event of every actor -- together: ``events[starts[counts > j] + j]``.
   Virtual gossip pops become one batched scatter, then a single rules pass
-  (the driver's ``slot_pass``) refreshes the gossip destinations and the
+  (:meth:`MDSTArrayOps.slot_pass`) refreshes the gossip destinations and the
   timeout actors together and, in the same pass, returns the no-op verdict
   of the slot's control deliveries; the surviving control messages run the
   real scalar handlers, and the timeouts finish with their gossip send and
-  the search-initiation hook.  Moving the timeout refresh and the gate
-  ahead of the handlers is the commutation argument again: a slot holds
-  one event per node, a handler writes only its own node's state and
-  out-channels, and the gate reads only its destination's own columns and
-  view rows, which no other event of the slot writes.  A node whose
-  columns are *settled* -- a fixpoint of the rules that no write has
-  touched since; a pop that repeats what its view row holds is no write
-  -- skips the pass, and its gate verdict is the ``locally_stab`` the
-  last pass left; a slot of settled nodes runs no pass at all.
+  the search-initiation hook.  Moving the timeout refresh and the gate ahead
+  of the handlers is the commutation argument again: a slot holds one event
+  per node, a handler writes only its own node's state and out-channels, and
+  the gate reads only its destination's own columns and view rows, which no
+  other event of the slot writes.  A node whose columns are *settled* -- a
+  fixpoint of the rules that no write has touched since; a pop that repeats
+  what its view row holds is no write -- skips the pass, and its gate
+  verdict is the ``locally_stab`` the last pass left; a slot of settled
+  nodes runs no pass at all.
 * **Virtual gossip.**  On an :class:`~repro.sim.array_kernel.ArrayNetwork`
   the gossip never becomes message objects: timeouts mint per-source
   virtual tokens (:meth:`~repro.sim.array_kernel.ArrayNetwork._mint`) and
@@ -56,16 +56,14 @@ engine executes the plan with a few vectorized passes per slot:
   -- and a per-edge flag tells the slot which rows pop physically.
 
 Per-event Python is left only where a channel holds a physical queue:
-control traffic, materialized tokens and the substrates' plain channels
-(their ``virtual_gossip`` is ``False``).  Per-node Python is left for the
+control traffic and materialized tokens.  Per-node Python is left for the
 step counters and the timeout hooks, once per round.
 
-The engine is protocol-agnostic: it talks to the columns through a small
-*ops* driver (:class:`MDSTArrayOps` here; the spanning-tree and PIF
-drivers live in :mod:`repro.sim.array_substrates`).  Full event logs and
-disabled nodes fall back to the object scheduler, which stays
-byte-identical because virtual tokens materialize on demand under scalar
-delivery and are counted by ``ArrayNetwork.enabled_deliveries``.
+The array backend serves MDST alone, and :class:`MDSTArrayOps` holds the
+engine's column work over an :class:`~repro.sim.array_kernel.ArrayNetwork`.
+Full event logs and disabled nodes fall back to the object scheduler, which
+stays byte-identical because virtual tokens materialize on demand under
+scalar delivery and are counted by ``ArrayNetwork.enabled_deliveries``.
 
 What stays scalar, honestly: ``Search``/``Back``/``Remove`` forwarding
 carries variable-length path/visited tuples that have no fixed column
@@ -108,7 +106,6 @@ __all__ = [
 ]
 
 _I64 = np.int64
-_NO_NODES = np.zeros(0, dtype=_I64)
 
 
 class Plan(NamedTuple):
@@ -132,23 +129,13 @@ def _exclusive_cumsum(counts: np.ndarray) -> np.ndarray:
 
 
 class MDSTArrayOps:
-    """Column driver wiring the engine to an MDST :class:`ArrayNetwork`."""
-
-    gossip_type = MInfo
-    gossip_name = "MInfo"
-    #: Timeout gossip is minted as per-source virtual tokens, not objects.
-    virtual_gossip = True
+    """The engine's column work over an MDST :class:`ArrayNetwork`."""
 
     def __init__(self, network: ArrayNetwork):
         self.network = network
         self.kernel = network.kernel
         self.enable_reduction = network._enable_reduction
         self.gossip_bits = network._minfo_bits
-
-    def fields_of(self, msg: MInfo) -> tuple:
-        """The scatter-column values carried by one physical gossip object."""
-        return (msg.root, msg.parent, msg.distance, msg.degree, msg.sub_max,
-                msg.dmax, msg.color)
 
     def scatter_tokens(self, P: np.ndarray, D: np.ndarray) -> None:
         """Pop one virtual token into each of the view rows ``P`` (of the
@@ -198,15 +185,17 @@ class MDSTArrayOps:
         net._pending_total -= nv
         net._version += nv
 
-    def scatter_fields(self, P: np.ndarray, fields: List[tuple]) -> None:
+    def scatter_fields(self, P: List[int], D: List[int],
+                       fields: List[tuple]) -> None:
         """Write popped gossip objects (start-up traffic, materialized
-        tokens) into their view rows ``P``, clearing the owners'
-        :attr:`~repro.sim.array_kernel.ArrayKernel.settled` flags."""
+        tokens) into their view rows ``P``, clearing the
+        :attr:`~repro.sim.array_kernel.ArrayKernel.settled` flags of their
+        destinations ``D``."""
         k = self.kernel
         for v, col in zip(k.v_cols, zip(*fields)):
             v[P] = col
         k.v_heard[P] = True
-        k.settled[np.searchsorted(k.indptr, P, side="right") - 1] = False
+        k.settled[D] = False
 
     def slot_pass(self, R: np.ndarray,
                   scalars: List[Tuple[NodeId, NodeId, object]]) -> List[bool]:
@@ -303,13 +292,14 @@ class MDSTArrayOps:
         return sent
 
 
-def get_ops(network: Network):
-    """The network's engine driver, or ``None`` for plain object networks."""
-    ops = getattr(network, "_array_ops", None)
-    if ops is None and isinstance(network, ArrayNetwork):
-        ops = MDSTArrayOps(network)
-        network._array_ops = ops
-    return ops
+def get_ops(network: Network) -> Optional[MDSTArrayOps]:
+    """The array network's :class:`MDSTArrayOps`, built once, or ``None``
+    for plain object networks."""
+    if not isinstance(network, ArrayNetwork):
+        return None
+    if network._ops is None:
+        network._ops = MDSTArrayOps(network)
+    return network._ops
 
 
 def backlog_plan(kernel, backlog: np.ndarray, timeouts: np.ndarray) -> Plan:
@@ -329,7 +319,7 @@ def backlog_plan(kernel, backlog: np.ndarray, timeouts: np.ndarray) -> Plan:
     return Plan(kernel._all_idx, starts, counts, events)
 
 
-def execute_plan(network: Network, ops, plan: Plan,
+def execute_plan(network: ArrayNetwork, ops: MDSTArrayOps, plan: Plan,
                  trace: Optional[TraceRecorder], stats: RoundStats) -> None:
     """Execute an array-form plan slot by slot, batching each slot.
 
@@ -349,9 +339,7 @@ def execute_plan(network: Network, ops, plan: Plan,
     node_ids = kernel.node_ids
     row_src = kernel.nbr_ids
     processes = network.processes
-    gossip_type = ops.gossip_type
-    virtual = ops.virtual_gossip
-    physical = network._row_physical if virtual else None
+    physical = network._row_physical
     row_channel = channel_rows(network)[0]
     # Steps already credited to actors whose control handler ran: the
     # Deblock cooldown reads ``steps_taken``, so it is exact at every
@@ -379,30 +367,29 @@ def execute_plan(network: Network, ops, plan: Plan,
         f_dsts: List[int] = []
         fields: List[tuple] = []
         scalars: List[Tuple[NodeId, NodeId, object]] = []
-        if virtual:
-            phys = physical[rows]
-            if phys.any():
-                vrows, vdsts = rows[~phys], dsts[~phys]
-                rows, dsts = rows[phys], dsts[phys]
-            else:
-                vrows, vdsts = rows, dsts
-                rows = dsts = ()
-            n_gossip += len(vrows)
-            if len(vrows):
-                ops.scatter_tokens(vrows, vdsts)
+        phys = physical[rows]
+        if phys.any():
+            vrows, vdsts = rows[~phys], dsts[~phys]
+            rows, dsts = rows[phys], dsts[phys]
         else:
-            vdsts = _NO_NODES
+            vrows, vdsts = rows, dsts
+            rows = dsts = ()
+        n_gossip += len(vrows)
+        if len(vrows):
+            ops.scatter_tokens(vrows, vdsts)
         if len(rows):
             for row, di in zip(rows.tolist(), dsts.tolist()):
                 msg = row_channel[row].deliver()
-                if type(msg) is gossip_type:
+                if type(msg) is MInfo:
                     f_rows.append(row)
                     f_dsts.append(di)
-                    fields.append(ops.fields_of(msg))
+                    fields.append((msg.root, msg.parent, msg.distance,
+                                   msg.degree, msg.sub_max, msg.dmax,
+                                   msg.color))
                 else:
                     scalars.append((node_ids[di], int(row_src[row]), msg))
             if f_rows:
-                ops.scatter_fields(np.asarray(f_rows, dtype=np.intp), fields)
+                ops.scatter_fields(f_rows, f_dsts, fields)
         n_gossip += len(f_rows)
         # The slot's one rules pass: gossip destinations and timeout actors
         # together, plus the control gate.
@@ -454,8 +441,7 @@ def execute_plan(network: Network, ops, plan: Plan,
     stats.messages_sent += sent
     if trace is not None:
         if n_gossip:
-            name = ops.gossip_name
-            mtc[name] = mtc.get(name, 0) + n_gossip
+            mtc["MInfo"] = mtc.get("MInfo", 0) + n_gossip
             if ops.gossip_bits > trace.max_message_bits:
                 trace.max_message_bits = ops.gossip_bits
         trace.total_deliveries += n_deliveries
@@ -475,8 +461,9 @@ def execute_plan(network: Network, ops, plan: Plan,
 class _ArrayPlanned:
     """The shared round of the array schedulers: build a plan, execute it.
 
-    The engine runs when the network has a column driver and the round is
-    inside the batched contract; full event logs (which need per-event
+    The engine runs when the network is an
+    :class:`~repro.sim.array_kernel.ArrayNetwork` and the round is inside
+    the batched contract; full event logs (which need per-event
     records), disabled nodes (which need the object scheduler's per-event
     gating) and a refused plan take the object scheduler instead, and any
     in-flight virtual gossip stays transparent to it (tokens materialize on
@@ -553,14 +540,12 @@ class ArrayAdversarialScheduler(_ArrayPlanned, AdversarialScheduler):
         k = ops.kernel
         backlog = network.backlog()
         if slow:
-            gossip_type = ops.gossip_type
             channels = network.channels
             for key in network._active:
                 # Only the physical queue can hold control payloads; a
                 # virtual token is gossip by construction.
                 for m in channels[key]._queue:
-                    if (type(m) is not gossip_type
-                            and type(m) is not GarbageMessage):
+                    if type(m) is not MInfo and type(m) is not GarbageMessage:
                         return None
             links = sorted((k.pos[(dst, src)], (src, dst))
                            for src, dst in slow

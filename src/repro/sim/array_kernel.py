@@ -1043,6 +1043,9 @@ class ArrayNetwork(Network):
         self._row_physical = np.zeros(kernel.total, dtype=bool)
         #: Lazy CSR transpose for :meth:`_mint`.
         self._out_rows_cache = None
+        #: The slot engine's column work, built by its first batched round
+        #: (:func:`repro.sim.array_engine.get_ops`).
+        self._ops = None
 
         def factory(node_id: NodeId, neighbors: Sequence[NodeId]) -> ArrayMDSTNode:
             return ArrayMDSTNode(node_id, neighbors, kernel, n_upper=n_upper,

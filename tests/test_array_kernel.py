@@ -3,9 +3,9 @@
 Four invariants protect the backend's central promise -- byte-identical
 results, only faster -- across the v4 -> v5 schema bump:
 
-* **Gating** -- the array kernel freezes the topology and owns the
-  channel objects, so churn, adversary models and non-capable protocols
-  are rejected up front, never silently degraded.
+* **Gating** -- the array kernel runs MDST alone, freezes the topology
+  and owns the channel objects, so churn, adversary models and the
+  substrate protocols are rejected up front, never silently degraded.
 * **Equivalence** -- object and array backends produce identical results
   step for step: same per-round trace, same messages, same tree, same
   channel-derived statistics.  Checked on fixed regression cases (fault
@@ -40,7 +40,7 @@ from repro.exceptions import ConfigurationError
 from repro.experiments.config import get_profile
 from repro.experiments.workloads import scaling_workload
 from repro.graphs.generators import GRAPH_FAMILIES
-from repro.protocols import PROTOCOLS
+from repro.protocols import PROTOCOLS, capable_names
 from repro.protocols.base import ProtocolRunConfig
 from repro.protocols.runner import run_protocol
 from repro.runtime.spec import CACHE_SCHEMA_VERSION, RunSpec, spec_key
@@ -97,20 +97,19 @@ class TestBackendGating:
             ProtocolRunConfig(backend="simd").validate()
 
     def test_registry_flags(self):
-        for name in ("mdst", "pif_max_degree", "spanning_tree"):
-            assert PROTOCOLS[name].supports_array_backend
+        assert capable_names("supports_array_backend") == ["mdst"]
 
     def test_array_rejects_non_capable_protocol(self):
-        from repro.protocols.pif import PIFMaxDegreeProtocol
-
-        class NoArrayProtocol(PIFMaxDegreeProtocol):
-            supports_array_backend = False
-
-        with pytest.raises(ConfigurationError, match="array backend"):
-            run_protocol(_graph(8, 1),
-                         ProtocolRunConfig(protocol="pif_max_degree",
-                                           backend="array"),
-                         adapter=NoArrayProtocol())
+        """The substrates stay on the object backend; the refusal names
+        ``mdst`` as the one capable protocol."""
+        for protocol in ("spanning_tree", "pif_max_degree"):
+            with pytest.raises(ConfigurationError,
+                               match=(f"protocol {protocol!r} does not "
+                                      f"support the array backend; capable "
+                                      f"protocols: mdst$")):
+                run_protocol(_graph(8, 1),
+                             ProtocolRunConfig(protocol=protocol,
+                                               backend="array"))
 
     def test_array_rejects_churn(self):
         with pytest.raises(ConfigurationError, match="churn"):
@@ -186,30 +185,9 @@ class TestStepForStepProperty:
                              max_rounds=2500, fault_plan=plan)
         assert _result_key(obj) == _result_key(arr)
 
-    @settings(max_examples=6, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    @given(protocol=st.sampled_from(("mdst", "spanning_tree",
-                                     "pif_max_degree")),
-           graph_seed=st.integers(min_value=0, max_value=10_000),
-           run_seed=st.integers(min_value=0, max_value=10_000),
-           scheduler=st.sampled_from(("synchronous", "random", "adversarial",
-                                      "weighted")),
-           initial=st.sampled_from(("isolated", "corrupted")),
-           fault=st.booleans())
-    def test_array_equals_object_across_protocols(self, protocol, graph_seed,
-                                                  run_seed, scheduler,
-                                                  initial, fault):
-        """Every array-capable registry protocol is byte-identical."""
-        plan = (FaultPlan().add(15, node_fraction=0.5, channel_fraction=0.25)
-                if fault else None)
-        obj, arr = _run_both(_graph(14, graph_seed), protocol=protocol,
-                             scheduler=scheduler, initial=initial,
-                             seed=run_seed, max_rounds=2500, fault_plan=plan)
-        assert _result_key(obj) == _result_key(arr)
-
 
 _SCHEDULERS = ("synchronous", "random", "adversarial", "weighted")
-_PROTOCOLS = ("mdst", "spanning_tree", "pif_max_degree")
+_PROTOCOLS = ("mdst",)
 
 
 def _fallback_config(protocol: str, scheduler: str, initial: str,

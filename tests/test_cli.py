@@ -115,32 +115,36 @@ def test_protocols_subcommand_json(capsys):
     names = {row["protocol"] for row in rows}
     assert {"mdst", "spanning_tree", "pif_max_degree"} <= names
     by_name = {row["protocol"]: row for row in rows}
+    for row in rows:
+        assert set(row) == {"protocol", "churn", "array", "initial policies",
+                            "description"}
     assert by_name["mdst"]["churn"] == "yes"
     assert by_name["pif_max_degree"]["churn"] == "no"
-    for name in ("mdst", "spanning_tree", "pif_max_degree"):
-        assert by_name[name]["lossy"] == "yes"
-        assert by_name[name]["crash"] == "yes"
-        assert by_name[name]["byzantine"] == "yes"
-        assert by_name[name]["array"] == "yes"
+    assert by_name["mdst"]["array"] == "yes"
+    for name in ("spanning_tree", "pif_max_degree"):
+        assert by_name[name]["array"] == "no"
 
 
-def test_sweep_array_backend_fails_fast_for_non_capable_protocol(
-        capsys, monkeypatch):
-    """--backend array with a non-capable protocol is a pre-run CLI error."""
-    from repro.protocols.registry import PROTOCOLS
+def test_sweep_array_backend_fails_fast_for_non_capable_protocol(capsys):
+    """--backend array with a substrate protocol is a pre-run CLI error."""
+    for protocol in ("pif_max_degree", "spanning_tree"):
+        assert main(["sweep", "--families", "wheel", "--sizes", "8",
+                     "--protocols", f"mdst,{protocol}",
+                     "--backend", "array"]) == 1
+        captured = capsys.readouterr()
+        assert (f"protocol {protocol!r} does not support the array "
+                f"backend; capable protocols: mdst") in captured.err
+        # validation fires before the engine: no "sweep: N runs" banner
+        assert "sweep:" not in captured.err
+        assert captured.out == ""
 
-    monkeypatch.setattr(PROTOCOLS["pif_max_degree"],
-                        "supports_array_backend", False)
-    assert main(["sweep", "--families", "wheel", "--sizes", "8",
-                 "--protocols", "mdst,pif_max_degree",
-                 "--backend", "array"]) == 1
+
+def test_run_array_backend_fails_fast_for_non_capable_protocol(capsys):
+    assert main(["run", "--family", "wheel", "--n", "8",
+                 "--protocol", "spanning_tree", "--backend", "array"]) == 1
     captured = capsys.readouterr()
-    assert "pif_max_degree" in captured.err
-    assert "array backend" in captured.err
-    # capable protocols are suggested, and validation fires before the
-    # engine: no "sweep: N runs" banner
-    assert "mdst" in captured.err
-    assert "sweep:" not in captured.err
+    assert "capable protocols: mdst" in captured.err
+    assert captured.out == ""
 
 
 def test_run_unknown_protocol_lists_registered_names(capsys):
@@ -187,7 +191,8 @@ def test_sweep_churn_task_rejects_non_churn_protocol(capsys):
                  "--churn-events", "2",
                  "--protocols", "pif_max_degree"]) == 1
     err = capsys.readouterr().err
-    assert "pif_max_degree" in err and "churn-capable" in err
+    assert ("protocol 'pif_max_degree' does not support topology churn; "
+            "capable protocols: mdst, spanning_tree") in err
 
 
 def test_sweep_rejects_churn_flags_without_churn_task(capsys):

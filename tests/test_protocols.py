@@ -25,7 +25,6 @@ from repro.protocols import (
     register_protocol,
     run_protocol,
 )
-from repro.runtime import RunSpec, execute_spec
 from repro.sim.faults import ChurnPlan, random_churn_plan
 from repro.stabilization.pif import MaxDegreeProcess
 from repro.stabilization.spanning_tree import SpanningTreeProcess, st_legitimacy
@@ -56,7 +55,6 @@ class TestRegistry:
         assert not PROTOCOLS["pif_max_degree"].supports_churn
         assert PROTOCOLS["mdst"].supports_initial_tree
         assert not PROTOCOLS["spanning_tree"].supports_initial_tree
-        assert all(PROTOCOLS[name].supports_faults for name in PROTOCOLS)
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ConfigurationError, match="already registered"):
@@ -96,26 +94,6 @@ class TestConfigValidation:
         config = ProtocolRunConfig(protocol="pif_max_degree", max_rounds=100)
         with pytest.raises(ConfigurationError, match="churn"):
             run_protocol(graph, config, churn_plan=plan)
-
-
-    @pytest.mark.parametrize("flag,kwargs,what", [
-        ("supports_unreliable_channels", {"loss_rate": 0.1}, "unreliable channels"),
-        ("supports_crash", {"crash_count": 1}, "crash/recover faults"),
-        ("supports_byzantine", {"byzantine_count": 1}, "Byzantine gossip"),
-    ])
-    def test_adversary_requires_capability(self, monkeypatch, flag, kwargs, what):
-        """run_protocol and the runtime tasks share one adversary gate."""
-        monkeypatch.setattr(PROTOCOLS["spanning_tree"], flag, False)
-        spec = RunSpec(task="adversary", protocol="spanning_tree", family="wheel",
-                       n=8, seed=1, max_rounds=100, **kwargs)
-        message = (f"does not support {what}; "
-                   f"capable protocols: mdst, pif_max_degree")
-        with pytest.raises(ConfigurationError, match=message):
-            execute_spec(spec)
-        with pytest.raises(ConfigurationError, match=message):
-            run_protocol(make_graph("wheel", 8, seed=1),
-                         ProtocolRunConfig(protocol="spanning_tree", max_rounds=100),
-                         adversary=spec.build_adversary())
 
 
 class TestMDSTEquivalence:
