@@ -22,9 +22,10 @@ A second test, ``test_construction_scaling``, times *setup* rather than
 rounds: graph generation plus network construction for the heavy-tailed
 ``powerlaw_cm`` family at n in {10_000, 50_000}, in three modes --
 ``object`` (nx graph -> per-object ``build_mdst_network``), ``array_nx``
-(nx graph -> eager ``ArrayNetwork``), and ``csr_direct``
-(:class:`~repro.graphs.edge_array.EdgeArrayGraph` -> ``ArrayNetwork``
-straight from the cached CSR, per-object maps lazy).  Record mode gates
+(nx graph, converted once to edge arrays -> ``ArrayNetwork``), and
+``csr_direct`` (:class:`~repro.graphs.edge_array.EdgeArrayGraph` ->
+``ArrayNetwork`` straight from the cached CSR).  Both array modes take
+the one construction route, with lazy per-object maps.  Record mode gates
 ``csr_direct`` at >= ``CONSTRUCTION_SPEEDUP_TARGET`` x faster than
 ``object`` at n=10_000 (both build-only and end-to-end); smoke mode runs
 only the csr_direct n=10_000 case, the median of

@@ -24,7 +24,6 @@ setup(
     install_requires=[
         "networkx>=2.6",
         "numpy>=1.21",
-        "scipy>=1.8",
     ],
     extras_require={
         "test": ["pytest", "pytest-benchmark", "hypothesis"],

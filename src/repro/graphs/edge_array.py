@@ -3,18 +3,17 @@
 An :class:`EdgeArrayGraph` holds a simple undirected graph on nodes
 ``0 .. n-1`` as two parallel numpy arrays of endpoints -- nothing is stored
 per node or per edge as a Python object.  It is what the vectorized
-generators in :mod:`repro.graphs.fast_generators` produce and what the
-CSR-direct array-network build path in :mod:`repro.sim.array_kernel`
-consumes: the cached CSR adjacency built here *is* the kernel topology, so
-at n = 10k+ a network materializes without ever touching
-:mod:`networkx`.
+generators in :mod:`repro.graphs.fast_generators` produce and what every
+array network of :mod:`repro.sim.array_kernel` is built from (an nx input
+is converted to one first): the cached CSR adjacency built here *is* the
+kernel topology, so at n = 10k+ a network materializes without ever
+touching :mod:`networkx`.
 
 Every consumer that genuinely needs an object graph keeps working: the
 container materializes (and caches) an equivalent :class:`networkx.Graph`
 on first request through :meth:`to_networkx`, inserting nodes and edges in
-the same canonical order an eager build would have used, so downstream
-structures (channel creation order, adjacency iteration, snapshots) are
-byte-identical between the two construction routes.
+canonical order, so the object backend run on it creates its channels in
+the order the array network does and the two stay byte-identical.
 
 Canonical form
 --------------
@@ -64,9 +63,11 @@ def canonical_edge_arrays(n: int, u: np.ndarray, v: np.ndarray
     keep = lo != hi
     lo, hi = lo[keep], hi[keep]
     # Lexicographic sort + dedup via the linearized pair key (n <= 2**31
-    # keeps the product comfortably inside int64).
-    key = lo * _I64(n) + hi
-    key = np.unique(key)
+    # keeps the product comfortably inside int64).  Not ``np.unique``: on
+    # numpy 2.x its first call imports ``numpy.ma``, which would land in
+    # the timed region of an array run built from an nx graph.
+    key = np.sort(lo * _I64(n) + hi)
+    key = key[np.diff(key, prepend=_I64(-1)) != 0]
     return (key // n).astype(_I64), (key % n).astype(_I64)
 
 
@@ -133,7 +134,7 @@ class EdgeArrayGraph:
         ``graph.graph["family"]`` convention of the nx generators).
     validate:
         When true (the default), verify connectivity immediately;
-        otherwise :meth:`validate` may be called later (the CSR-direct
+        otherwise :meth:`validate` may be called later (the array
         network build does, exactly once).
     """
 
@@ -213,10 +214,10 @@ class EdgeArrayGraph:
         """The equivalent :class:`networkx.Graph`, built lazily and cached.
 
         Nodes are inserted as ``0..n-1`` and edges in canonical sorted
-        order -- the exact insertion order an eager builder iterating a
-        sorted edge list would produce, so everything keyed on nx
-        iteration order (channel creation, adjacency dicts) is identical
-        between the array and object construction routes.
+        order, so ``graph.edges`` iterates the canonical order and
+        everything keyed on it (channel creation, adjacency dicts) is the
+        same on the object backend as on the array network built from
+        this container.
         """
         g = self._nx
         if g is None:

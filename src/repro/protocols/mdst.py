@@ -30,6 +30,7 @@ from ..core.protocol import (
     build_mdst_network,
     initialize_from_tree,
 )
+from ..graphs.edge_array import EdgeArrayGraph
 from ..sim.network import Network
 from .base import Predicate, ProtocolAdapter, ProtocolRunConfig
 from .registry import register_protocol
@@ -48,7 +49,8 @@ class MDSTProtocol(ProtocolAdapter):
     supports_initial_tree = True
     # The array kernel reproduces the MDST node byte-for-byte (guarded by
     # the E2 md5 anchors and the object≡array hypothesis property), and
-    # build_array_network builds it straight from an EdgeArrayGraph's CSR.
+    # build_array_network builds it from edge arrays, converting an nx
+    # graph once.
     supports_array_backend = True
 
     @staticmethod
@@ -70,7 +72,7 @@ class MDSTProtocol(ProtocolAdapter):
     def build_network(self, graph: nx.Graph, config: ProtocolRunConfig) -> Network:
         return build_mdst_network(graph, self._mdst_config(config))
 
-    def build_array_network(self, graph: nx.Graph,
+    def build_array_network(self, graph: nx.Graph | EdgeArrayGraph,
                             config: ProtocolRunConfig) -> Network:
         from ..sim.array_kernel import build_array_mdst_network
         cfg = self._mdst_config(config)

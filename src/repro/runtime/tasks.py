@@ -401,11 +401,10 @@ def run_throughput_task(spec: RunSpec) -> RunOutcome:
     adversary = spec.build_adversary()
     profile_top = int(spec.param("profile", 0))
     if config.backend == "array":
-        # The array modules (and scipy underneath them) import lazily on
-        # first use inside run_protocol.  In a cold process that one-time
-        # import storm would land inside the timed region -- and the
-        # profiled one -- so warm it up before the clock starts.
-        import scipy.sparse          # noqa: F401
+        # The array modules import lazily on first use inside run_protocol.
+        # In a cold process that one-time import storm would land inside
+        # the timed region -- and the profiled one -- so warm it up before
+        # the clock starts.
         import repro.sim.array_engine    # noqa: F401
         import repro.sim.array_kernel    # noqa: F401
     profiler = None

@@ -154,7 +154,7 @@ class MDSTArrayOps:
         """
         k = self.kernel
         net = self.network
-        src = k.nbr_node_idx[P]
+        src = k.nbr_idx[P]
         dr = net._vg_del_row
         old = dr[P] + 1 < net._vg_sent_src[src]
         tokens = [g[src] for g in k.g_cols]

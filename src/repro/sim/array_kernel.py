@@ -7,10 +7,11 @@ throughput ceiling (BENCH_scaling.json).  This module provides the
 :class:`~repro.sim.network.Network` / :class:`~repro.sim.scheduler.Scheduler`
 contracts:
 
-* **Topology** lives in a CSR adjacency structure (built through
-  :mod:`scipy.sparse`): ``indptr``/``nbr_idx``/``nbr_ids``
-  arrays over the sorted node ids.  A node's neighbour views are the flat
-  rows of its CSR segment, and every vectorized pass works on segments.
+* **Topology** lives in a CSR adjacency structure: ``indptr``/``nbr_idx``/
+  ``nbr_ids`` arrays over the sorted node ids, built from edge arrays
+  (:meth:`~repro.graphs.edge_array.EdgeArrayGraph.csr`).  A node's
+  neighbour views are the flat rows of its CSR segment, and every
+  vectorized pass works on segments.
 * **Node state** is a set of flat numpy columns -- one per slotted
   :class:`~repro.core.state.MDSTState` field (``root``, ``parent``,
   ``distance``, ``sub_max``, ``dmax``, ``color``) -- and the cached
@@ -50,12 +51,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import networkx as nx
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from ..core.messages import MInfo
 from ..core.node_algorithm import MDSTNode
-from ..exceptions import ProtocolError, SimulationError
+from ..exceptions import SimulationError
 from ..graphs.edge_array import EdgeArrayGraph
+from ..graphs.validation import check_network
 from ..types import NodeId
 from .channel import Channel
 from .network import Network
@@ -101,32 +102,6 @@ def segment_row(hit: np.ndarray, rows: np.ndarray,
     return np.maximum.reduceat(np.where(hit, rows, -1), starts)
 
 
-def _build_csr(graph: nx.Graph, node_ids: List[NodeId]):
-    """CSR adjacency (indptr, neighbour indices, neighbour ids) over sorted ids.
-
-    Goes through :mod:`scipy.sparse` (the exemplar layout -- APGL's
-    sparse-matrix graphs).  Neighbour lists come out sorted by id, matching
-    the insertion order of the object backend's per-node view dicts.
-    """
-    n = len(node_ids)
-    index = {v: i for i, v in enumerate(node_ids)}
-    rows, cols = [], []
-    for u, v in graph.edges:
-        ui, vi = index[u], index[v]
-        rows.append(ui)
-        cols.append(vi)
-        rows.append(vi)
-        cols.append(ui)
-    data = np.ones(len(rows), dtype=np.int8)
-    adj = csr_matrix((data, (rows, cols)), shape=(n, n))
-    adj.sort_indices()
-    indptr = adj.indptr.astype(_I64)
-    nbr_idx = adj.indices.astype(_I64)
-    ids = np.asarray(node_ids, dtype=_I64)
-    nbr_ids = ids[nbr_idx]
-    return index, indptr, nbr_idx, nbr_ids
-
-
 class ArrayKernel:
     """The shared column store: CSR topology plus flat state columns.
 
@@ -134,27 +109,20 @@ class ArrayKernel:
     vectorized round operates on these columns directly.
     """
 
-    def __init__(self, graph: "nx.Graph | EdgeArrayGraph", n_upper: int):
-        if isinstance(graph, EdgeArrayGraph):
-            # CSR-direct: the container's cached CSR *is* the kernel
-            # topology.  Node ids are the contiguous 0..n-1, so index,
-            # neighbour indices and neighbour ids all coincide and no
-            # per-edge Python loop runs.
-            self.node_ids = list(range(graph.n))
-            self.n = graph.n
-            self.n_upper = int(n_upper)
-            indptr, nbr = graph.csr()
-            self.index = {v: v for v in self.node_ids}
-            self.indptr = indptr
-            self.nbr_idx = nbr
-            self.nbr_ids = nbr
-        else:
-            self.node_ids = sorted(graph.nodes)
-            self.n = len(self.node_ids)
-            self.n_upper = int(n_upper)
-            self.index, self.indptr, self.nbr_idx, self.nbr_ids = _build_csr(
-                graph, self.node_ids)
-        self.ids = np.asarray(self.node_ids, dtype=_I64)
+    def __init__(self, ids: np.ndarray, topology: EdgeArrayGraph,
+                 n_upper: int):
+        # ``topology`` is the graph over node *indices*; ``ids`` (sorted)
+        # names each index.  Its cached CSR is the kernel topology, with
+        # each row sorted by index and hence by id -- the insertion order
+        # of the object backend's per-node view dicts.
+        self.ids = ids
+        self.node_ids = ids.tolist()
+        self.n = len(self.node_ids)
+        self.n_upper = int(n_upper)
+        self.index = dict(zip(self.node_ids, range(self.n)))
+        self.indptr, self.nbr_idx = topology.csr()
+        #: The neighbour at each flat view row: its node index and its id.
+        self.nbr_ids = ids[self.nbr_idx]
         total = int(self.indptr[-1])
         self.total = total
         #: id of the owning node for every flat view row.
@@ -217,14 +185,9 @@ class ArrayKernel:
         self.v_cols = tuple(getattr(self, "v_" + f) for f in _GOSSIP_FIELDS)
         self.g_cols = tuple(getattr(self, "g_" + f) for f in _GOSSIP_FIELDS)
         self.go_cols = tuple(getattr(self, "go_" + f) for f in _GOSSIP_FIELDS)
-        #: node *index* (not id) of the neighbour at each flat view row.
-        #: ``nbr_ids = ids[nbr_idx]`` with ``ids`` sorted and unique, so the
-        #: index of each neighbour id is just ``nbr_idx`` itself (both
-        #: arrays are frozen topology; sharing is safe).
-        self.nbr_node_idx = self.nbr_idx
         # Scalar-path position lookup, built lazily (see the ``pos``
-        # property): construction never needs it, and the CSR-direct build
-        # path must stay free of per-edge Python dict fills.
+        # property): construction never needs it, and must stay free of
+        # per-edge Python dict fills.
         self._pos_cache: Optional[Dict[Tuple[NodeId, NodeId], int]] = None
         self._full_flat = np.arange(total, dtype=_I64)
         self._full_starts = self.indptr[:-1].astype(np.intp)
@@ -235,10 +198,9 @@ class ArrayKernel:
     def pos(self) -> Dict[Tuple[NodeId, NodeId], int]:
         """Scalar-path lookup ``(owner id, neighbour id) -> flat view row``.
 
-        Row order follows the CSR layout (owner-major, neighbour-id minor),
-        exactly the order the eager per-edge fill used to produce.  Built on
-        first use -- typically when the first channel materializes -- so
-        network *construction* stays O(arrays).
+        Row order follows the CSR layout (owner-major, neighbour-id minor).
+        Built on first use -- typically when the first channel
+        materializes -- so network *construction* stays O(arrays).
         """
         p = self._pos_cache
         if p is None:
@@ -925,7 +887,7 @@ def channel_rows(network: Network):
 class _LazyMap(dict):
     """A fixed-key mapping whose values materialize on first access.
 
-    Backs the CSR-direct build path's ``processes`` / ``channels`` /
+    Backs the array network's ``processes`` / ``channels`` /
     ``adjacency`` maps: the key set is frozen at construction (the array
     topology is immutable), values are built by ``factory(key)`` on first
     ``[]`` and cached in the underlying dict.  Iteration and membership
@@ -1009,14 +971,28 @@ class ArrayNetwork(Network):
     def __init__(self, graph: "nx.Graph | EdgeArrayGraph", *, n_upper: int,
                  search_period: int = 3, deblock_cooldown: int = 30,
                  enable_reduction: bool = True):
-        # Backing stores for the ``graph`` / ``_channel_order`` properties
-        # (the CSR-direct path materializes both lazily).
-        self._graph_store: Optional[nx.Graph] = None
-        self._channel_order_store: Optional[Dict] = None
-        self._edge_arrays: Optional[EdgeArrayGraph] = None
-        self.kernel = ArrayKernel(graph, n_upper)
+        if isinstance(graph, nx.Graph):
+            # The one conversion.  ``check_network`` rejects what edge-array
+            # canonicalization would silently drop (self-loops) or never
+            # sees (a directed or empty graph).  Ids need not be 0..n-1, so
+            # the arrays index the sorted ids; the channels follow the nx
+            # edge order, as the object build's do.
+            check_network(graph)
+            ids = np.array(sorted(graph.nodes), dtype=_I64)
+            ends = np.fromiter(itertools.chain.from_iterable(graph.edges),
+                               dtype=_I64, count=2 * graph.number_of_edges())
+            us, vs = ends[0::2], ends[1::2]
+            topology = EdgeArrayGraph(len(ids), np.searchsorted(ids, us),
+                                      np.searchsorted(ids, vs), validate=False)
+            self._graph: Optional[nx.Graph] = graph
+        else:
+            topology = graph.validate()
+            ids = np.arange(graph.n, dtype=_I64)
+            us, vs = graph.edges_u, graph.edges_v
+            self._graph = None  # materialized by the ``graph`` property
+        self._topology = topology
+        self.kernel = kernel = ArrayKernel(ids, topology, n_upper)
         self._enable_reduction = enable_reduction
-        kernel = self.kernel
         #: All MInfo gossip is the same shape, so its bit size is a per-run
         #: constant; computing it once keeps it off the batched hot path.
         self._minfo_bits: int = _minfo_bits_for(kernel.n)
@@ -1046,6 +1022,8 @@ class ArrayNetwork(Network):
         #: The slot engine's column work, built by its first batched round
         #: (:func:`repro.sim.array_engine.get_ops`).
         self._ops = None
+        #: ``snapshot_key`` cache: ``(version, key)`` over the state columns.
+        self._acols_key_cache = None
 
         def factory(node_id: NodeId, neighbors: Sequence[NodeId]) -> ArrayMDSTNode:
             return ArrayMDSTNode(node_id, neighbors, kernel, n_upper=n_upper,
@@ -1053,86 +1031,35 @@ class ArrayNetwork(Network):
                                  deblock_cooldown=deblock_cooldown,
                                  enable_reduction=enable_reduction)
 
-        if isinstance(graph, EdgeArrayGraph):
-            self._init_from_arrays(graph, factory)
-        else:
-            super().__init__(graph, factory)
-        #: ``snapshot_key`` cache: ``(version, key)`` over the state columns.
-        self._acols_key_cache = None
-
-    def _init_from_arrays(self, eg: EdgeArrayGraph,
-                          factory: "ProcessFactory") -> None:
-        """CSR-direct construction: :class:`Network.__init__` field for
-        field, with the per-object maps replaced by lazy ones.
-
-        No process, state view, channel or nx structure is built here --
-        only the frozen key lists.  Processes materialize when the
-        simulator starts them, channels when the first round's structures
-        are assembled, so *construction* cost is O(arrays) regardless of
-        ``n`` and ``m``.
-        """
-        eg.validate()  # connectivity (cheap union-find; no-op if validated)
-        self._edge_arrays = eg
-        k = self.kernel
-        self.n = k.n
-        self.m = eg.number_of_edges()
-        self.node_ids = list(k.node_ids)
-        indptr, nbr = k.indptr, k.nbr_ids
+        # The object network's fields, with the per-object maps replaced by
+        # lazy ones over frozen key lists: processes materialize when the
+        # simulator starts them, channels when the first round's structures
+        # are assembled, so construction costs O(arrays) for any n and m.
+        self.n = kernel.n
+        self.m = topology.number_of_edges()
+        self.node_ids = list(kernel.node_ids)
+        self._init_kernel_state(factory)
+        indptr, nbr_ids, index = kernel.indptr, kernel.nbr_ids, kernel.index
 
         def adjacency_of(v: NodeId):
-            return tuple(nbr[int(indptr[v]):int(indptr[v + 1])].tolist())
+            i = index[v]
+            return tuple(nbr_ids[int(indptr[i]):int(indptr[i + 1])].tolist())
 
         self.adjacency = _LazyMap(self.node_ids, adjacency_of)
-        self._process_factory = factory
         self.processes = _LazyMap(self.node_ids, self._make_process)
-        self._version = 0
-        self._topology_version = 0
-        self._graph_owned = False
-        self.dropped_messages = 0
-        self._retired_messages_sent = 0
-        self._retired_max_message_bits = 0
-        self._disabled = set()
-        self._channel_model = None
-        self._active = set()
-        self._pending_total = 0
-        # _channel_order materializes from the edge arrays on first access;
-        # the sequence counter continues past the 2m construction slots.
-        self._channel_order_store = None
-        self._channel_seq = 2 * self.m
-        self._dirty = set(self.node_ids)
-        self._node_snaps = {}
-        self._node_views = {}
-        self._node_keys = {}
-        self._snaps_stale = True
-        self._snaps_view = None
-        self._snaps_version = -1
-        self._key_cache = None
-        self._nonempty_outboxes = 0
         # Directed channel keys in creation order -- (u, v) then (v, u) per
-        # canonical edge -- assembled with C-level zips, no per-edge loop.
-        us, vs = eg.edges_u.tolist(), eg.edges_v.tolist()
+        # edge -- assembled with C-level zips, no per-edge loop.
+        us, vs = us.tolist(), vs.tolist()
         keys = itertools.chain.from_iterable(zip(zip(us, vs), zip(vs, us)))
         self.channels = _LazyMap(keys, self._make_channel)
-
-    def _make_process(self, v: NodeId) -> ArrayMDSTNode:
-        """Materialize node ``v``'s process (the lazy-map factory)."""
-        proc = self._process_factory(v, self.adjacency[v])
-        if proc.node_id != v:
-            raise ProtocolError(
-                f"process factory returned node id {proc.node_id} for node {v}")
-        proc.outbox.watch(self._outbox_changed)
-        if len(proc.outbox):
-            self._nonempty_outboxes += 1
-        return proc
+        self._channel_order_cache: Optional[Dict] = None
 
     def _make_channel(self, key) -> "ArrayChannel":
         """Build one directed channel (the lazy-map factory).
 
-        :meth:`_install_channel` adds the order/registration bookkeeping of
-        the eager build; the lazy maps carry it structurally.
         Virtual-gossip counters are global (indexed by source and flat
         row), so a channel materializing mid-run observes exactly the token
-        history an eagerly built one would have.
+        history one built at the start would have.
         """
         src, dst = key
         channel = ArrayChannel(src, dst, self.n, self,
@@ -1143,47 +1070,29 @@ class ArrayNetwork(Network):
             channel.set_model(self._channel_model)
         return channel
 
-    # -- lazy structures of the CSR-direct path --------------------------------
+    # -- lazy structures --------------------------------------------------------
 
     @property
     def graph(self) -> nx.Graph:
-        """The nx view of the topology, materialized on first use.
+        """The nx view of the topology: the caller's graph, or one
+        materialized on first use from an edge-array input.
 
-        The CSR-direct path defers building it (legitimacy predicates and
-        fault planners are the consumers, none of which run at
-        construction); identity is stable after the first access, which the
-        identity-keyed predicate memos rely on.
+        Legitimacy predicates and fault planners are the consumers, none of
+        which run at construction; identity is stable after the first
+        access, which the identity-keyed predicate memos rely on.
         """
-        g = self._graph_store
-        if g is None and self._edge_arrays is not None:
-            g = self._edge_arrays.to_networkx()
-            self._graph_store = g
-        return g
-
-    @graph.setter
-    def graph(self, value: nx.Graph) -> None:
-        self._graph_store = value
+        if self._graph is None:
+            self._graph = self._topology.to_networkx()
+        return self._graph
 
     @property
     def _channel_order(self) -> Dict:
-        """Channel-creation order; on the CSR-direct path it is derived
-        from the canonical edge arrays (edge ``i`` yields slots ``2i`` and
-        ``2i + 1``), exactly the order the eager loop would have minted."""
-        d = self._channel_order_store
+        """Channel-creation order: the rank of each key of ``channels``."""
+        d = self._channel_order_cache
         if d is None:
-            eg = self._edge_arrays
-            d = {}
-            seq = 0
-            for a, b in zip(eg.edges_u.tolist(), eg.edges_v.tolist()):
-                d[(a, b)] = seq
-                d[(b, a)] = seq + 1
-                seq += 2
-            self._channel_order_store = d
+            d = self._channel_order_cache = dict(
+                zip(self.channels.keys(), itertools.count()))
         return d
-
-    @_channel_order.setter
-    def _channel_order(self, value: Dict) -> None:
-        self._channel_order_store = value
 
     def initialize_isolated_columns(self) -> None:
         """Vectorized twin of :func:`repro.core.protocol.initialize_isolated`.
@@ -1201,14 +1110,6 @@ class ArrayNetwork(Network):
         k.color[:] = True
         k.v_heard[:] = False
         self.note_state_write()
-
-    def _install_channel(self, key) -> Channel:
-        """Create an :class:`ArrayChannel` (virtual-gossip aware)."""
-        channel = self._make_channel(key)
-        self._channel_order[key] = self._channel_seq
-        self._channel_seq += 1
-        self.channels[key] = channel
-        return channel
 
     def _channel_changed(self, channel: Channel, delta: int) -> None:
         # The parent watcher keys the active set on channel truthiness;
@@ -1299,10 +1200,10 @@ class ArrayNetwork(Network):
         cache = self._out_rows_cache
         if cache is None:
             k = self.kernel
-            counts = np.bincount(k.nbr_node_idx, minlength=k.n).astype(_I64)
+            counts = np.bincount(k.nbr_idx, minlength=k.n).astype(_I64)
             starts = np.zeros(k.n, dtype=_I64)
             np.cumsum(counts[:-1], out=starts[1:])
-            cache = (np.argsort(k.nbr_node_idx, kind="stable"), starts, counts)
+            cache = (np.argsort(k.nbr_idx, kind="stable"), starts, counts)
             self._out_rows_cache = cache
         return cache
 
@@ -1374,7 +1275,7 @@ class ArrayNetwork(Network):
         np.cumsum(cnts[:-1], out=starts[1:])
         R = out_flat[np.repeat(out_starts[S] - starts, cnts)
                      + np.arange(tot, dtype=_I64)]
-        stale = R[dr[R] < vm[k.nbr_node_idx[R]] - 1]
+        stale = R[dr[R] < vm[k.nbr_idx[R]] - 1]
         if len(stale):
             row_channel = channel_rows(self)[0]
             for row in stale.tolist():
@@ -1391,7 +1292,7 @@ class ArrayNetwork(Network):
         """Deliverable messages per flat view row: in-flight tokens plus
         the physical queue of every active channel."""
         k = self.kernel
-        counts = self._vg_sent_src[k.nbr_node_idx] - self._vg_del_row
+        counts = self._vg_sent_src[k.nbr_idx] - self._vg_del_row
         channels = self.channels
         for key in self._active:
             ch = channels[key]
@@ -1457,10 +1358,10 @@ def build_array_mdst_network(graph: "nx.Graph | EdgeArrayGraph", *,
     """Build the array-backed MDST network (the adapter's ``backend="array"``
     counterpart of :func:`repro.core.protocol.build_mdst_network`).
 
-    Accepts either an ``nx.Graph`` (eager per-object construction) or an
-    :class:`~repro.graphs.edge_array.EdgeArrayGraph` (the CSR-direct fast
-    path: kernel columns come straight from the container's cached CSR and
-    the per-object maps materialize lazily)."""
+    Accepts an ``nx.Graph`` or an
+    :class:`~repro.graphs.edge_array.EdgeArrayGraph`; both take the one
+    construction route of :class:`ArrayNetwork`, kernel columns from edge
+    arrays and per-object maps that materialize lazily."""
     return ArrayNetwork(graph, n_upper=n_upper, search_period=search_period,
                         deblock_cooldown=deblock_cooldown,
                         enable_reduction=enable_reduction)

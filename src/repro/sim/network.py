@@ -155,15 +155,24 @@ class Network:
         self.adjacency: Dict[NodeId, Tuple[NodeId, ...]] = {
             v: tuple(sorted(graph.neighbors(v))) for v in self.node_ids
         }
-        self.processes: Dict[NodeId, Process] = {}
+        self._init_kernel_state(process_factory)
+        self._channel_order: Dict[ChannelKey, int] = {}
+        self._channel_seq = 0
+        self.processes: Dict[NodeId, Process] = {
+            v: self._make_process(v) for v in self.node_ids}
+        # Two directed channels per undirected edge, watched for activity.
+        self.channels: Dict[ChannelKey, Channel] = {}
+        for u, v in graph.edges:
+            for key in ((u, v), (v, u)):
+                self._install_channel(key)
+
+    def _init_kernel_state(self, process_factory: ProcessFactory) -> None:
+        """The kernel state every network starts from, whatever its storage.
+
+        Needs ``node_ids``; the caller then builds the processes (through
+        :meth:`_make_process`), the channels and the channel order.
+        """
         self._process_factory = process_factory
-        for v in self.node_ids:
-            proc = process_factory(v, self.adjacency[v])
-            if proc.node_id != v:
-                raise ProtocolError(
-                    f"process factory returned node id {proc.node_id} for node {v}")
-            self.processes[v] = proc
-        # -- kernel state ------------------------------------------------------
         self._version = 0
         self._topology_version = 0
         self._graph_owned = False
@@ -177,13 +186,11 @@ class Network:
         self._retired_max_message_bits = 0
         self._disabled: set[NodeId] = set()
         #: Channel delivery model shared by every channel (``None`` keeps the
-        #: historical reliable-FIFO fast path).  Installed before the channel
-        #: loop below so construction-time and churn-time channels agree.
+        #: historical reliable-FIFO fast path); channels created later by
+        #: churn inherit it.
         self._channel_model = None
         self._active: set[ChannelKey] = set()
         self._pending_total = 0
-        self._channel_order: Dict[ChannelKey, int] = {}
-        self._channel_seq = 0
         # Dirty-set snapshot caches: nodes whose reported state may have
         # changed since the per-node caches were refreshed, the cached
         # per-node snapshot dicts / read-only views / fingerprint tuples,
@@ -196,18 +203,20 @@ class Network:
         self._snaps_view: Optional[Mapping[NodeId, Mapping[str, object]]] = None
         self._snaps_version = -1
         self._key_cache: Optional[Tuple[int, tuple]] = None
-        # Non-empty-outbox count for the O(1) quiescence test; watchers are
-        # installed below, after which the count is maintained incrementally.
+        # Non-empty-outbox count for the O(1) quiescence test, maintained by
+        # the outbox watcher :meth:`_make_process` installs.
         self._nonempty_outboxes = 0
-        for proc in self.processes.values():
-            proc.outbox.watch(self._outbox_changed)
-        self._nonempty_outboxes = sum(
-            1 for proc in self.processes.values() if len(proc.outbox))
-        # Two directed channels per undirected edge, watched for activity.
-        self.channels: Dict[ChannelKey, Channel] = {}
-        for u, v in graph.edges:
-            for key in ((u, v), (v, u)):
-                self._install_channel(key)
+
+    def _make_process(self, v: NodeId) -> Process:
+        """Build node ``v``'s process from ``adjacency[v]`` and watch its outbox."""
+        proc = self._process_factory(v, self.adjacency[v])
+        if proc.node_id != v:
+            raise ProtocolError(
+                f"process factory returned node id {proc.node_id} for node {v}")
+        proc.outbox.watch(self._outbox_changed)
+        if len(proc.outbox):
+            self._nonempty_outboxes += 1
+        return proc
 
     # -- configuration version / activity tracking -----------------------------
 
@@ -234,8 +243,8 @@ class Network:
         """
         return self._topology_version
 
-    def _install_channel(self, key: ChannelKey) -> Channel:
-        """Create, watch and order one directed channel.
+    def _make_channel(self, key: ChannelKey) -> Channel:
+        """Create and watch one directed channel.
 
         A channel created by live edge/node churn inherits the network's
         delivery model: an unreliable adversary stays unreliable on links
@@ -245,6 +254,11 @@ class Network:
         channel.watch(self._channel_changed)
         if self._channel_model is not None:
             channel.set_model(self._channel_model)
+        return channel
+
+    def _install_channel(self, key: ChannelKey) -> Channel:
+        """Create, order and register one directed channel."""
+        channel = self._make_channel(key)
         self._channel_order[key] = self._channel_seq
         self._channel_seq += 1
         self.channels[key] = channel
@@ -505,14 +519,7 @@ class Network:
         self.m += len(attach)
         bisect.insort(self.node_ids, v)
         self.adjacency[v] = attach
-        proc = self._process_factory(v, attach)
-        if proc.node_id != v:
-            raise ProtocolError(
-                f"process factory returned node id {proc.node_id} for node {v}")
-        self.processes[v] = proc
-        proc.outbox.watch(self._outbox_changed)
-        if len(proc.outbox):
-            self._nonempty_outboxes += 1
+        proc = self.processes[v] = self._make_process(v)
         for u in attach:
             self.adjacency[u] = tuple(sorted(self.adjacency[u] + (v,)))
             self.processes[u].add_neighbor(v)

@@ -31,12 +31,13 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, GraphError
 from repro.experiments.config import get_profile
 from repro.experiments.workloads import scaling_workload
 from repro.graphs.generators import GRAPH_FAMILIES
@@ -184,6 +185,93 @@ class TestStepForStepProperty:
                              initial=initial, seed=run_seed,
                              max_rounds=2500, fault_plan=plan)
         assert _result_key(obj) == _result_key(arr)
+
+
+def _relabeled(graph):
+    """``graph`` on the non-contiguous ids ``3 * v + 10``."""
+    return nx.relabel_nodes(graph, {v: 3 * v + 10 for v in graph.nodes})
+
+
+def _shuffled(graph, seed: int):
+    """``graph`` rebuilt so that ``graph.edges`` iterates in a drawn order,
+    with drawn orientations: neither sorted nor canonical."""
+    rng = np.random.default_rng(seed)
+    edges = list(graph.edges)
+    out = nx.Graph()
+    out.add_nodes_from(rng.permutation(sorted(graph.nodes)).tolist())
+    for i in rng.permutation(len(edges)).tolist():
+        u, v = edges[i]
+        out.add_edge(*((v, u) if rng.random() < 0.5 else (u, v)))
+    return out
+
+
+class TestConstructionRoute:
+    """Every array network is built from edge arrays; an nx graph is
+    converted once.  The conversion keeps the caller's ids, its edge
+    order as the channel creation order, its validation and its graph
+    object."""
+
+    GRAPHS = {"relabeled": lambda: _relabeled(_graph(14, 5)),
+              "shuffled": lambda: _shuffled(_graph(14, 5), seed=9)}
+
+    def test_shuffled_graph_is_not_in_sorted_order(self):
+        edges = list(self.GRAPHS["shuffled"]().edges)
+        assert edges != sorted(edges)
+        assert edges != sorted(tuple(sorted(e)) for e in edges)
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_random_corrupted_run_matches_object(self, name):
+        graph = self.GRAPHS[name]()
+        obj, arr = _run_both(graph, scheduler="random", initial="corrupted",
+                             seed=3, max_rounds=150, stability_window=151)
+        assert arr.run.rounds == 150
+        assert _result_key(obj) == _result_key(arr)
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_round_zero_deliveries_and_graph_identity(self, name):
+        graph = self.GRAPHS[name]()
+        config = ProtocolRunConfig(scheduler="random", initial="corrupted",
+                                   seed=3)
+        adapter = PROTOCOLS["mdst"]
+        seen = []
+        for build in (adapter.build_network, adapter.build_array_network):
+            network = build(graph, config)
+            adapter.prepare_initial(network, config,
+                                    np.random.default_rng(config.seed))
+            assert network.graph is graph
+            seen.append((list(network.channels),
+                         network.enabled_deliveries()))
+        assert seen[0][1] and seen[0] == seen[1]
+
+    @pytest.mark.parametrize("make", [
+        lambda: nx.Graph([(0, 1), (1, 2), (2, 2)]),
+        lambda: nx.DiGraph([(0, 1), (1, 2), (2, 0)]),
+        lambda: nx.Graph(),
+        lambda: nx.Graph([(0, 1), (2, 3)]),
+    ], ids=["self_loop", "directed", "empty", "disconnected"])
+    def test_invalid_graph_raises_as_on_the_object_backend(self, make):
+        raised = []
+        for backend in ("object", "array"):
+            with pytest.raises(GraphError) as info:
+                run_protocol(make(), ProtocolRunConfig(backend=backend))
+            raised.append(type(info.value))
+        assert raised[0] is raised[1]
+
+    def test_array_run_imports_no_scipy(self):
+        script = (
+            "import sys\n"
+            f"sys.path.insert(0, {SRC!r})\n"
+            "from repro.graphs.generators import GRAPH_FAMILIES\n"
+            "from repro.protocols.base import ProtocolRunConfig\n"
+            "from repro.protocols.runner import run_protocol\n"
+            "graph = GRAPH_FAMILIES['erdos_renyi_sparse'](12, seed=1)\n"
+            "run_protocol(graph, ProtocolRunConfig(backend='array',"
+            " scheduler='random', initial='corrupted', max_rounds=40))\n"
+            "print(sorted(m for m in sys.modules"
+            " if m.split('.')[0] == 'scipy'))\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "[]"
 
 
 _SCHEDULERS = ("synchronous", "random", "adversarial", "weighted")

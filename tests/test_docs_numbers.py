@@ -1,5 +1,6 @@
-"""Documentation number check: per-round costs quoted in the docs must be
-rows of the committed ``BENCH_scaling.json`` record.
+"""Documentation number check: per-round costs and construction seconds
+quoted in the docs must be rows of the committed ``BENCH_scaling.json``
+record.
 
 The local companion of ``tests/test_docs_links.py``.  A quoted figure that
 is not in the record has drifted from it; re-recording the benchmark
@@ -26,6 +27,12 @@ _TABLE_ROW = re.compile(
     r"^\s*\|\s*(\d+)\s*\|\s*(synchronous|random)\s*\|\s*([\d.]+)\s*\|"
     r"\s*([\d.]+|invalid)\s*\|", re.MULTILINE)
 
+#: A row of the docs/experiments.md construction table:
+#: ``| n | object s | array from nx s | csr_direct s | speedup |``.
+_CONSTRUCTION_ROW = re.compile(
+    r"^\s*\|\s*(\d[\d ]*)\s*\|\s*([\d.]+)\s*\|\s*([\d.]+)\s*\|"
+    r"\s*([\d.]+)\s*\|\s*(\d+)×\s*\|", re.MULTILINE)
+
 
 def recorded_rows() -> list:
     """Every per-round row of the scaling record (all three tiers)."""
@@ -47,10 +54,10 @@ def quoted_ms_figures(text: str) -> list:
             for figure in group.split("/")]
 
 
-def matches_a_row(figure: str, rows: list) -> bool:
-    """``figure`` equals a row's ms/round rounded to the quoted decimals."""
+def matches_a_row(figure: str, rows: list, field: str = "ms_per_round") -> bool:
+    """``figure`` equals a row's ``field`` rounded to the quoted decimals."""
     decimals = len(figure.partition(".")[2])
-    return any(round(float(row["ms_per_round"]), decimals) == float(figure)
+    return any(round(float(row[field]), decimals) == float(figure)
                for row in rows)
 
 
@@ -89,3 +96,24 @@ def test_experiments_table_matches_the_record():
 def test_figures_match_at_the_quoted_precision(figure, expected):
     # A fixed row, so the matcher's check outlives re-records.
     assert matches_a_row(figure, [{"ms_per_round": 156.9}]) is expected
+
+
+def test_construction_table_matches_the_record():
+    """Each seconds figure is its mode's ``total_seconds`` (generation +
+    build) at the quoted precision, and the speedup is object over
+    csr_direct."""
+    text = (REPO_ROOT / "docs" / "experiments.md").read_text(encoding="utf-8")
+    table = _CONSTRUCTION_ROW.findall(text)
+    assert len(table) == 2, table
+    record = json.loads((REPO_ROOT / "BENCH_scaling.json").read_text())
+    by_key = {(row["n"], row["mode"]): row
+              for row in record["construction_runs"]}
+    for n, obj, via_nx, csr, speedup in table:
+        n = int(n.replace(" ", ""))
+        for mode, figure in (("object", obj), ("array_nx", via_nx),
+                             ("csr_direct", csr)):
+            assert matches_a_row(figure, [by_key[(n, mode)]],
+                                 "total_seconds"), (n, mode, figure)
+        ratio = (by_key[(n, "object")]["total_seconds"]
+                 / by_key[(n, "csr_direct")]["total_seconds"])
+        assert round(ratio) == int(speedup), (n, ratio, speedup)
