@@ -28,17 +28,29 @@ Two notes on fidelity:
   does not *depend* on them: the spanning-tree layer's distance-repair rule
   (R3) heals distances from gossip alone, which is simpler and strictly more
   robust under concurrent improvements (see DESIGN.md).
+
+Every payload leaf is an ``int``, a ``bool`` or ``None``, so a message's
+size in bits depends on ``n`` and on its *size shape* alone: which optional
+field is ``None`` and how long its tuples are.  Each type declares that
+shape (:func:`~repro.sim.messages.size_shape`), and the simulator sizes
+one message per shape.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from ..sim.messages import Message, message_dataclass
+from ..sim.messages import Message, message_dataclass, size_shape
 
 __all__ = ["MInfo", "Search", "Remove", "Back", "Deblock", "Reverse", "UpdateDist"]
 
 
+def _constant(message) -> None:
+    """Size shape of a type whose payload is a fixed set of ints and bools."""
+    return None
+
+
+@size_shape(_constant)
 @message_dataclass
 class MInfo(Message):
     """``InfoMsg``: periodic gossip of all protocol variables of the sender."""
@@ -52,6 +64,7 @@ class MInfo(Message):
     color: bool          # color_tree_v: local dmax-consistency flag
 
 
+@size_shape(lambda m: (m.idblock is None, len(m.path), len(m.visited)))
 @message_dataclass
 class Search(Message):
     """DFS token looking for the fundamental cycle of ``init_edge``.
@@ -71,6 +84,7 @@ class Search(Message):
     visited: Tuple[int, ...]
 
 
+@size_shape(lambda m: len(m.path))
 @message_dataclass
 class Remove(Message):
     """Improvement driver circulating along a fundamental cycle.
@@ -91,6 +105,7 @@ class Remove(Message):
     reversing: bool = False
 
 
+@size_shape(lambda m: len(m.path))
 @message_dataclass
 class Back(Message):
     """Re-orientation wave travelling back toward the initiator (Fig. 5(b))."""
@@ -100,6 +115,7 @@ class Back(Message):
     position: int        # index in ``path`` of the node this hop is addressed to
 
 
+@size_shape(_constant)
 @message_dataclass
 class Deblock(Message):
     """Request to reduce the degree of blocking node ``idblock``."""
@@ -107,6 +123,7 @@ class Deblock(Message):
     idblock: int
 
 
+@size_shape(_constant)
 @message_dataclass
 class Reverse(Message):
     """Point-to-point parent re-orientation up to ``target`` (Reverse_Aux)."""
@@ -114,6 +131,7 @@ class Reverse(Message):
     target: int
 
 
+@size_shape(_constant)
 @message_dataclass
 class UpdateDist(Message):
     """Distance refresh propagated down a re-oriented path."""

@@ -24,11 +24,11 @@ receipt reads and writes most of their fields, so the fixed attribute layout
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Optional, Sequence
 
 import numpy as np
 
+from ..sim.messages import id_bits
 from ..types import NodeId
 
 __all__ = ["NeighborState", "MDSTState"]
@@ -174,7 +174,7 @@ class MDSTState:
 
     def state_bits(self, network_size: int) -> int:
         """Memory footprint in bits: O(δ log n) in the send/receive model."""
-        idbits = max(1, math.ceil(math.log2(max(network_size, 2)))) + 1
+        idbits = id_bits(network_size)
         own = 5 * idbits + 1                       # root, parent, distance, sub_max, dmax, color
         per_neighbor = 6 * idbits + 2              # cached copy + color + heard
         return own + per_neighbor * len(self.neighbors)

@@ -59,6 +59,7 @@ from ..graphs.edge_array import EdgeArrayGraph
 from ..graphs.validation import check_network
 from ..types import NodeId
 from .channel import Channel
+from .messages import id_bits
 from .network import Network
 
 __all__ = [
@@ -153,6 +154,11 @@ class ArrayKernel:
         #: pass sets it, and every write to those columns clears it -- the
         #: state setters, the engine's scatters, ``note_state_write``.
         self.settled = np.zeros(self.n, dtype=bool)
+        #: Bumped for a node by every pass that writes its ``settled`` row,
+        #: so an answer cached while the node was settled is known to be
+        #: from the current settled stretch (``ArrayBackedState``'s tree
+        #: queries).
+        self.settle_epoch = np.zeros(self.n, dtype=_I64)
         # -- gossip snapshot columns --------------------------------------------
         # The state each node last gossiped (copied by its timeout's mint).
         # A gossip *token* on a channel stands for "the MInfo ``src`` sent
@@ -413,6 +419,7 @@ class ArrayKernel:
                 self.locally_stab[S] = stab[at_s]
         self.settled[S] = (predicates if reset is None or not predicates
                            else ~reset[at_s])
+        self.settle_epoch[S] += 1
         return verdict
 
     def compute_degrees(self, S: np.ndarray) -> np.ndarray:
@@ -539,7 +546,7 @@ class ArrayBackedState:
     """
 
     __slots__ = ("_k", "_i", "_at", "_lo", "_hi", "node_id", "neighbors",
-                 "n_upper", "view", "_nbr_arr")
+                 "n_upper", "view", "_nbr_arr", "_tree", "_tree_epoch")
 
     def __init__(self, kernel: ArrayKernel, node_id: NodeId):
         self._k = kernel
@@ -551,6 +558,10 @@ class ArrayBackedState:
         self.view = ArrayViewMap(kernel, self._i)
         self.neighbors = self.view.keys()
         self._nbr_arr = kernel.nbr_ids[self._lo:self._hi]
+        #: Tree neighbours cached while the node is settled, and the
+        #: ``settle_epoch`` they were read at (-1: nothing cached).
+        self._tree: Tuple[int, ...] = ()
+        self._tree_epoch = -1
 
     # -- own variables ---------------------------------------------------------
 
@@ -580,7 +591,18 @@ class ArrayBackedState:
         return bool(self._k.v_heard[pos]) and int(self._k.v_parent[pos]) == self.node_id
 
     def tree_neighbors(self) -> list:
-        return [int(u) for u in self._nbr_arr[self._tree_mask()]]
+        # A settled node's parent and view rows have not been written since
+        # the pass that settled it, so neither have its tree neighbours:
+        # they are read once per settled stretch (``settle_epoch``).
+        k = self._k
+        i = self._i
+        if not k.settled[i]:
+            return [int(u) for u in self._nbr_arr[self._tree_mask()]]
+        epoch = int(k.settle_epoch[i])
+        if self._tree_epoch != epoch:
+            self._tree = tuple(int(u) for u in self._nbr_arr[self._tree_mask()])
+            self._tree_epoch = epoch
+        return list(self._tree)
 
     def children(self) -> list:
         k = self._k
@@ -590,6 +612,11 @@ class ArrayBackedState:
 
     @property
     def degree(self) -> int:
+        # The pass that settled the node wrote its tree degree.
+        k = self._k
+        i = self._i
+        if k.settled[i]:
+            return int(k.degree[i])
         return int(self._tree_mask().sum())
 
     def non_tree_neighbors(self) -> list:
@@ -631,8 +658,7 @@ class ArrayBackedState:
         k.settled[i] = False
 
     def state_bits(self, network_size: int) -> int:
-        import math
-        idbits = max(1, math.ceil(math.log2(max(network_size, 2)))) + 1
+        idbits = id_bits(network_size)
         own = 5 * idbits + 1
         per_neighbor = 6 * idbits + 2
         return own + per_neighbor * len(self.neighbors)
@@ -723,11 +749,6 @@ class ArrayMDSTNode(MDSTNode):
         return not bad.any()
 
 
-#: The slot descriptor behind :attr:`Channel.stats`, used by
-#: :class:`ArrayChannel` to reach the raw counters under its lazy property.
-_RAW_STATS = Channel.__dict__["stats"]
-
-
 class ArrayChannel(Channel):
     """A channel whose gossip traffic is *virtual*.
 
@@ -738,9 +759,13 @@ class ArrayChannel(Channel):
     difference is the channel's in-flight token count, at most two -- the
     current generation (the source's ``g_*`` snapshot columns) and the
     previous one (``go_*``).  This class makes that bookkeeping observable
-    through the ordinary :class:`Channel` surface: ``stats`` lazily folds
-    the counters into the raw :class:`~repro.sim.channel.ChannelStats`,
-    and length/iteration/peek include the in-flight tokens.
+    through the ordinary :class:`Channel` surface, and length/iteration/
+    peek include the in-flight tokens.  It overrides only the ``stats``
+    read property, which folds the token counters into the channel's
+    :class:`~repro.sim.channel.ChannelStats` on each read.  The physical
+    send and delivery paths update those counters in place without a
+    fold: every counter is a sum or a maximum, so the order in which the
+    virtual and the physical updates reach it does not change its value.
 
     Tokens are ordered against the physical queue by one per-edge count,
     ``ArrayNetwork._vg_ahead``: the oldest ``ahead`` tokens logically
@@ -783,7 +808,7 @@ class ArrayChannel(Channel):
         # carries a *lookahead* delivered base (the round trip completes as
         # a physical delivery instead), so its delivered base may run ahead
         # of the consumed counter until the physical pop happens.
-        st = _RAW_STATS.__get__(self)
+        st = self._stats
         net = self._net
         vs = int(net._vg_sent_src[self._src_i])
         if vs > self._vs_base:
@@ -799,10 +824,6 @@ class ArrayChannel(Channel):
             st.delivered += vd - self._vd_base
             self._vd_base = vd
         return st
-
-    @stats.setter
-    def stats(self, value):
-        _RAW_STATS.__set__(self, value)
 
     def _pending(self) -> int:
         """In-flight token count (0, 1 or 2; 1 is always the current

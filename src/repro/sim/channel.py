@@ -58,8 +58,8 @@ class Channel:
     contents), but once the simulation runs the FIFO discipline holds.
     """
 
-    __slots__ = ("src", "dst", "_queue", "stats", "_network_size", "_on_change",
-                 "_model")
+    __slots__ = ("src", "dst", "_queue", "_stats", "_network_size",
+                 "_on_change", "_model")
 
     def __init__(self, src: NodeId, dst: NodeId, network_size: int = 2):
         if src == dst:
@@ -67,7 +67,7 @@ class Channel:
         self.src = src
         self.dst = dst
         self._queue: Deque[Message] = deque()
-        self.stats = ChannelStats()
+        self._stats = ChannelStats()
         self._network_size = network_size
         #: Activity hook installed by the owning network: called after every
         #: queue mutation with the delta in queue length.  Keeps the kernel's
@@ -103,7 +103,7 @@ class Channel:
             queue.append(message)
         else:
             queue.insert(index, message)
-        stats = self.stats
+        stats = self._stats
         stats.sent += 1
         length = len(queue)
         if length > stats.max_queue_length:
@@ -138,7 +138,7 @@ class Channel:
         """Pop and return the message at the head of the channel."""
         if not self._queue:
             raise ChannelError(f"channel {self.src}->{self.dst} is empty")
-        self.stats.delivered += 1
+        self._stats.delivered += 1
         message = self._queue.popleft()
         if self._on_change is not None:
             self._on_change(self, -1)
@@ -155,7 +155,8 @@ class Channel:
         if any(not isinstance(m, Message) for m in messages):
             raise ChannelError("preloaded items must be Message instances")
         self._queue.extend(messages)
-        self.stats.max_queue_length = max(self.stats.max_queue_length, len(self._queue))
+        stats = self._stats
+        stats.max_queue_length = max(stats.max_queue_length, len(self._queue))
         if messages and self._on_change is not None:
             self._on_change(self, len(messages))
 
@@ -177,6 +178,12 @@ class Channel:
         self._on_change = None
 
     # -- introspection --------------------------------------------------------
+
+    @property
+    def stats(self) -> ChannelStats:
+        """Cumulative statistics of this channel (read only: the send and
+        delivery paths update the counters in place)."""
+        return self._stats
 
     def __len__(self) -> int:
         return len(self._queue)

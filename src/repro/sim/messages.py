@@ -30,10 +30,21 @@ Every message is sized when a channel enqueues it and again when the trace
 records its delivery; the ``(n, bits)`` cache on the instance makes the
 second and later sizings for the same ``n`` a lookup.  The first sizing of
 a fresh message -- every hop of a ``Search`` token builds one, with its
-DFS ``path`` and ``visited`` tuples -- runs the one recursive sizer
-:func:`_bits`.  It takes the identifier width once per message instead of
-once per integer, and tests the exact types of the protocol payloads
-(``int`` and ``tuple``, then ``None`` and ``bool``) before the general
+DFS ``path`` and ``visited`` tuples -- is a lookup too when its class
+declares a *size shape* (:func:`size_shape`): a function of the message
+whose value, with ``n``, determines the size.  A ``Search`` of the MDST
+protocol, say, has the size of every other ``Search`` with the same
+``idblock is None``, ``len(path)`` and ``len(visited)``, since each of its
+payload leaves is an ``int``, a ``bool`` or ``None``.  Sizes are kept in one
+bounded table keyed by the exact class, ``n`` and the shape; a miss fills
+the entry with the one recursive sizer :func:`_bits`.  A shape is declared
+for one exact class: a subclass, which may add payload fields, does not
+inherit it, and like every class without a shape (``GarbageMessage`` among
+them) it is sized by :func:`_bits` each time.
+
+:func:`_bits` takes the identifier width once per message instead of once
+per integer, and tests the exact types of the protocol payloads (``int``
+and ``tuple``, then ``None`` and ``bool``) before the general
 ``isinstance`` chain.  The fast paths return what the chain returns for
 those types, so every size is unchanged.
 """
@@ -44,9 +55,10 @@ import math
 import sys
 from dataclasses import dataclass, field, fields, is_dataclass
 from functools import lru_cache
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, Optional, Tuple
 
-__all__ = ["Message", "estimate_bits", "id_bits", "message_dataclass"]
+__all__ = ["Message", "estimate_bits", "id_bits", "message_dataclass",
+           "size_shape"]
 
 #: Constant cost (bits) of the message type tag.
 TYPE_TAG_BITS = 4
@@ -141,6 +153,30 @@ def _bits(value: Any, ib: int) -> int:
     return ib
 
 
+#: Size shape of each message class that declares one (:func:`size_shape`),
+#: keyed by the exact class.
+_SHAPES: Dict[type, Callable[[Any], Hashable]] = {}
+
+#: ``(class, n, shape) -> bits`` for the classes in :data:`_SHAPES`; the
+#: oldest entry goes once the table holds :data:`_SHAPE_TABLE_SIZE`.
+_SHAPE_BITS: Dict[tuple, int] = {}
+_SHAPE_TABLE_SIZE = 4096
+
+
+def size_shape(shape: Callable[[Any], Hashable]):
+    """Class decorator: the size of a message of exactly this class is a
+    function of ``n`` and ``shape(message)``.
+
+    Place it above :func:`message_dataclass`, so that it registers the
+    final class.  The declaration holds for the decorated class alone; a
+    subclass is sized field by field unless it declares its own shape.
+    """
+    def declare(cls):
+        _SHAPES[cls] = shape
+        return cls
+    return declare
+
+
 def estimate_bits(value: Any, n: int) -> int:
     """Recursively estimate the encoded size of ``value`` in bits.
 
@@ -181,18 +217,34 @@ class Message:
         the first time it is computed (a message typically has its size
         taken several times: once per channel it is broadcast onto plus
         once per delivery), which keeps the per-send/per-delivery
-        accounting of the simulation kernel off the hot path.  The cache
-        lives and dies with the message object -- nothing is retained
-        globally across simulations.
+        accounting of the simulation kernel off the hot path.  The first
+        sizing of a message whose class declares a size shape is a lookup
+        in the bounded shape table (see "Hot-path layout" above); the
+        table holds sizes only, never a message.
         """
         cached = getattr(self, "_size_bits_cache", None)
         if cached is not None and cached[0] == n:
             return cached[1]
+        cls = type(self)
+        shape = _SHAPES.get(cls)
+        if shape is None:
+            bits = self._payload_bits(n)
+        else:
+            key = (cls, n, shape(self))
+            bits = _SHAPE_BITS.get(key)
+            if bits is None:
+                if len(_SHAPE_BITS) >= _SHAPE_TABLE_SIZE:
+                    _SHAPE_BITS.pop(next(iter(_SHAPE_BITS)), None)
+                bits = _SHAPE_BITS[key] = self._payload_bits(n)
+        object.__setattr__(self, "_size_bits_cache", (n, bits))
+        return bits
+
+    def _payload_bits(self, n: int) -> int:
+        """Type tag plus the :func:`_bits` size of every payload field."""
         ib = id_bits(n)
         bits = TYPE_TAG_BITS
         for name in _payload_fields(type(self)):
             bits += _bits(getattr(self, name), ib)
-        object.__setattr__(self, "_size_bits_cache", (n, bits))
         return bits
 
 

@@ -389,7 +389,7 @@ class TestThroughputProfile:
     def test_profile_param_profiles_the_array_round_loop(self):
         """``profile=N`` under backend='array' ranks kernel work, not imports.
 
-        Runs in a subprocess so the array modules (and scipy) are cold:
+        Runs in a subprocess so the array modules are cold:
         before the pre-warm fix, the lazy import storm landed inside the
         profiled region and importlib frames drowned the round loop.
         """

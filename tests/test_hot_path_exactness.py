@@ -1,13 +1,17 @@
-"""Exactness guards for the per-hop hot path of the object kernel.
+"""Exactness guards for the per-hop hot paths of the object and array kernels.
 
-Two pieces of the per-message path are written for speed and must compute
-exactly what their plain forms compute:
+The pieces of the per-message path below are written for speed and must
+compute exactly what their plain forms compute:
 
 * **Message sizing** -- :func:`repro.sim.messages.estimate_bits` and
-  :meth:`Message.size_bits` share one sizer with exact-type fast paths.
-  The oracle below is the plain recursive ``isinstance`` chain the sizer
+  :meth:`Message.size_bits` share one sizer with exact-type fast paths,
+  and ``size_bits`` of a protocol message reads its size from a table
+  keyed by its exact class, ``n`` and its declared size shape.  The
+  oracle below is the plain recursive ``isinstance`` chain the sizer
   replaced, kept verbatim; hypothesis checks both entry points against it
-  on nested values of every supported kind.
+  on nested values of every supported kind, and on every protocol message
+  type: two messages of one shape, one message at two ``n``, and a
+  subclass that must not size by its parent's shape.
 * **Node predicates** -- :meth:`MDSTNode.locally_stabilized` is fused into
   one pass over the view, and :meth:`MDSTNode._apply_tree_rules` evaluates
   ``_new_root_candidate()`` once.  Both are checked against their clause
@@ -25,13 +29,17 @@ exactly what their plain forms compute:
   and its cached verdict must equal the scalar predicate; the one outcome
   that is no fixpoint (R3's distance-overflow reset) must stay unsettled,
   and every write to a node's columns must clear its flag.
+* **Cached tree queries** -- a settled node answers ``tree_neighbors()``
+  from a cache filled in its current settled stretch and ``degree`` from
+  the column the pass wrote; through every write path and later passes,
+  all tree queries must equal those of an object twin.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, fields, is_dataclass
-from typing import Any
+from typing import Any, Tuple
 
 import numpy as np
 import pytest
@@ -43,7 +51,8 @@ from repro.core.messages import (Back, Deblock, MInfo, Remove, Reverse,
 from repro.core.node_algorithm import MDSTNode
 from repro.core.protocol import MDSTConfig, build_mdst_network
 from repro.graphs.generators import GRAPH_FAMILIES
-from repro.sim.array_engine import ArraySyncScheduler, wrap_scheduler_for_array
+from repro.sim.array_engine import (ArraySyncScheduler, get_ops,
+                                    wrap_scheduler_for_array)
 from repro.sim.array_kernel import ArrayNetwork, build_array_mdst_network
 from repro.sim.messages import (TYPE_TAG_BITS, GarbageMessage, estimate_bits,
                                 id_bits)
@@ -150,22 +159,61 @@ def test_size_bits_matches_the_oracle(payload, n):
     assert message.size_bits(n + 1) == oracle_size_bits(message, n + 1)
 
 
+@dataclass(frozen=True)
+class TaggedSearch(Search):
+    """A plain frozen-dataclass subclass adding a variable-length field: it
+    must not size by the ``Search`` shape, which ignores ``tags``."""
+
+    tags: Tuple[int, ...] = ()
+
+
 @settings(max_examples=100, deadline=None)
 @given(edge=pairs, block=st.one_of(st.none(), ids),
        path=st.lists(pairs, max_size=20), visited=st.lists(ids, max_size=20),
-       cyc=st.lists(ids, max_size=12), flag=st.booleans(), n=sizes)
+       cyc=st.lists(ids, max_size=12), flag=st.booleans(), n=sizes,
+       other_n=sizes, shift=st.integers(min_value=1, max_value=50),
+       tags=st.lists(st.lists(ids, max_size=6), min_size=2, max_size=3))
 def test_protocol_message_sizes_match_the_oracle(edge, block, path, visited,
-                                                 cyc, flag, n):
-    messages = [
-        Search(init_edge=edge, idblock=block, path=tuple(path),
-               visited=tuple(visited)),
-        Remove(init_edge=edge, deg_max=edge[0], target_edge=edge,
-               path=tuple(cyc), reversing=flag),
-        Back(init_edge=edge, path=tuple(cyc), position=len(cyc)),
-        MInfo(root=edge[0], parent=edge[1], distance=len(path), degree=3,
-              sub_max=4, dmax=5, color=flag),
-    ]
-    for message in messages:
+                                                 cyc, flag, n, other_n, shift,
+                                                 tags):
+    def every_type(edge, block, path, visited, cyc, flag):
+        return [
+            Search(init_edge=edge, idblock=block, path=tuple(path),
+                   visited=tuple(visited)),
+            Remove(init_edge=edge, deg_max=edge[0], target_edge=edge,
+                   path=tuple(cyc), reversing=flag),
+            Back(init_edge=edge, path=tuple(cyc), position=len(cyc)),
+            MInfo(root=edge[0], parent=edge[1], distance=len(path), degree=3,
+                  sub_max=4, dmax=5, color=flag),
+            Deblock(idblock=edge[0]),
+            Reverse(target=edge[1]),
+            UpdateDist(target_edge=edge, dist=len(cyc)),
+        ]
+
+    def moved(x):
+        return x + shift
+
+    # Every type, then the same shapes with other contents: the second
+    # message of a shape is sized from the table the first one filled.
+    first = every_type(edge, block, path, visited, cyc, flag)
+    second = every_type(
+        tuple(map(moved, edge)), None if block is None else moved(block),
+        [tuple(map(moved, p)) for p in path], list(map(moved, visited)),
+        list(map(moved, cyc)), not flag)
+    # The first Search again, with and then without an ``idblock``.
+    flipped = [Search(init_edge=edge, idblock=b, path=tuple(path),
+                      visited=tuple(visited)) for b in (edge[0], None)]
+    for message in first + second + flipped:
+        assert message.size_bits(n) == oracle_size_bits(message, n)
+    # The same message at a second n, and back.
+    for message in first:
+        assert message.size_bits(other_n) == oracle_size_bits(message, other_n)
+        assert message.size_bits(n) == oracle_size_bits(message, n)
+    # A subclass with the parent's shape but payloads of other sizes.
+    for extra in tags:
+        message = TaggedSearch(init_edge=edge, idblock=block,
+                               path=tuple(path), visited=tuple(visited),
+                               tags=tuple(extra))
         assert message.size_bits(n) == oracle_size_bits(message, n)
 
 
@@ -584,3 +632,121 @@ def test_settled_nodes_answer_the_scalar_predicate(geometry, data, graph_seed,
         k.refresh(S, predicates=True)
     for name in _OWN:
         assert np.array_equal(getattr(k, name)[settled], first[name]), name
+
+
+# -- cached tree queries of settled nodes ----------------------------------------
+
+def _assert_tree_queries_match_the_twin(net: ArrayNetwork, graph,
+                                        n_upper: int) -> None:
+    """Every node's tree queries equal its object twin's, asked twice (the
+    second answer of a settled node comes from its cache)."""
+    twin = _object_twin(net, graph, n_upper)
+    for v in net.node_ids:
+        s, t = net.processes[v].s, twin.processes[v].s
+        for _ in range(2):
+            assert s.tree_neighbors() == t.tree_neighbors(), v
+            assert s.degree == t.degree, v
+            assert s.children() == t.children(), v
+            assert s.non_tree_neighbors() == t.non_tree_neighbors(), v
+
+
+def _write_tree_edge(net: ArrayNetwork, data, v: int, u: int,
+                     path: str) -> None:
+    """Make ``u`` a child of ``v`` in ``v``'s view, or move ``v``'s parent,
+    through the write path ``path``."""
+    k = net.kernel
+    i = k.index[v]
+    row = k.pos[(v, u)]
+    if path == "own setter":
+        net.processes[v].s.parent = u
+    elif path == "view setter":
+        view = net.processes[v].s.view[u]
+        view.parent = v
+        view.heard = True
+    elif path == "scatter_tokens":
+        # ``u`` names ``v`` its parent and mints its gossip; the pop of
+        # that token rewrites v's view row of ``u``.
+        j = k.index[u]
+        k.parent[j] = v
+        net.note_state_write(u)
+        net._mint(np.asarray([j], dtype=np.int64))
+        # An older token still in flight pops first.
+        for _ in range(int(net._vg_sent_src[j] - net._vg_del_row[row])):
+            get_ops(net).scatter_tokens(np.asarray([row], dtype=np.int64),
+                                        np.asarray([i], dtype=np.int64))
+    elif path == "scatter_fields":
+        get_ops(net).scatter_fields(
+            [row], [i], [(int(k.v_root[row]), v, int(k.v_distance[row]),
+                          1, 1, int(k.v_dmax[row]), bool(k.v_color[row]))])
+    elif path == "corrupt":
+        net.processes[v].s.corrupt(np.random.default_rng(
+            data.draw(st.integers(0, 10_000))))
+    elif path == "note_state_write":
+        k.parent[i] = u
+        net.note_state_write(v)
+    else:  # the global form of note_state_write
+        k.v_parent[row] = v
+        k.v_heard[row] = True
+        net.note_state_write()
+
+
+_WRITE_PATHS = ("own setter", "view setter", "scatter_tokens",
+                "scatter_fields", "corrupt", "note_state_write",
+                "note_state_write()")
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), graph_seed=st.integers(min_value=0, max_value=10_000),
+       corrupt_seed=st.integers(min_value=0, max_value=10_000),
+       rounds=st.sampled_from([0, 1, 12, 40]))
+def test_cached_tree_queries_match_the_object_twin(data, graph_seed,
+                                                   corrupt_seed, rounds):
+    """``tree_neighbors()`` and ``degree`` of a settled node answer from a
+    cache filled in its current settled stretch.  From corrupted states and
+    a pass, writes through every path that clears ``settled`` and further
+    passes (which re-settle nodes, possibly with other trees) must leave
+    every tree query equal to the object twin's."""
+    n = 16
+    n_upper = n + 1
+    net = _corrupted_array_network(n, graph_seed, corrupt_seed, rounds)
+    graph = GRAPH_FAMILIES["erdos_renyi_sparse"](n, seed=graph_seed)
+    k = net.kernel
+    ids = k.node_ids
+    k.refresh(k._all_idx, predicates=True)
+    _assert_tree_queries_match_the_twin(net, graph, n_upper)
+    for _ in range(data.draw(st.integers(1, 10))):
+        if data.draw(st.booleans()):
+            # A pass over a random subset (either geometry) re-settles it.
+            size = data.draw(st.integers(1, n))
+            k.refresh(_sample_rules(data, n, size), predicates=True)
+        else:
+            settled = np.flatnonzero(k.settled).tolist()
+            v = ids[data.draw(st.sampled_from(settled or list(range(n))))]
+            u = data.draw(st.sampled_from(list(net.processes[v].s.view)))
+            path = data.draw(st.sampled_from(_WRITE_PATHS))
+            _write_tree_edge(net, data, v, u, path)
+        _assert_tree_queries_match_the_twin(net, graph, n_upper)
+
+
+def test_tree_cache_sample_reaches_settled_tree_changes():
+    """The inputs above settle nodes whose cached tree a write then
+    changes, and re-settle nodes with another tree than they cached."""
+    written = resettled = 0
+    for corrupt_seed in range(6):
+        net = _corrupted_array_network(16, 3, corrupt_seed, 12)
+        k = net.kernel
+        k.refresh(k._all_idx, predicates=True)
+        for i in np.flatnonzero(k.settled).tolist():
+            v = k.node_ids[i]
+            s = net.processes[v].s
+            before = s.tree_neighbors()
+            u = next((w for w in s.view if w not in before), None)
+            if u is None:
+                continue
+            s.view[u].parent = v
+            s.view[u].heard = True
+            written += s.tree_neighbors() != before
+            k.refresh(np.asarray([i], dtype=np.int64), predicates=True)
+            resettled += bool(k.settled[i]) and s.tree_neighbors() != before
+    assert written > 0 and resettled > 0
