@@ -1,14 +1,14 @@
 """Shared configuration of the benchmark harness.
 
-Each benchmark module regenerates one experiment (E1-E8, see DESIGN.md and
-EXPERIMENTS.md): it runs the corresponding experiment definition on the
+Each benchmark module regenerates one experiment (E1-E8, see
+docs/experiments.md): it runs the corresponding experiment definition on the
 ``bench`` profile below, prints the resulting table (the "rows the paper
 would report") and lets pytest-benchmark record the wall-clock cost of the
 run.  Execute with::
 
     pytest benchmarks/ --benchmark-only
 
-Use ``-s`` to see the printed tables, or read EXPERIMENTS.md for a recorded
+Use ``-s`` to see the printed tables, or read docs/experiments.md for a recorded
 copy.  The ``full`` profile of :mod:`repro.experiments.config` extends the
 sweeps; it is not run here to keep the harness laptop-friendly.
 """

@@ -4,7 +4,7 @@ An :class:`ExperimentReport` is the uniform container benchmarks and the
 experiment runner fill with row dictionaries; it can render itself as a
 table, export CSV/JSON, and compute per-group aggregates.  Keeping this in
 one place means every experiment produces artefacts with the same shape,
-which EXPERIMENTS.md relies on.
+which docs/experiments.md relies on.
 """
 
 from __future__ import annotations

@@ -20,7 +20,8 @@ round-cost model on top of the reference engine:
   maximum cost over the improvements of that level, modelling the paper's
   simultaneous reductions.
 
-The substitution is documented in DESIGN.md; experiment E7 uses both costs
+The substitution is listed under "Engineering substitutions" in
+docs/architecture.md; experiment E7 uses both costs
 and additionally measures the real message-passing protocol for comparison.
 """
 

@@ -4,7 +4,8 @@ A configuration is *legitimate* when
 
 1. the parent pointers of all nodes form a spanning tree of the network,
    rooted at the node with the smallest identifier, with coherent distances
-   (Lemmas 1-2);
+   (Lemmas 1-2) -- :func:`repro.stabilization.predicates.tree_coherent`,
+   the standalone spanning-tree protocol's own predicate;
 2. every node's ``dmax`` equals the true degree of that tree (the maximum
    degree module has stabilized);
 3. the tree is a fixpoint of the improvement rule: no chain of deblocking
@@ -34,11 +35,9 @@ from typing import Callable, Mapping, Optional
 
 from ..sim.network import Network
 from ..stabilization.predicates import (
-    distances_coherent,
     dmax_agrees_with_tree,
-    has_unique_root,
-    parent_map_is_spanning_tree,
     snapshot_tree_degree,
+    tree_coherent,
     tree_edges_from_snapshots,
 )
 from ..types import Edge, NodeId
@@ -67,19 +66,6 @@ def current_tree_degree(network: Network,
                         snapshots: Optional[Snapshots] = None) -> int:
     """Degree of the currently induced tree (0 if no edges)."""
     return snapshot_tree_degree(network, snapshots)
-
-
-def tree_coherent(network: Network, snapshots: Optional[Snapshots] = None) -> bool:
-    """Condition 1: unique min-id root, spanning tree, coherent distances."""
-    snaps = snapshots if snapshots is not None else network.snapshots()
-    if not has_unique_root(snaps):
-        return False
-    min_id = min(network.node_ids)
-    if any(snap.get("root") != min_id for snap in snaps.values()):
-        return False
-    if not parent_map_is_spanning_tree(network, snaps):
-        return False
-    return distances_coherent(snaps)
 
 
 def degree_layer_coherent(network: Network,

@@ -27,7 +27,8 @@ Two notes on fidelity:
 * ``UpdateDist``/``Reverse`` are retained for fidelity but the implementation
   does not *depend* on them: the spanning-tree layer's distance-repair rule
   (R3) heals distances from gossip alone, which is simpler and strictly more
-  robust under concurrent improvements (see DESIGN.md).
+  robust under concurrent improvements (see "Engineering substitutions" in
+  docs/architecture.md).
 
 Every payload leaf is an ``int``, a ``bool`` or ``None``, so a message's
 size in bits depends on ``n`` and on its *size shape* alone: which optional

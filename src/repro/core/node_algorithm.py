@@ -5,7 +5,9 @@ paper:
 
 1. **Spanning-tree module** -- rules R1 (adopt a smaller root) and R2 (reset
    on incoherence), plus the gentle distance-repair rule R3 and the distance
-   bound ``n_upper`` discussed in ``repro.stabilization.spanning_tree``.
+   bound ``n_upper``, inherited from
+   :class:`repro.stabilization.spanning_tree.TreeRules` (the substrate's own
+   implementation, run over ``self.s``).
 2. **Maximum-degree module** -- the PIF aggregation (``sub_max`` up the tree,
    ``dmax`` down the tree) piggybacked on the ``MInfo`` gossip, and the
    ``color`` flag marking local ``dmax`` consistency.
@@ -41,7 +43,8 @@ because tree membership is derived from parent pointers.  Two cases follow:
 
 Distances along the re-oriented segment are repaired by the spanning-tree
 layer's rule R3 from subsequent gossip (the ``UpdateDist`` message of the
-paper is therefore not required for correctness; see DESIGN.md).
+paper is therefore not required for correctness; see "Engineering
+substitutions" in docs/architecture.md).
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..sim.messages import Message
-from ..sim.node import Process
+from ..stabilization.spanning_tree import TreeRules
 from ..types import NodeId
 from .messages import Back, Deblock, MInfo, Remove, Reverse, Search, UpdateDist
 from .state import MDSTState, NeighborState
@@ -59,7 +62,7 @@ from .state import MDSTState, NeighborState
 __all__ = ["MDSTNode", "mdst_node_factory"]
 
 
-class MDSTNode(Process):
+class MDSTNode(TreeRules):
     """One processor running the full self-stabilizing MDST algorithm.
 
     Parameters
@@ -89,8 +92,7 @@ class MDSTNode(Process):
                  search_period: int = 3,
                  deblock_cooldown: int = 30,
                  enable_reduction: bool = True):
-        super().__init__(node_id, neighbors)
-        self.n_upper = int(n_upper) if n_upper is not None else 1 << 16
+        super().__init__(node_id, neighbors, n_upper)
         self.search_period = max(1, int(search_period))
         self.deblock_cooldown = max(1, int(deblock_cooldown))
         self.enable_reduction = enable_reduction
@@ -99,7 +101,8 @@ class MDSTNode(Process):
         # otherwise keep symmetric nodes in lockstep and concurrent
         # improvements could invalidate each other forever; the asynchronous
         # model of the paper provides this asymmetry for free, the jitter
-        # reintroduces it under the synchronous scheduler (see DESIGN.md).
+        # reintroduces it under the synchronous scheduler (see "Engineering
+        # substitutions" in docs/architecture.md).
         self._jitter = np.random.default_rng((node_id * 2654435761 + 97) % (2**31 - 1))
         self.s = self._make_state()
         self.s.root = node_id
@@ -132,88 +135,6 @@ class MDSTNode(Process):
         state without first paying for a throwaway per-object one."""
         return MDSTState(node_id=self.node_id, neighbors=self.neighbors,
                          n_upper=self.n_upper)
-
-    # ======================================================================
-    # Spanning-tree layer (rules R1 / R2 / R3)
-    # ======================================================================
-
-    def _better_parent(self) -> bool:
-        root = self.s.root
-        for v in self.s.view.values():
-            if v.heard and v.root < root:
-                return True
-        return False
-
-    def _coherent_parent(self) -> bool:
-        st = self.s
-        if st.root > self.node_id:
-            # our own identifier would be a better root: corrupted value
-            return False
-        if st.parent == self.node_id:
-            return st.root == self.node_id and st.distance == 0
-        if st.parent not in st.view:
-            return False
-        pv = st.view[st.parent]
-        return (not pv.heard) or pv.root == st.root
-
-    def _coherent_distance(self) -> bool:
-        st = self.s
-        if st.distance >= self.n_upper:
-            return False
-        if st.parent == self.node_id:
-            return st.distance == 0
-        pv = st.view.get(st.parent)
-        if pv is None:
-            return False
-        return (not pv.heard) or st.distance == pv.distance + 1
-
-    def _new_root_candidate(self) -> bool:
-        return not self._coherent_parent() or self.s.distance >= self.n_upper
-
-    def tree_stabilized(self) -> bool:
-        """Paper predicate ``tree_stabilized(v)``."""
-        return (not self._better_parent() and not self._new_root_candidate()
-                and self._coherent_distance())
-
-    def _create_new_root(self) -> None:
-        self.s.root = self.node_id
-        self.s.parent = self.node_id
-        self.s.distance = 0
-
-    def _apply_tree_rules(self) -> None:
-        """Apply R2, then R1, then R3 (the paper's rule order).
-
-        R1 and R3 apply only to a node that is no new-root candidate.  After
-        R2 that always holds, so ``_new_root_candidate()`` is evaluated once.
-        If R2 did not fire the node was no candidate and nothing changed;
-        if it did, ``root = parent = self`` and ``distance = 0 < n_upper``
-        (``n_upper >= 1``; :class:`~repro.core.protocol.MDSTConfig` enforces
-        ``>= 2``).  R1 then adopts a heard neighbour's strictly smaller root
-        (so ``root < self``) with the parent's root and a distance below
-        ``n_upper`` -- again no candidate.  This is the argument
-        :meth:`repro.sim.array_kernel.ArrayKernel.refresh` relies on.
-        """
-        st = self.s
-        if self._new_root_candidate():                                   # R2
-            self._create_new_root()
-        if self._better_parent():                                        # R1
-            candidates = [u for u, v in st.view.items()
-                          if v.heard and v.root < st.root and v.distance + 1 < self.n_upper]
-            if candidates:
-                best_root = min(st.view[u].root for u in candidates)
-                best = min(u for u in candidates if st.view[u].root == best_root)
-                st.root = st.view[best].root
-                st.parent = best
-                st.distance = st.view[best].distance + 1
-        if not self._coherent_distance():                                # R3
-            if st.parent == self.node_id:
-                st.distance = 0
-            else:
-                pv = st.view.get(st.parent)
-                if pv is not None and pv.heard:
-                    st.distance = pv.distance + 1
-            if st.distance >= self.n_upper:
-                self._create_new_root()
 
     # ======================================================================
     # Maximum-degree layer (PIF aggregation + color)

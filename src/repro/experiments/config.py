@@ -4,7 +4,7 @@ Every experiment can run in two profiles:
 
 * ``quick`` -- small networks, one repetition; used by the pytest benchmark
   suite so the whole harness regenerates every table in minutes on a laptop;
-* ``full``  -- the sizes reported in EXPERIMENTS.md.
+* ``full``  -- the sizes reported in docs/experiments.md.
 
 The profiles differ only in scale, never in code path.
 """

@@ -80,13 +80,7 @@ from .spanning import (
     tree_degrees,
     tree_path,
 )
-from .validation import (
-    check_distances,
-    check_network,
-    check_parent_map,
-    check_spanning_tree,
-    spanning_tree_violations,
-)
+from .validation import check_network, check_spanning_tree
 from .io import (
     graph_from_dict,
     graph_to_dict,

@@ -1,9 +1,10 @@
-"""Validation helpers for graphs and (claimed) spanning trees.
+"""Validation helpers for input networks and (claimed) spanning trees.
 
-The distributed algorithm must *output* a spanning tree regardless of the
-initial configuration; the functions here are the ground-truth checkers used
-by the legitimacy predicates, the test-suite and the fault-injection
-experiments to decide whether a configuration is legitimate.
+:func:`check_network` rejects graphs the algorithm cannot run on, and
+:func:`check_spanning_tree` checks the edge set a baseline or the reference
+engine outputs.  The checks of a live configuration (parent pointers,
+distances) are the snapshot predicates of
+:mod:`repro.stabilization.predicates`.
 """
 
 from __future__ import annotations
@@ -19,9 +20,6 @@ from .spanning import parent_map_from_edges, tree_degrees
 __all__ = [
     "check_network",
     "check_spanning_tree",
-    "check_parent_map",
-    "check_distances",
-    "spanning_tree_violations",
 ]
 
 
@@ -59,84 +57,3 @@ def check_spanning_tree(graph: nx.Graph, edges: Iterable[Edge]) -> Dict[NodeId, 
             f"nodes needs {len(nodes) - 1}")
     parent_map_from_edges(nodes, edge_set)  # raises if not spanning / has cycles
     return tree_degrees(nodes, edge_set)
-
-
-def check_parent_map(graph: nx.Graph, parent: Dict[NodeId, NodeId]) -> NodeId:
-    """Validate a ``node -> parent`` map as a spanning tree of ``graph``.
-
-    Checks: every node present, exactly one self-parented root, every
-    non-root parent pointer follows an existing graph edge, and following
-    parent pointers from any node reaches the root (no cycles).
-    Returns the root id.
-    """
-    nodes = set(graph.nodes)
-    if set(parent) != nodes:
-        missing = nodes - set(parent)
-        extra = set(parent) - nodes
-        raise NotASpanningTreeError(
-            f"parent map does not cover the node set (missing={sorted(missing)[:5]}, "
-            f"extra={sorted(extra)[:5]})")
-    roots = [v for v, p in parent.items() if p == v]
-    if len(roots) != 1:
-        raise NotASpanningTreeError(f"expected exactly one root, found {sorted(roots)}")
-    root = roots[0]
-    for v, p in parent.items():
-        if v == root:
-            continue
-        if not graph.has_edge(v, p):
-            raise NotASpanningTreeError(f"parent pointer {v}->{p} is not a graph edge")
-    # Cycle check: walk up from every node with a visited set.
-    for v in nodes:
-        seen = set()
-        cur = v
-        while cur != root:
-            if cur in seen:
-                raise NotASpanningTreeError(f"parent pointers contain a cycle through {cur}")
-            seen.add(cur)
-            cur = parent[cur]
-            if len(seen) > len(nodes):
-                raise NotASpanningTreeError("parent pointers do not reach the root")
-    return root
-
-
-def check_distances(parent: Dict[NodeId, NodeId], distance: Dict[NodeId, int]) -> None:
-    """Validate the coherent-distance predicate globally.
-
-    Every non-root node must have ``distance = distance(parent) + 1``; the
-    root must have distance 0.  Mirrors ``coherent_distance(v)`` from §3.1.
-    """
-    for v, p in parent.items():
-        if p == v:
-            if distance.get(v) != 0:
-                raise NotASpanningTreeError(f"root {v} has distance {distance.get(v)} != 0")
-        else:
-            if distance.get(v) != distance.get(p, -10**9) + 1:
-                raise NotASpanningTreeError(
-                    f"node {v} has distance {distance.get(v)} but its parent {p} "
-                    f"has distance {distance.get(p)}")
-
-
-def spanning_tree_violations(graph: nx.Graph, edges: Iterable[Edge]) -> list[str]:
-    """Human-readable list of reasons why ``edges`` is not a spanning tree.
-
-    Returns an empty list when the edge set is a valid spanning tree; used by
-    fault-injection experiments to report *how* a configuration is broken.
-    """
-    problems: list[str] = []
-    nodes = list(graph.nodes)
-    edge_set = canonical_edges(edges)
-    graph_edges = {canonical_edge(u, v) for u, v in graph.edges}
-    foreign = edge_set - graph_edges
-    if foreign:
-        problems.append(f"{len(foreign)} edges are not graph edges")
-    if len(edge_set) != len(nodes) - 1:
-        problems.append(f"edge count {len(edge_set)} != n-1 = {len(nodes) - 1}")
-    sub = nx.Graph()
-    sub.add_nodes_from(nodes)
-    sub.add_edges_from(e for e in edge_set if e in graph_edges)
-    ncomp = nx.number_connected_components(sub)
-    if ncomp != 1:
-        problems.append(f"induced subgraph has {ncomp} connected components")
-    if sub.number_of_edges() >= sub.number_of_nodes() and ncomp == 1:
-        problems.append("induced subgraph contains a cycle")
-    return problems

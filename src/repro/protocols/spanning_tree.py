@@ -3,12 +3,14 @@
 Drives :class:`repro.stabilization.spanning_tree.SpanningTreeProcess` -- the
 paper's substrate layer on its own -- through the generic runner, so the
 tree-construction layer can be measured (and churned, and fault-injected)
-in isolation from the degree-reduction machinery.
+in isolation from the degree-reduction machinery.  Its rules are
+:class:`~repro.stabilization.spanning_tree.TreeRules`, the same code the
+MDST node runs.
 
-Legitimacy is :func:`repro.stabilization.spanning_tree.st_legitimacy`: a
-min-id-rooted spanning tree of the *live* communication graph with coherent
-distances.  It reads the live graph, so churned runs are judged against the
-mutated topology exactly like MDST runs.
+Legitimacy is :func:`repro.stabilization.predicates.tree_coherent`, MDST's
+condition 1: a min-id-rooted spanning tree of the *live* communication
+graph with coherent distances.  It reads the live graph, so churned runs
+are judged against the mutated topology exactly like MDST runs.
 """
 
 from __future__ import annotations
@@ -18,10 +20,8 @@ import numpy as np
 
 from ..graphs.validation import check_network
 from ..sim.network import Network
-from ..stabilization.spanning_tree import (
-    spanning_tree_process_factory,
-    st_legitimacy,
-)
+from ..stabilization.predicates import tree_coherent
+from ..stabilization.spanning_tree import spanning_tree_process_factory
 from .base import (
     Predicate,
     ProtocolAdapter,
@@ -57,7 +57,7 @@ class SpanningTreeProtocol(ProtocolAdapter):
 
     def make_legitimacy(self, network: Network,
                         config: ProtocolRunConfig) -> Predicate:
-        return st_legitimacy
+        return tree_coherent
 
 
 register_protocol(SpanningTreeProtocol())

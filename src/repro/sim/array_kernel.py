@@ -242,9 +242,10 @@ class ArrayKernel:
         """Vectorized ``MDSTNode._refresh`` over the node-index subset ``S``.
 
         Applies the spanning-tree rules R2 -> R1 -> R3 and the fused degree
-        layer exactly as :meth:`~repro.core.node_algorithm.MDSTNode.
-        _apply_tree_rules` / ``_update_degree_layer`` do per node, writing
-        the state columns of ``S`` in place.  With ``predicates=True`` the
+        layer exactly as :meth:`~repro.stabilization.spanning_tree.TreeRules.
+        _apply_tree_rules` (the one scalar R1-R3, which MDST shares with the
+        standalone substrate) and ``MDSTNode._update_degree_layer`` do per
+        node, writing the state columns of ``S`` in place.  With ``predicates=True`` the
         pass also refreshes :attr:`locally_stab` (the reduction-layer gate)
         for ``S``, and marks in :attr:`settled` the nodes whose new state
         is a fixpoint -- a second pass over the same view rows would change

@@ -14,15 +14,16 @@ from .predicates import (
     has_unique_root,
     parent_map_is_spanning_tree,
     snapshot_tree_degree,
+    tree_coherent,
     tree_edges_from_snapshots,
 )
 from .spanning_tree import (
     NeighborView,
     STInfo,
     SpanningTreeProcess,
+    TreeRules,
     TreeVars,
     spanning_tree_process_factory,
-    st_legitimacy,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

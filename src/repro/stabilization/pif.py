@@ -7,11 +7,15 @@ reports to its parent the maximum tree-degree seen in its subtree; in the
 propagation phase the root disseminates the global maximum back down,
 piggybacked on the ``InfoMsg`` gossip.
 
-This module provides the aggregation as a reusable, protocol-agnostic core
-(:class:`MaxDegreeAggregator`) plus a standalone demonstration protocol
-(:class:`MaxDegreeProcess`) that runs the aggregation over a *fixed* tree
-(supplied as parent pointers).  The full MDST node embeds the same
-aggregation logic over its live, changing tree.
+This module provides the aggregation (:class:`MaxDegreeAggregator`) and a
+standalone demonstration protocol (:class:`MaxDegreeProcess`) that runs it
+over a *fixed* tree (supplied as parent pointers).  The MDST node does not
+call it: :meth:`repro.core.node_algorithm.MDSTNode._update_degree_layer` is
+MDST's own fused form over its live, changing tree.  It computes the same
+two phases in one pass over the neighbour views, and it counts a neighbour
+as a child, or reads its parent's ``dmax``, only once that neighbour's
+gossip has been *heard*.  Here the views start from the fixed tree, so
+there is no such gate.
 """
 
 from __future__ import annotations
@@ -31,7 +35,8 @@ __all__ = ["MaxDegreeAggregator", "DegreeInfo", "MaxDegreeProcess",
 
 
 class MaxDegreeAggregator:
-    """Pure aggregation logic shared by the standalone and the MDST protocols.
+    """Pure aggregation logic of the standalone :class:`MaxDegreeProcess`
+    (MDST runs its ``heard``-gated, fused twin, ``_update_degree_layer``).
 
     The aggregator is fed, for each neighbour, the neighbour's advertised
     ``(parent, deg, sub_max, dmax)`` values; it recomputes the local

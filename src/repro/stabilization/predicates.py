@@ -32,6 +32,7 @@ __all__ = [
     "has_unique_root",
     "parent_map_is_spanning_tree",
     "distances_coherent",
+    "tree_coherent",
     "dmax_agrees_with_tree",
     "snapshot_tree_degree",
 ]
@@ -101,6 +102,29 @@ def distances_coherent(snapshots: Mapping[NodeId, Mapping[str, object]]) -> bool
             if pd is None or d != pd + 1:
                 return False
     return True
+
+
+def tree_coherent(network: Network,
+                  snapshots: Optional[Mapping[NodeId, Mapping[str, object]]] = None
+                  ) -> bool:
+    """The spanning-tree layer is legitimate: every node agrees on the
+    minimum identifier as root, that node is the one self-parented node,
+    parent pointers form a spanning tree and distances are coherent.
+
+    Condition 1 of the MDST legitimacy predicate and the whole predicate
+    of the standalone spanning-tree protocol.
+    """
+    snaps = snapshots if snapshots is not None else network.snapshots()
+    if not has_unique_root(snaps):
+        return False
+    min_id = min(network.node_ids)
+    if snaps[min_id].get("parent") != min_id:
+        return False
+    if any(snap.get("root") != min_id for snap in snaps.values()):
+        return False
+    if not parent_map_is_spanning_tree(network, snaps):
+        return False
+    return distances_coherent(snaps)
 
 
 def snapshot_tree_degree(network: Network,

@@ -29,42 +29,36 @@ owns: such an identifier can otherwise chase its own tail around a cycle
 forever (the classical count-to-infinity behaviour).  With the bound, the
 distance of any region believing in a fake root grows by at least one per
 traversal and exceeds ``n_upper`` after O(n) rounds, forcing a reset.  This
-is the standard Dolev–Israeli–Moran-style refinement and is documented as an
-engineering substitution in DESIGN.md.
+is the standard Dolev–Israeli–Moran-style refinement, listed among the
+engineering substitutions in docs/architecture.md.
 
-The resulting tree is a BFS-like spanning tree rooted at the node with the
+The rules and their predicates live once, in :class:`TreeRules`: the
+standalone :class:`SpanningTreeProcess` below and the MDST node
+(:class:`repro.core.node_algorithm.MDSTNode`) both subclass it.  The
+resulting tree is a BFS-like spanning tree rooted at the node with the
 smallest identifier, exactly what the degree-reduction layer of the MDST
-algorithm builds upon.
+algorithm builds upon.  Its global check is
+:func:`repro.stabilization.predicates.tree_coherent`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
-from ..sim.messages import Message
-from ..sim.network import Network
+from ..sim.messages import Message, id_bits
 from ..sim.node import Process
 from ..types import NodeId
 
-__all__ = ["STInfo", "TreeVars", "NeighborView", "SpanningTreeProcess",
-           "spanning_tree_process_factory", "st_legitimacy"]
+__all__ = ["STInfo", "TreeVars", "NeighborView", "TreeRules",
+           "SpanningTreeProcess", "spanning_tree_process_factory"]
 
 
 @dataclass(frozen=True)
 class STInfo(Message):
     """Gossip message carrying the spanning-tree variables of the sender."""
-
-    root: int
-    parent: int
-    distance: int
-
-
-@dataclass
-class TreeVars:
-    """The three spanning-tree variables of one node."""
 
     root: int
     parent: int
@@ -81,8 +75,24 @@ class NeighborView:
     heard: bool = False  # whether at least one gossip message has been received
 
 
-class SpanningTreeProcess(Process):
-    """Standalone self-stabilizing spanning-tree protocol.
+@dataclass
+class TreeVars:
+    """The three spanning-tree variables of one node, plus its neighbour views."""
+
+    root: int
+    parent: int
+    distance: int
+    view: Dict[NodeId, NeighborView]
+
+
+class TreeRules(Process):
+    """Rules R1-R3 and the local tree predicates of §3.1.
+
+    A subclass keeps its variables in ``self.s``: ``root``, ``parent``,
+    ``distance`` and ``view``, which maps each neighbour to its cached copy
+    (``root``, ``distance``, ``heard``).  ``n_upper`` bounds distances.
+    :meth:`repro.sim.array_kernel.ArrayKernel.refresh` is the vectorized
+    twin of :meth:`_apply_tree_rules`.
 
     Parameters
     ----------
@@ -95,118 +105,125 @@ class SpanningTreeProcess(Process):
         improves convergence time).
     """
 
+    __slots__ = ()
+
     def __init__(self, node_id: NodeId, neighbors: Sequence[NodeId],
                  n_upper: int | None = None):
         super().__init__(node_id, neighbors)
         self.n_upper = int(n_upper) if n_upper is not None else 1 << 16
-        self.vars = TreeVars(root=node_id, parent=node_id, distance=0)
-        self.view: Dict[NodeId, NeighborView] = {
-            u: NeighborView(root=u, parent=u, distance=0) for u in self.neighbors
-        }
 
     # -- predicates (local, §3.1) ----------------------------------------------
 
-    def better_parent(self) -> bool:
-        """``True`` when some neighbour advertises a strictly smaller root."""
-        return any(view.heard and view.root < self.vars.root
-                   for view in self.view.values())
+    def _better_parent(self) -> bool:
+        root = self.s.root
+        for v in self.s.view.values():
+            if v.heard and v.root < root:
+                return True
+        return False
 
-    def coherent_parent(self) -> bool:
-        """Parent is self or a neighbour advertising the same root.
+    def _coherent_parent(self) -> bool:
+        st = self.s
+        if st.root > self.node_id:
+            # our own identifier would be a better root: corrupted value
+            return False
+        if st.parent == self.node_id:
+            return st.root == self.node_id and st.distance == 0
+        if st.parent not in st.view:
+            return False
+        pv = st.view[st.parent]
+        return (not pv.heard) or pv.root == st.root
 
-        A root larger than the node's own identifier is always incoherent:
-        the node itself would be a better root, so such a value can only come
-        from a corrupted initial state and must trigger a reset.
-        """
-        v = self.vars
-        if v.root > self.node_id:
+    def _coherent_distance(self) -> bool:
+        st = self.s
+        if st.distance >= self.n_upper:
             return False
-        if v.parent == self.node_id:
-            return v.root == self.node_id and v.distance == 0
-        if v.parent not in self.view:
+        if st.parent == self.node_id:
+            return st.distance == 0
+        pv = st.view.get(st.parent)
+        if pv is None:
             return False
-        pview = self.view[v.parent]
-        return (not pview.heard) or pview.root == v.root
+        return (not pv.heard) or st.distance == pv.distance + 1
 
-    def coherent_distance(self) -> bool:
-        """Distance equals the parent's advertised distance plus one and is bounded."""
-        v = self.vars
-        if v.distance >= self.n_upper:
-            return False
-        if v.parent == self.node_id:
-            return v.distance == 0
-        pview = self.view.get(v.parent)
-        if pview is None:
-            return False
-        return (not pview.heard) or v.distance == pview.distance + 1
-
-    def new_root_candidate(self) -> bool:
-        """Paper predicate: the local state is incoherent and needs a reset."""
-        return not self.coherent_parent() or self.vars.distance >= self.n_upper
+    def _new_root_candidate(self) -> bool:
+        return not self._coherent_parent() or self.s.distance >= self.n_upper
 
     def tree_stabilized(self) -> bool:
         """Paper predicate ``tree_stabilized(v)``."""
-        return (not self.better_parent() and not self.new_root_candidate()
-                and self.coherent_distance())
+        return (not self._better_parent() and not self._new_root_candidate()
+                and self._coherent_distance())
 
     # -- rules -----------------------------------------------------------------
 
     def _create_new_root(self) -> None:
-        self.vars.root = self.node_id
-        self.vars.parent = self.node_id
-        self.vars.distance = 0
+        self.s.root = self.node_id
+        self.s.parent = self.node_id
+        self.s.distance = 0
 
-    def _change_parent_to(self, u: NodeId) -> None:
-        view = self.view[u]
-        self.vars.root = view.root
-        self.vars.parent = u
-        self.vars.distance = view.distance + 1
+    def _apply_tree_rules(self) -> None:
+        """Apply R2, then R1, then R3 (the paper's rule order).
 
-    def apply_rules(self) -> bool:
-        """Apply R2, R1, R3 (in priority order).  Returns ``True`` on change."""
-        changed = False
-        if self.new_root_candidate():                                   # R2
+        R1 and R3 apply only to a node that is no new-root candidate.  After
+        R2 that always holds, so ``_new_root_candidate()`` is evaluated once.
+        If R2 did not fire the node was no candidate and nothing changed;
+        if it did, ``root = parent = self`` and ``distance = 0 < n_upper``
+        (``n_upper >= 1``; :class:`~repro.core.protocol.MDSTConfig` enforces
+        ``>= 2``).  R1 then adopts a heard neighbour's strictly smaller root
+        (so ``root < self``) with the parent's root and a distance below
+        ``n_upper`` -- again no candidate.  This is the argument
+        :meth:`repro.sim.array_kernel.ArrayKernel.refresh` relies on.
+        """
+        st = self.s
+        if self._new_root_candidate():                                   # R2
             self._create_new_root()
-            changed = True
-        if not self.new_root_candidate() and self.better_parent():      # R1
-            candidates = [u for u, view in self.view.items()
-                          if view.heard and view.root < self.vars.root
-                          and view.distance + 1 < self.n_upper]
+        if self._better_parent():                                        # R1
+            candidates = [u for u, v in st.view.items()
+                          if v.heard and v.root < st.root and v.distance + 1 < self.n_upper]
             if candidates:
-                best_root = min(self.view[u].root for u in candidates)
-                best = min(u for u in candidates if self.view[u].root == best_root)
-                self._change_parent_to(best)
-                changed = True
-        if not self.new_root_candidate() and not self.coherent_distance():  # R3
-            pview = self.view.get(self.vars.parent)
-            if self.vars.parent == self.node_id:
-                self.vars.distance = 0
-            elif pview is not None and pview.heard:
-                self.vars.distance = pview.distance + 1
-            changed = True
-            if self.vars.distance >= self.n_upper:
+                best_root = min(st.view[u].root for u in candidates)
+                best = min(u for u in candidates if st.view[u].root == best_root)
+                st.root = st.view[best].root
+                st.parent = best
+                st.distance = st.view[best].distance + 1
+        if not self._coherent_distance():                                # R3
+            if st.parent == self.node_id:
+                st.distance = 0
+            else:
+                pv = st.view.get(st.parent)
+                if pv is not None and pv.heard:
+                    st.distance = pv.distance + 1
+            if st.distance >= self.n_upper:
                 self._create_new_root()
-        return changed
+
+
+class SpanningTreeProcess(TreeRules):
+    """Standalone self-stabilizing spanning-tree protocol (:class:`TreeRules`
+    plus ``STInfo`` gossip)."""
+
+    def __init__(self, node_id: NodeId, neighbors: Sequence[NodeId],
+                 n_upper: int | None = None):
+        super().__init__(node_id, neighbors, n_upper)
+        self.s = TreeVars(root=node_id, parent=node_id, distance=0, view={
+            u: NeighborView(root=u, parent=u, distance=0) for u in self.neighbors
+        })
 
     # -- Process hooks -----------------------------------------------------------
 
     def on_timeout(self) -> None:
-        self.apply_rules()
-        info = STInfo(root=self.vars.root, parent=self.vars.parent,
-                      distance=self.vars.distance)
-        self.broadcast(info)
+        self._apply_tree_rules()
+        s = self.s
+        self.broadcast(STInfo(root=s.root, parent=s.parent, distance=s.distance))
 
     def on_message(self, sender: NodeId, message: Message) -> None:
         if not isinstance(message, STInfo):
             return  # garbage / foreign message: ignore (and thereby flush)
-        if sender not in self.view:
+        view = self.s.view.get(sender)
+        if view is None:
             return
-        view = self.view[sender]
         view.root = message.root
         view.parent = message.parent
         view.distance = message.distance
         view.heard = True
-        self.apply_rules()
+        self._apply_tree_rules()
 
     # -- dynamic topology (live neighbour-set deltas) ------------------------------
 
@@ -218,8 +235,8 @@ class SpanningTreeProcess(Process):
         pick the edge up through the normal correction machinery.
         """
         super().add_neighbor(u)
-        self.view[u] = NeighborView(root=u, parent=u, distance=0)
-        self.apply_rules()
+        self.s.view[u] = NeighborView(root=u, parent=u, distance=0)
+        self._apply_tree_rules()
 
     def remove_neighbor(self, u: NodeId) -> None:
         """The link to ``u`` died at runtime.
@@ -230,21 +247,22 @@ class SpanningTreeProcess(Process):
         made explicit) and let R1 re-attach us through gossip.
         """
         super().remove_neighbor(u)
-        lost_parent = self.vars.parent == u
-        self.view.pop(u, None)
+        lost_parent = self.s.parent == u
+        self.s.view.pop(u, None)
         if lost_parent:
             self._create_new_root()
-        self.apply_rules()
+        self._apply_tree_rules()
 
     # -- self-stabilization support ----------------------------------------------
 
     def corrupt(self, rng: np.random.Generator) -> None:
         """Overwrite every protocol variable with arbitrary values."""
+        s = self.s
         ids = list(self.neighbors) + [self.node_id, int(rng.integers(-5, 100))]
-        self.vars.root = int(rng.choice(ids))
-        self.vars.parent = int(rng.choice(list(self.neighbors) + [self.node_id]))
-        self.vars.distance = int(rng.integers(0, max(2, self.n_upper)))
-        for view in self.view.values():
+        s.root = int(rng.choice(ids))
+        s.parent = int(rng.choice(list(self.neighbors) + [self.node_id]))
+        s.distance = int(rng.integers(0, max(2, self.n_upper)))
+        for view in s.view.values():
             view.root = int(rng.choice(ids))
             view.parent = int(rng.choice(ids))
             view.distance = int(rng.integers(0, max(2, self.n_upper)))
@@ -252,18 +270,12 @@ class SpanningTreeProcess(Process):
 
     def state_bits(self, network_size: int) -> int:
         """O(δ log n): own variables plus one cached copy per neighbour."""
-        import math
-        idbits = max(1, math.ceil(math.log2(max(network_size, 2)))) + 1
-        own = 3 * idbits
-        per_neighbor = 3 * idbits + 1
-        return own + per_neighbor * len(self.neighbors)
+        idbits = id_bits(network_size)
+        return 3 * idbits + (3 * idbits + 1) * len(self.neighbors)
 
     def snapshot(self) -> Dict[str, object]:
-        return {
-            "root": self.vars.root,
-            "parent": self.vars.parent,
-            "distance": self.vars.distance,
-        }
+        s = self.s
+        return {"root": s.root, "parent": s.parent, "distance": s.distance}
 
 
 def spanning_tree_process_factory(n_upper: int | None = None):
@@ -271,42 +283,3 @@ def spanning_tree_process_factory(n_upper: int | None = None):
     def factory(node_id: NodeId, neighbors: Sequence[NodeId]) -> SpanningTreeProcess:
         return SpanningTreeProcess(node_id, neighbors, n_upper=n_upper)
     return factory
-
-
-def st_legitimacy(network: Network, snapshots=None) -> bool:
-    """Global legitimacy predicate of the standalone spanning-tree protocol.
-
-    Holds when every node agrees on the smallest identifier as root, parent
-    pointers form a spanning tree of the communication graph rooted at that
-    node, and all distances are coherent.  A pure function of the per-node
-    snapshots, so it is safe under the simulator's predicate cache; pass
-    ``snapshots`` to reuse an already-computed mapping.
-    """
-    snaps = snapshots if snapshots is not None else network.snapshots()
-    min_id = min(network.node_ids)
-    parent: Dict[NodeId, NodeId] = {}
-    distance: Dict[NodeId, int] = {}
-    for v, snap in snaps.items():
-        if snap.get("root") != min_id:
-            return False
-        parent[v] = snap.get("parent")  # type: ignore[assignment]
-        distance[v] = snap.get("distance")  # type: ignore[assignment]
-    if parent.get(min_id) != min_id or distance.get(min_id) != 0:
-        return False
-    for v, p in parent.items():
-        if v == min_id:
-            continue
-        if p == v or not network.has_edge(v, p):
-            return False
-        if distance[v] != distance[p] + 1:
-            return False
-    # Reaching the root from every node (no cycles) -- distances being strictly
-    # decreasing along parent pointers already guarantees it, but check anyway.
-    for v in network.node_ids:
-        cur, hops = v, 0
-        while cur != min_id:
-            cur = parent[cur]
-            hops += 1
-            if hops > len(network.node_ids):
-                return False
-    return True

@@ -141,6 +141,27 @@ class TestLegitimacyPredicates:
         finally:
             sys.setrecursionlimit(limit)
 
+    def test_tree_rooted_away_from_the_minimum_id_is_not_coherent(self):
+        """Regression: condition 1 requires the tree to be rooted at the
+        minimum identifier.  On the path 0-1-2, a tree re-rooted at node 1
+        whose nodes all still name 0 as root once passed it, although node
+        1 is a new-root candidate (R2 fires on its next step)."""
+        net = self._coherent_network(nx.path_graph(3))
+        parent = {0: 1, 1: 1, 2: 1}
+        distance = {0: 1, 1: 0, 2: 1}
+        for v, proc in net.processes.items():
+            proc.s.parent, proc.s.distance = parent[v], distance[v]
+            for u, view in proc.s.view.items():
+                view.parent, view.distance = parent[u], distance[u]
+        net.note_state_write()
+        assert all(snap["root"] == 0 for snap in net.snapshots().values())
+        assert net.processes[1]._new_root_candidate()
+        # Only condition 1 rejects it: the degree layer and the reduction
+        # layer accept this tree.
+        assert degree_layer_coherent(net) and reduction_finished(net)
+        assert not tree_coherent(net)
+        assert not mdst_legitimacy(net)
+
     def test_tree_coherent_fails_on_fresh_network(self, small_dense):
         net = build_mdst_network(small_dense, MDSTConfig())
         # every node is its own root: no unique root, not a spanning tree

@@ -1,5 +1,6 @@
 """Documentation link check: every relative link in the Markdown docs must
-point at a file (or directory) that exists in the repository.
+point at a file (or directory) that exists in the repository, and every
+Markdown file the source code names must exist too.
 
 This is the local half of the CI docs check -- it keeps README.md, PAPER.md
 and docs/ from silently rotting when files move.
@@ -20,6 +21,12 @@ DOC_FILES = sorted(
 )
 
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+
+#: A Markdown file name, with or without a repo-relative directory.
+_MD_NAME = re.compile(r"[\w./-]*\w\.md\b")
+
+#: Python sources whose docstrings and comments may cite Markdown files.
+SOURCE_FILES = sorted((REPO_ROOT / "src").rglob("*.py"))
 
 
 def relative_links(path: Path) -> list:
@@ -42,3 +49,16 @@ def test_relative_links_resolve(doc):
     missing = [target for target in relative_links(doc)
                if not (doc.parent / target).exists()]
     assert not missing, f"{doc.relative_to(REPO_ROOT)} has dead links: {missing}"
+
+
+def test_source_files_cite_existing_docs():
+    """A docstring or comment under ``src/`` that names a ``*.md`` file
+    (repo-relative, e.g. ``docs/architecture.md`` or ``PAPER.md``) must
+    name one that exists."""
+    assert SOURCE_FILES
+    missing = sorted(
+        f"{path.relative_to(REPO_ROOT)}: {name}"
+        for path in SOURCE_FILES
+        for name in set(_MD_NAME.findall(path.read_text(encoding="utf-8")))
+        if not (REPO_ROOT / name).exists())
+    assert not missing, f"source files cite missing docs: {missing}"

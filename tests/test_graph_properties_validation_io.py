@@ -8,9 +8,7 @@ import pytest
 from repro.exceptions import GraphError, NotASpanningTreeError, NotConnectedError
 from repro.graphs import (
     bfs_spanning_tree,
-    check_distances,
     check_network,
-    check_parent_map,
     check_spanning_tree,
     cut_vertex_lower_bound,
     degree_histogram,
@@ -22,11 +20,9 @@ from repro.graphs import (
     max_degree,
     mdst_lower_bound,
     min_degree,
-    parent_map_from_edges,
     read_edge_list,
     read_graph_json,
     read_tree,
-    spanning_tree_violations,
     summarize,
     write_edge_list,
     write_graph_json,
@@ -101,47 +97,6 @@ class TestValidation:
         edges = list(bfs_spanning_tree(small_dense))[:-1]
         with pytest.raises(NotASpanningTreeError):
             check_spanning_tree(small_dense, edges)
-
-    def test_check_parent_map_valid(self, small_dense):
-        edges = bfs_spanning_tree(small_dense)
-        parent = parent_map_from_edges(small_dense.nodes, edges)
-        root = check_parent_map(small_dense, parent)
-        assert parent[root] == root
-
-    def test_check_parent_map_detects_cycle(self, small_dense):
-        parent = {v: v for v in small_dense.nodes}
-        a, b = sorted(small_dense.nodes)[:2]
-        if not small_dense.has_edge(a, b):
-            small_dense.add_edge(a, b)
-        parent[a] = b
-        parent[b] = a
-        with pytest.raises(NotASpanningTreeError):
-            check_parent_map(small_dense, parent)
-
-    def test_check_distances(self, small_dense):
-        edges = bfs_spanning_tree(small_dense)
-        parent = parent_map_from_edges(small_dense.nodes, edges)
-        root = next(v for v, p in parent.items() if v == p)
-        distance = {root: 0}
-        frontier = [root]
-        while frontier:
-            nxt = []
-            for v in small_dense.nodes:
-                if v not in distance and parent[v] in distance:
-                    distance[v] = distance[parent[v]] + 1
-                    nxt.append(v)
-            frontier = nxt
-        check_distances(parent, distance)
-        distance[max(small_dense.nodes)] += 5
-        with pytest.raises(NotASpanningTreeError):
-            check_distances(parent, distance)
-
-    def test_spanning_tree_violations_empty_for_valid(self, small_dense):
-        assert spanning_tree_violations(small_dense, bfs_spanning_tree(small_dense)) == []
-
-    def test_spanning_tree_violations_reports_problems(self, small_dense):
-        problems = spanning_tree_violations(small_dense, [])
-        assert problems  # wrong edge count + disconnected
 
 
 def _canon(edges):

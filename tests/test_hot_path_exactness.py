@@ -13,10 +13,11 @@ compute exactly what their plain forms compute:
   type: two messages of one shape, one message at two ``n``, and a
   subclass that must not size by its parent's shape.
 * **Node predicates** -- :meth:`MDSTNode.locally_stabilized` is fused into
-  one pass over the view, and :meth:`MDSTNode._apply_tree_rules` evaluates
+  one pass over the view, and :meth:`TreeRules._apply_tree_rules` evaluates
   ``_new_root_candidate()`` once.  Both are checked against their clause
   by clause forms on corrupted states (and on the states a few synchronous
-  rounds later), on the object and the array-backed state.
+  rounds later), on the object and the array-backed state; the tree rules
+  also on the standalone spanning-tree substrate, which shares them.
 * **The fused slot pass** -- :meth:`ArrayKernel.refresh` runs a slot's
   rules and its control gate in one vectorized pass.  On corrupted array
   states with random disjoint rule and gate sets, on both sides of its
@@ -56,8 +57,11 @@ from repro.sim.array_engine import (ArraySyncScheduler, get_ops,
 from repro.sim.array_kernel import ArrayNetwork, build_array_mdst_network
 from repro.sim.messages import (TYPE_TAG_BITS, GarbageMessage, estimate_bits,
                                 id_bits)
+from repro.sim.network import Network
 from repro.sim.scheduler import (RandomAsyncScheduler, RoundStats, Scheduler,
                                  SynchronousScheduler)
+from repro.stabilization.spanning_tree import (TreeRules,
+                                               spanning_tree_process_factory)
 
 
 # -- message sizing ------------------------------------------------------------
@@ -228,8 +232,9 @@ def _locally_stabilized_by_clauses(node: MDSTNode) -> bool:
                 and node._degree_stabilized() and color_stabilized)
 
 
-def _apply_tree_rules_three_guards(node: MDSTNode) -> None:
-    """``_apply_tree_rules`` with the candidate guard on R1 and R3."""
+def _apply_tree_rules_three_guards(node: TreeRules) -> None:
+    """``_apply_tree_rules`` with the candidate guard spelled out on R1 and
+    R3: the reference its one-guard form must match."""
     st_ = node.s
     if node._new_root_candidate():                                   # R2
         node._create_new_root()
@@ -256,12 +261,18 @@ def _apply_tree_rules_three_guards(node: MDSTNode) -> None:
 
 def _corrupted_network(backend: str, n: int, graph_seed: int,
                        corrupt_seed: int, rounds: int):
-    """A network whose every node ran ``MDSTState.corrupt``, then ``rounds``
-    synchronous rounds (which reach the stabilized states too)."""
+    """A network whose every node ran its ``corrupt`` hook, then ``rounds``
+    synchronous rounds (which reach the stabilized states too).
+
+    ``backend`` is ``object`` or ``array`` for MDST nodes, or
+    ``spanning_tree`` for the standalone substrate's processes.
+    """
     graph = GRAPH_FAMILIES["erdos_renyi_sparse"](n, seed=graph_seed)
     n_upper = n + 1
     if backend == "object":
         net = build_mdst_network(graph, MDSTConfig(n_upper=n_upper))
+    elif backend == "spanning_tree":
+        net = Network(graph, spanning_tree_process_factory(n_upper=n_upper))
     else:
         net = build_array_mdst_network(graph, n_upper=n_upper)
     rng = np.random.default_rng(corrupt_seed)
@@ -273,7 +284,7 @@ def _corrupted_network(backend: str, n: int, graph_seed: int,
     return net
 
 
-def _tree_vars(node: MDSTNode):
+def _tree_vars(node: TreeRules):
     return node.s.root, node.s.parent, node.s.distance
 
 
@@ -301,7 +312,7 @@ def test_fused_node_predicates_match_their_clauses(backend, n, graph_seed,
         assert len(node.s.tree_neighbors()) == node.s.degree
 
 
-@pytest.mark.parametrize("backend", ["object", "array"])
+@pytest.mark.parametrize("backend", ["object", "array", "spanning_tree"])
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(**network_params)

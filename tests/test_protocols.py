@@ -27,7 +27,8 @@ from repro.protocols import (
 )
 from repro.sim.faults import ChurnPlan, random_churn_plan
 from repro.stabilization.pif import MaxDegreeProcess
-from repro.stabilization.spanning_tree import SpanningTreeProcess, st_legitimacy
+from repro.stabilization.predicates import tree_coherent
+from repro.stabilization.spanning_tree import SpanningTreeProcess
 
 CHURN_FAMILIES = ("erdos_renyi_sparse", "random_geometric", "barabasi_albert")
 
@@ -186,38 +187,38 @@ class TestSpanningTreeDeltaHooks:
         proc = SpanningTreeProcess(4, [1, 2], n_upper=8)
         proc.add_neighbor(3)
         assert proc.neighbors == (1, 2, 3)
-        assert 3 in proc.view and not proc.view[3].heard
+        assert 3 in proc.s.view and not proc.s.view[3].heard
 
     def test_remove_neighbor_evicts_view(self):
         proc = SpanningTreeProcess(4, [1, 2], n_upper=8)
         proc.remove_neighbor(2)
         assert proc.neighbors == (1,)
-        assert 2 not in proc.view
+        assert 2 not in proc.s.view
 
     def test_losing_parent_resets_to_own_root(self):
         from repro.stabilization.spanning_tree import STInfo
         proc = SpanningTreeProcess(4, [1, 2], n_upper=8)
         proc.on_message(1, STInfo(root=0, parent=1, distance=2))
-        assert proc.vars.parent == 1 and proc.vars.root == 0
+        assert proc.s.parent == 1 and proc.s.root == 0
         proc.remove_neighbor(1)
-        assert proc.vars.root == 4 and proc.vars.parent == 4
-        assert proc.vars.distance == 0
+        assert proc.s.root == 4 and proc.s.parent == 4
+        assert proc.s.distance == 0
 
     def test_losing_non_parent_keeps_tree_state(self):
         from repro.stabilization.spanning_tree import STInfo
         proc = SpanningTreeProcess(4, [1, 2], n_upper=8)
         proc.on_message(1, STInfo(root=0, parent=1, distance=2))
         proc.remove_neighbor(2)
-        assert proc.vars.root == 0 and proc.vars.parent == 1
+        assert proc.s.root == 0 and proc.s.parent == 1
 
     def test_stale_view_cannot_win_r1_after_removal(self):
         from repro.stabilization.spanning_tree import STInfo
         proc = SpanningTreeProcess(4, [1, 2], n_upper=8)
         proc.on_message(2, STInfo(root=-3, parent=2, distance=1))
-        assert proc.vars.root == -3
+        assert proc.s.root == -3
         proc.remove_neighbor(2)
         # the eviction re-runs the rules: no neighbour advertises -3 anymore
-        assert proc.vars.root == 4 and proc.vars.parent == 4
+        assert proc.s.root == 4 and proc.s.parent == 4
 
 
 class TestMaxDegreeDeltaHooks:
@@ -329,7 +330,7 @@ class TestThirdPartyAdapter:
                 pass
 
             def make_legitimacy(self, network, config):
-                return st_legitimacy
+                return tree_coherent
 
         adapter = TightBoundSpanningTree()
         try:

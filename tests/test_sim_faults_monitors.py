@@ -25,8 +25,8 @@ from repro.sim import (
 from repro.stabilization import (
     SpanningTreeProcess,
     spanning_tree_process_factory,
-    st_legitimacy,
 )
+from repro.stabilization.predicates import tree_coherent
 
 
 def _net(n=6):
@@ -132,7 +132,7 @@ class TestAdversarialSchedulerWithFaults:
         fault_round = 30
         plan = FaultPlan().add(fault_round, node_fraction=0.5)
         sched = AdversarialScheduler(slow_links=[(0, 1), (3, 2)], max_delay=3)
-        sim = Simulator(net, scheduler=sched, legitimacy=st_legitimacy,
+        sim = Simulator(net, scheduler=sched, legitimacy=tree_coherent,
                         stability_window=3, fault_plan=plan,
                         rng=np.random.default_rng(7))
         report = sim.run(max_rounds=600)
@@ -148,7 +148,7 @@ class TestAdversarialSchedulerWithFaults:
         net = _net(6)
         plan = FaultPlan().add(10, node_fraction=0.0, channel_fraction=1.0)
         sched = AdversarialScheduler(slow_links=[(1, 0)], max_delay=4)
-        sim = Simulator(net, scheduler=sched, legitimacy=st_legitimacy,
+        sim = Simulator(net, scheduler=sched, legitimacy=tree_coherent,
                         stability_window=3, fault_plan=plan,
                         rng=np.random.default_rng(11))
         report = sim.run(max_rounds=600)

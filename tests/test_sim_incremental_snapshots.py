@@ -44,7 +44,7 @@ PROTOCOL_NAMES = ("mdst", "spanning_tree", "pif_max_degree")
 #: a fault-injection hook would.
 POKES = {
     "mdst": lambda proc, b, n: setattr(proc.s, "root", b % (n + 2)),
-    "spanning_tree": lambda proc, b, n: setattr(proc.vars, "root", b % (n + 2)),
+    "spanning_tree": lambda proc, b, n: setattr(proc.s, "root", b % (n + 2)),
     "pif_max_degree": lambda proc, b, n: setattr(proc, "sub_max", b % (n + 2)),
 }
 

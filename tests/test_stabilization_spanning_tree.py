@@ -17,11 +17,11 @@ from repro.sim import (
 from repro.stabilization import (
     SpanningTreeProcess,
     spanning_tree_process_factory,
-    st_legitimacy,
 )
 from repro.stabilization.predicates import (
     extract_parent_map,
     parent_map_is_spanning_tree,
+    tree_coherent,
 )
 
 
@@ -32,31 +32,31 @@ def build(graph, n_upper=None):
 
 def run_to_convergence(net, scheduler=None, max_rounds=400):
     sim = Simulator(net, scheduler=scheduler or SynchronousScheduler(),
-                    legitimacy=st_legitimacy, stability_window=3)
+                    legitimacy=tree_coherent, stability_window=3)
     return sim.run(max_rounds=max_rounds)
 
 
 class TestLocalPredicates:
     def test_initial_state_is_own_root(self):
         proc = SpanningTreeProcess(4, [1, 2], n_upper=8)
-        assert proc.vars.root == 4 and proc.vars.parent == 4 and proc.vars.distance == 0
-        assert proc.coherent_parent() and proc.coherent_distance()
-        assert not proc.better_parent()
+        assert proc.s.root == 4 and proc.s.parent == 4 and proc.s.distance == 0
+        assert proc._coherent_parent() and proc._coherent_distance()
+        assert not proc._better_parent()
 
     def test_better_parent_after_hearing_smaller_root(self):
         proc = SpanningTreeProcess(4, [1, 2], n_upper=8)
         proc.on_message(1, __import__("repro.stabilization.spanning_tree",
                                       fromlist=["STInfo"]).STInfo(root=0, parent=1, distance=2))
-        assert proc.vars.root == 0
-        assert proc.vars.parent == 1
-        assert proc.vars.distance == 3
+        assert proc.s.root == 0
+        assert proc.s.parent == 1
+        assert proc.s.distance == 3
 
     def test_distance_bound_forces_reset(self):
         proc = SpanningTreeProcess(4, [1], n_upper=5)
-        proc.vars.distance = 10
-        assert proc.new_root_candidate()
-        proc.apply_rules()
-        assert proc.vars.distance == 0 and proc.vars.root == 4
+        proc.s.distance = 10
+        assert proc._new_root_candidate()
+        proc._apply_tree_rules()
+        assert proc.s.distance == 0 and proc.s.root == 4
 
     def test_garbage_messages_are_ignored(self):
         from repro.sim import GarbageMessage
@@ -80,7 +80,7 @@ class TestConvergence:
         net = build(graph)
         report = run_to_convergence(net)
         assert report.converged
-        assert st_legitimacy(net)
+        assert tree_coherent(net)
 
     def test_resulting_tree_rooted_at_min_id(self):
         graph = make_graph("random_geometric", 12, seed=3)
@@ -119,7 +119,7 @@ class TestConvergence:
     def test_closure_no_violations_after_convergence(self):
         graph = make_graph("cycle", 8)
         net = build(graph)
-        sim = Simulator(net, legitimacy=st_legitimacy, stability_window=3)
+        sim = Simulator(net, legitimacy=tree_coherent, stability_window=3)
         report = sim.run(max_rounds=200, extra_rounds_after_convergence=20)
         assert report.converged
         assert report.closure_violations == []
@@ -131,9 +131,9 @@ class TestConvergence:
         # Manually install a fake root -5 at two nodes with a consistent shape.
         for v in (3, 4):
             proc = net.processes[v]
-            proc.vars.root = -5
-            proc.vars.parent = 3 if v == 4 else 4
-            proc.vars.distance = v
+            proc.s.root = -5
+            proc.s.parent = 3 if v == 4 else 4
+            proc.s.distance = v
         report = run_to_convergence(net, max_rounds=600)
         assert report.converged
         assert all(s["root"] == 0 for s in net.snapshots().values())
