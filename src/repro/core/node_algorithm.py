@@ -85,7 +85,7 @@ class MDSTNode(TreeRules):
     __slots__ = ("n_upper", "search_period", "deblock_cooldown",
                  "enable_reduction", "_jitter", "s", "_search_cursor",
                  "_timeout_count", "_deblock_seen", "stats",
-                 "_gossip_sig", "_gossip_msg")
+                 "_gossip_sig", "_gossip_msg", "_settled")
 
     def __init__(self, node_id: NodeId, neighbors: Sequence[NodeId],
                  n_upper: int | None = None,
@@ -119,6 +119,10 @@ class MDSTNode(TreeRules):
         # pass) per node per round in stable phases.
         self._gossip_sig: Optional[Tuple[int, int, int, int, int, int, bool]] = None
         self._gossip_msg: Optional[MInfo] = None
+        # Whether the node's state is a fixpoint of ``_refresh`` over its
+        # current view (see ``_refresh``).  Every write outside the pass
+        # clears it: control handlers, ``corrupt``, ``note_state_write``.
+        self._settled = False
         # Counters exposed to the analysis layer (not protocol state).
         self.stats = {
             "searches_initiated": 0,
@@ -214,9 +218,21 @@ class MDSTNode(TreeRules):
     # ======================================================================
 
     def _refresh(self) -> None:
-        """Re-evaluate all layers after any state or view change."""
+        """Re-evaluate all layers after any state or view change.
+
+        A pass that writes nothing found a fixpoint: the node is then
+        *settled*, and ``on_timeout`` and an ``MInfo`` that repeats its
+        view row skip the pass.  The flag comes from comparing the state
+        before and after the pass, not from which rules fired: a pass that
+        writes something (R3's distance overflow, say) may not be idempotent.
+        """
+        st = self.s
+        before = (st.root, st.parent, st.distance, st.sub_max, st.dmax,
+                  st.color)
         self._apply_tree_rules()
         self._update_degree_layer()
+        self._settled = before == (st.root, st.parent, st.distance,
+                                   st.sub_max, st.dmax, st.color)
 
     def _gossip(self) -> None:
         st = self.s
@@ -233,7 +249,8 @@ class MDSTNode(TreeRules):
 
     def on_timeout(self) -> None:
         self._timeout_count += 1
-        self._refresh()
+        if not self._settled:
+            self._refresh()
         self._gossip()
         if self.enable_reduction:
             self._maybe_initiate_search()
@@ -243,9 +260,12 @@ class MDSTNode(TreeRules):
             return
         if isinstance(message, MInfo):
             self._handle_info(sender, message)
-        elif not self.enable_reduction:
             return
-        elif isinstance(message, Search):
+        # The control handlers write state outside ``_refresh``.
+        self._settled = False
+        if not self.enable_reduction:
+            return
+        if isinstance(message, Search):
             self._handle_search(sender, message)
         elif isinstance(message, Remove):
             self._handle_remove(sender, message)
@@ -261,6 +281,15 @@ class MDSTNode(TreeRules):
 
     def _handle_info(self, sender: NodeId, msg: MInfo) -> None:
         view = self.s.view[sender]
+        if (self._settled and view.heard and view.root == msg.root
+                and view.parent == msg.parent
+                and view.distance == msg.distance
+                and view.degree == msg.degree
+                and view.sub_max == msg.sub_max and view.dmax == msg.dmax
+                and view.color == msg.color):
+            # Repeated gossip at a fixpoint: the row already holds it, so
+            # the pass would write nothing.
+            return
         view.root = msg.root
         view.parent = msg.parent
         view.distance = msg.distance
@@ -670,9 +699,13 @@ class MDSTNode(TreeRules):
     # ======================================================================
 
     def corrupt(self, rng: np.random.Generator) -> None:
+        self._settled = False
         self.s.corrupt(rng)
         self._search_cursor = int(rng.integers(0, 8))
         self._deblock_seen.clear()
+
+    def note_state_write(self) -> None:
+        self._settled = False
 
     def state_bits(self, network_size: int) -> int:
         return self.s.state_bits(network_size)

@@ -702,6 +702,23 @@ class ArrayMDSTNode(MDSTNode):
         # pre-initialised to those exact values (own id, own id, 0).
         return ArrayBackedState(self._kernel, self.node_id)
 
+    @property
+    def _settled(self) -> bool:
+        """The node's :attr:`~ArrayKernel.settled` row.
+
+        The engine writes the columns without this object, so a flag of
+        its own could go stale; every column write clears the kernel row.
+        Writes are ignored.  The scalar ``_refresh`` computes no
+        ``locally_stab``, so it must never settle the row, and a clear of
+        the base class comes after a column write, which cleared the row
+        already, or after no write at all, which keeps the row valid.
+        """
+        return bool(self._kernel.settled[self.s._i])
+
+    @_settled.setter
+    def _settled(self, value: bool) -> None:
+        pass
+
     def locally_stabilized(self) -> bool:
         """Vectorized twin of :meth:`MDSTNode.locally_stabilized`.
 
@@ -1134,25 +1151,24 @@ class ArrayNetwork(Network):
         self.note_state_write()
 
     def _channel_changed(self, channel: Channel, delta: int) -> None:
-        # The parent watcher keys the active set on channel truthiness;
-        # ArrayChannel truthiness includes in-flight tokens, which would
-        # leave keys active after a physical pop empties the queue.  The
-        # active set here tracks *physical* queues only (in-flight tokens
-        # are enumerated by ``enabled_deliveries`` straight from the
-        # counters), so key on the queue, and so does the per-row flag the
-        # engine reads; both change only when the queue empties or fills.
+        # The active set tracks *physical* queues only, as in the parent
+        # watcher (in-flight tokens are enumerated by
+        # ``enabled_deliveries`` straight from the counters).  The per-row
+        # flag the engine reads follows it; both change only when the
+        # queue empties or fills.
         self._pending_total += delta
         length = len(channel._queue)
         if length == delta:  # the queue was empty
-            self._active.add((channel.src, channel.dst))
+            self._active.add(channel.key)
             self._row_physical[channel._row] = not self._vg_ahead[channel._row]
         elif not length:
-            self._active.discard((channel.src, channel.dst))
+            self._active.discard(channel.key)
             self._row_physical[channel._row] = False
         self._version += 1
 
-    def note_state_write(self, node: Optional[NodeId] = None) -> None:
-        super().note_state_write(node)
+    def _unsettle(self, node: Optional[NodeId]) -> None:
+        # The nodes' settled flags are the kernel column (see
+        # ``ArrayMDSTNode._settled``): no process is touched, or built.
         if node is None:
             self.kernel.settled[:] = False
         else:
@@ -1273,7 +1289,7 @@ class ArrayNetwork(Network):
         length = len(q)
         if length > st.max_queue_length:
             st.max_queue_length = length
-        self._active.add((ch.src, ch.dst))
+        self._active.add(ch.key)
         self._row_physical[row] = True
 
     def _mint(self, S: np.ndarray) -> int:

@@ -58,7 +58,7 @@ class Channel:
     contents), but once the simulation runs the FIFO discipline holds.
     """
 
-    __slots__ = ("src", "dst", "_queue", "_stats", "_network_size",
+    __slots__ = ("src", "dst", "key", "_queue", "_stats", "_network_size",
                  "_on_change", "_model")
 
     def __init__(self, src: NodeId, dst: NodeId, network_size: int = 2):
@@ -66,6 +66,9 @@ class Channel:
             raise ChannelError(f"channel endpoints must differ, got {src}->{dst}")
         self.src = src
         self.dst = dst
+        #: ``(src, dst)``, built once: the owning network keys its channel
+        #: maps and active set on it.
+        self.key: Tuple[NodeId, NodeId] = (src, dst)
         self._queue: Deque[Message] = deque()
         self._stats = ChannelStats()
         self._network_size = network_size
@@ -197,7 +200,7 @@ class Channel:
     @property
     def endpoints(self) -> Tuple[NodeId, NodeId]:
         """The ``(src, dst)`` pair of this directed channel."""
-        return (self.src, self.dst)
+        return self.key
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"Channel({self.src}->{self.dst}, queued={len(self._queue)})"

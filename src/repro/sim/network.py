@@ -21,8 +21,12 @@ system:
   write the kernel is told about (process steps report through
   :meth:`note_step`; out-of-band mutation such as fault injection or
   initial-configuration installers must call :meth:`note_state_write`).
-  Snapshots and their fingerprint are cached keyed on this version, so any
-  number of global checks within one configuration cost one traversal.
+  That call also clears the written nodes' *settled* flags: a protocol
+  may skip its rules pass at a node whose state is a fixpoint of them
+  (the MDST node does), and only the node's own steps keep that verdict
+  current.  Snapshots and their fingerprint are cached keyed on this
+  version, so any number of global checks within one configuration cost
+  one traversal.
 * Every node carries an **enabled flag** (:meth:`set_node_enabled`).  A
   disabled node takes no steps at all -- no timeout actions, and messages
   addressed to it stay queued.  All nodes start enabled, which reproduces
@@ -278,11 +282,10 @@ class Network:
     def _channel_changed(self, channel: Channel, delta: int) -> None:
         """Activity hook installed on every channel (send/deliver/preload/clear)."""
         self._pending_total += delta
-        key = (channel.src, channel.dst)
-        if channel:
-            self._active.add(key)
+        if channel._queue:
+            self._active.add(channel.key)
         else:
-            self._active.discard(key)
+            self._active.discard(channel.key)
         self._version += 1
 
     def _outbox_changed(self, outbox, delta: int) -> None:
@@ -303,18 +306,28 @@ class Network:
         """Record an out-of-band state mutation (faults, initial configurations).
 
         Any code that writes process state without going through a scheduled
-        step -- fault injection, initial-configuration installers, test
-        harnesses poking at ``network.processes[v]`` directly -- must call
-        this so version-keyed caches (snapshots, predicate verdicts) are
-        invalidated.  Pass ``node`` when exactly one node was written to keep
-        the invalidation proportional; the default conservatively marks every
-        node dirty.
+        step -- fault injection, Byzantine corruption, initial-configuration
+        installers, test harnesses poking at ``network.processes[v]``
+        directly -- must call this so version-keyed caches (snapshots,
+        predicate verdicts) are invalidated and the written nodes' settled
+        flags are cleared.  Pass ``node`` when exactly one node was written
+        to keep the invalidation proportional; the default conservatively
+        marks every node dirty and unsettled.
         """
         self._version += 1
         if node is None:
             self._dirty.update(self.node_ids)
         else:
             self._dirty.add(node)
+        self._unsettle(node)
+
+    def _unsettle(self, node: Optional[NodeId]) -> None:
+        """Clear the settled flag of ``node`` (of every node for ``None``)."""
+        if node is None:
+            for proc in self.processes.values():
+                proc.note_state_write()
+        else:
+            self.processes[node].note_state_write()
 
     # -- enabled nodes ----------------------------------------------------------
 
@@ -577,13 +590,17 @@ class Network:
         every atomic step of ``v`` so that emission order is preserved.
         """
         outbox = self.processes[v].outbox
-        if not len(outbox):
+        if not outbox._items:
             return 0
-        count = 0
-        for dest, message in outbox.drain():
-            self.channel(v, dest).send(message)
-            count += 1
-        return count
+        items = outbox.drain()
+        channels = self.channels
+        for dest, message in items:
+            try:
+                channel = channels[(v, dest)]
+            except KeyError:
+                raise ChannelError(f"no channel {v}->{dest}") from None
+            channel.send(message)
+        return len(items)
 
     def pending_channels(self) -> List[Channel]:
         """All channels currently holding at least one message (channel order)."""

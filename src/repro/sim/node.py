@@ -194,6 +194,14 @@ class Process(abc.ABC):
         raise NotImplementedError(
             f"{type(self).__name__} does not implement state corruption")
 
+    def note_state_write(self) -> None:
+        """Forget any verdict cached over this node's own state.
+
+        :meth:`repro.sim.network.Network.note_state_write` calls this after
+        an out-of-band write to the node's state.  The default caches
+        nothing; the MDST node clears its *settled* flag.
+        """
+
     def state_bits(self, network_size: int) -> int:
         """Estimated size of the node's persistent state in bits.
 

@@ -70,8 +70,9 @@ class TraceRecorder:
                         messages_emitted: int) -> None:
         name = message.type_name()
         self.message_type_counts[name] = self.message_type_counts.get(name, 0) + 1
-        self.max_message_bits = max(self.max_message_bits,
-                                    message.size_bits(self.network_size))
+        bits = message.size_bits(self.network_size)
+        if bits > self.max_message_bits:
+            self.max_message_bits = bits
         self.total_deliveries += 1
         self.total_messages_sent += messages_emitted
         if self.rounds:
@@ -102,20 +103,6 @@ class TraceRecorder:
     def deliveries_by_type(self) -> Dict[str, int]:
         """Delivered message counts keyed by message type name."""
         return dict(sorted(self.message_type_counts.items()))
-
-    def non_gossip_deliveries(self, gossip_type: str = "InfoMsg") -> int:
-        """Number of delivered messages that are not periodic gossip.
-
-        The InfoMsg gossip runs forever by design; the interesting message
-        count for complexity experiments is everything else (Search, Remove,
-        Back, Deblock, Reverse, UpdateDist).
-        """
-        return sum(count for name, count in self.message_type_counts.items()
-                   if name != gossip_type)
-
-    def events_for_node(self, v: NodeId) -> List[TraceEvent]:
-        """All recorded events where node ``v`` took the step (needs keep_events)."""
-        return [e for e in self.events if e.node == v]
 
     def summary(self) -> Dict[str, object]:
         """Compact dictionary summary of the run, used in reports."""

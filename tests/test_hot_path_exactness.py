@@ -34,10 +34,16 @@ compute exactly what their plain forms compute:
   from a cache filled in its current settled stretch and ``degree`` from
   the column the pass wrote; through every write path and later passes,
   all tree queries must equal those of an object twin.
+* **Settled object nodes** -- an ``MDSTNode`` whose last ``_refresh``
+  wrote nothing skips the pass on its timeouts and on gossip that repeats
+  its view row.  Through rounds, corruption, direct writes reported by
+  ``note_state_write`` and control deliveries, every node whose flag is
+  set must be a fixpoint of ``_refresh``.
 """
 
 from __future__ import annotations
 
+import copy
 import enum
 from dataclasses import dataclass, fields, is_dataclass
 from typing import Any, Tuple
@@ -50,11 +56,13 @@ from hypothesis import strategies as st
 from repro.core.messages import (Back, Deblock, MInfo, Remove, Reverse,
                                  Search, UpdateDist)
 from repro.core.node_algorithm import MDSTNode
-from repro.core.protocol import MDSTConfig, build_mdst_network
+from repro.core.protocol import (MDSTConfig, build_mdst_network,
+                                 initialize_isolated)
 from repro.graphs.generators import GRAPH_FAMILIES
 from repro.sim.array_engine import (ArraySyncScheduler, get_ops,
                                     wrap_scheduler_for_array)
 from repro.sim.array_kernel import ArrayNetwork, build_array_mdst_network
+from repro.sim.faults import corrupt_states
 from repro.sim.messages import (TYPE_TAG_BITS, GarbageMessage, estimate_bits,
                                 id_bits)
 from repro.sim.network import Network
@@ -761,3 +769,152 @@ def test_tree_cache_sample_reaches_settled_tree_changes():
             k.refresh(np.asarray([i], dtype=np.int64), predicates=True)
             resettled += bool(k.settled[i]) and s.tree_neighbors() != before
     assert written > 0 and resettled > 0
+
+
+# -- settled object nodes ----------------------------------------------------------
+
+_OBJECT_OWN = ("root", "parent", "distance", "sub_max", "dmax", "color")
+
+
+def _is_fixpoint(node: MDSTNode) -> bool:
+    """Whether ``_refresh`` on a deep copy of the node changes no field.
+
+    The copy is a fresh node over a deep copy of the state: the original's
+    outbox is watched by its network, which must not be copied along.
+    """
+    twin = MDSTNode(node.node_id, node.neighbors, n_upper=node.n_upper)
+    twin.s = copy.deepcopy(node.s)
+    before = tuple(getattr(twin.s, f) for f in _OBJECT_OWN)
+    twin._refresh()
+    return tuple(getattr(twin.s, f) for f in _OBJECT_OWN) == before
+
+
+def _assert_settled_nodes_are_fixpoints(net: Network) -> None:
+    for v, node in net.processes.items():
+        if node._settled:
+            assert _is_fixpoint(node), v
+
+
+def _object_network(start: str, n: int, graph_seed: int, corrupt_seed: int):
+    graph = GRAPH_FAMILIES["erdos_renyi_sparse"](n, seed=graph_seed)
+    net = build_mdst_network(graph, MDSTConfig(n_upper=n + 1))
+    if start == "isolated":
+        initialize_isolated(net)
+    else:
+        corrupt_states(net, np.random.default_rng(corrupt_seed))
+    return net
+
+
+@pytest.mark.parametrize("scheduler", ["synchronous", "random"])
+@pytest.mark.parametrize("start", ["isolated", "corrupted"])
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), n=st.integers(min_value=3, max_value=10),
+       graph_seed=st.integers(min_value=0, max_value=10_000),
+       corrupt_seed=st.integers(min_value=0, max_value=10_000),
+       rounds=st.sampled_from([0, 3, 12, 40]))
+def test_settled_object_nodes_are_fixpoints(start, scheduler, data, n,
+                                            graph_seed, corrupt_seed, rounds):
+    """A settled node skips its rules pass, so after every round,
+    corruption (through ``corrupt_states`` or the bare hook), reported
+    direct write and control delivery each node whose flag is set must be
+    a fixpoint of ``_refresh``."""
+    n_upper = n + 1
+    net = _object_network(start, n, graph_seed, corrupt_seed)
+    sched = (SynchronousScheduler() if scheduler == "synchronous"
+             else RandomAsyncScheduler(seed=corrupt_seed))
+    rng = np.random.default_rng(corrupt_seed + 1)
+    for _ in range(rounds):
+        sched.run_round(net)
+    _assert_settled_nodes_are_fixpoints(net)
+    ids = net.node_ids
+    for _ in range(data.draw(st.integers(1, 12))):
+        # Aim at settled nodes: a write that fails to clear their flag is
+        # what the check must catch.
+        settled = [v for v in ids if net.processes[v]._settled]
+        v = data.draw(st.sampled_from(settled or ids))
+        node = net.processes[v]
+        nbrs = list(node.s.view)
+        op = data.draw(st.sampled_from(
+            ["corrupt_states", "corrupt", "write", "write", "control",
+             "control", "deliver", "round"]))
+        if op == "corrupt_states":
+            corrupt_states(net, rng, nodes=[v])
+        elif op == "corrupt":
+            # The hook alone, as harnesses call it: it must clear the flag
+            # itself.  ``note_step`` keeps the network's caches current
+            # without touching the flag.
+            node.corrupt(rng)
+            net.note_step(v)
+        elif op == "write":
+            u = data.draw(st.sampled_from(nbrs))
+            name = data.draw(st.sampled_from(_OBJECT_OWN + _VIEW_FIELDS))
+            target = node.s if name in _OBJECT_OWN else node.s.view[u]
+            now = getattr(target, name)
+            value = (not now if name in ("color", "heard")
+                     else data.draw(st.sampled_from(
+                         [v, u, now - 1, now + 1, -1, n_upper])))
+            setattr(target, name, value)
+            net.note_state_write(v if data.draw(st.booleans()) else None)
+        elif op == "control":
+            # Half the time from the parent, whose UpdateDist is obeyed.
+            parent = node.s.parent
+            u = (parent if parent in node.s.view and data.draw(st.booleans())
+                 else data.draw(st.sampled_from(nbrs)))
+            node.on_message(u, _control_message(data, v, u, ids, n_upper))
+            net.note_step(v)
+            net.flush_outbox(v)
+        elif op == "deliver":
+            enabled = net.enabled_deliveries()
+            if enabled:
+                src, dst, _ = data.draw(st.sampled_from(enabled))
+                Scheduler._deliver_one(net, src, dst, None, RoundStats())
+        else:
+            sched.run_round(net)
+        _assert_settled_nodes_are_fixpoints(net)
+
+
+def test_settled_object_sample_settles_and_skips(monkeypatch):
+    """The inputs above settle nodes from both starts, and settled nodes
+    then skip repeated gossip: fewer passes run than steps are taken."""
+    calls = []
+    refresh = MDSTNode._refresh
+
+    def counted(node):
+        calls.append(node.node_id)
+        refresh(node)
+
+    for start in ("isolated", "corrupted"):
+        net = _object_network(start, 10, 3, 5)
+        sched = SynchronousScheduler()
+        for _ in range(40):
+            sched.run_round(net)
+        assert any(p._settled for p in net.processes.values())
+        with monkeypatch.context() as m:
+            m.setattr(MDSTNode, "_refresh", counted)
+            calls.clear()
+            stats = sched.run_round(net)
+        assert len(calls) < stats.steps
+
+
+def test_note_state_write_unsettles_before_repeated_gossip():
+    """An out-of-band write reported by ``note_state_write`` must make the
+    next gossip run the rules, even when that gossip repeats the view row
+    of a node that was settled before the write."""
+    net = _object_network("isolated", 8, 3, 0)
+    sched = SynchronousScheduler()
+    for _ in range(100):
+        sched.run_round(net)
+    v, node = next((v, p) for v, p in net.processes.items()
+                   if p._settled and p.s.parent != v)
+    root = node.s.root
+    node.s.parent = v  # claims to be a root under another's identifier
+    net.note_state_write(v)
+    u = next(u for u, row in node.s.view.items() if row.heard)
+    row = node.s.view[u]
+    node.on_message(u, MInfo(root=row.root, parent=row.parent,
+                             distance=row.distance, degree=row.degree,
+                             sub_max=row.sub_max, dmax=row.dmax,
+                             color=row.color))
+    assert node.s.parent != v and node.s.root == root
+    assert node.tree_stabilized() and _is_fixpoint(node)
