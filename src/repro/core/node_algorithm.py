@@ -49,6 +49,8 @@ substitutions" in docs/architecture.md).
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from operator import lt
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -85,7 +87,7 @@ class MDSTNode(TreeRules):
     __slots__ = ("n_upper", "search_period", "deblock_cooldown",
                  "enable_reduction", "_jitter", "s", "_search_cursor",
                  "_timeout_count", "_deblock_seen", "stats",
-                 "_gossip_sig", "_gossip_msg", "_settled")
+                 "_gossip_sig", "_gossip_msg", "_settled", "_stab", "_tree")
 
     def __init__(self, node_id: NodeId, neighbors: Sequence[NodeId],
                  n_upper: int | None = None,
@@ -120,9 +122,15 @@ class MDSTNode(TreeRules):
         self._gossip_sig: Optional[Tuple[int, int, int, int, int, int, bool]] = None
         self._gossip_msg: Optional[MInfo] = None
         # Whether the node's state is a fixpoint of ``_refresh`` over its
-        # current view (see ``_refresh``).  Every write outside the pass
-        # clears it: control handlers, ``corrupt``, ``note_state_write``.
+        # current view (see ``_refresh``).  Every write of a pass input
+        # outside the pass clears it: the re-orientation and recolouring
+        # steps of an improvement, ``UpdateDist``, ``corrupt``,
+        # ``note_state_write``.
         self._settled = False
+        # ``locally_stabilized()`` and the tree neighbours of a settled
+        # node, filled on first use and dropped by ``_refresh``.
+        self._stab: Optional[bool] = None
+        self._tree: Optional[Tuple[NodeId, ...]] = None
         # Counters exposed to the analysis layer (not protocol state).
         self.stats = {
             "searches_initiated": 0,
@@ -180,6 +188,19 @@ class MDSTNode(TreeRules):
     def locally_stabilized(self) -> bool:
         """Paper predicate ``locally_stabilized(v)`` gating the reduction layer.
 
+        A settled node answers from its cache: nothing the predicate reads
+        has been written since the pass that settled it.
+        """
+        if self._settled:
+            stab = self._stab
+            if stab is None:
+                stab = self._stab = self._locally_stabilized()
+            return stab
+        return self._locally_stabilized()
+
+    def _locally_stabilized(self) -> bool:
+        """``locally_stabilized(v)`` over the current state.
+
         The paper's ``tree_stabilized() and color and degree_stabilized()
         and color_stabilized()``, fused: the scalar clauses (own color,
         coherent parent and distance) are checked once, then one pass over
@@ -213,6 +234,15 @@ class MDSTNode(TreeRules):
                 return False
         return True
 
+    def _tree_neighbors(self) -> Sequence[NodeId]:
+        """``s.tree_neighbors()``, cached while the node is settled."""
+        if self._settled:
+            tree = self._tree
+            if tree is None:
+                tree = self._tree = tuple(self.s.tree_neighbors())
+            return tree
+        return self.s.tree_neighbors()
+
     # ======================================================================
     # Gossip
     # ======================================================================
@@ -225,12 +255,17 @@ class MDSTNode(TreeRules):
         view row skip the pass.  The flag comes from comparing the state
         before and after the pass, not from which rules fired: a pass that
         writes something (R3's distance overflow, say) may not be idempotent.
+        It holds until a step writes an input of the pass; a step that
+        writes nothing, such as a Search forward, keeps it.  The pass drops
+        the cached predicate and tree neighbours, whose inputs it may have
+        changed (the view row an ``MInfo`` wrote, say).
         """
         st = self.s
         before = (st.root, st.parent, st.distance, st.sub_max, st.dmax,
                   st.color)
         self._apply_tree_rules()
         self._update_degree_layer()
+        self._stab = self._tree = None
         self._settled = before == (st.root, st.parent, st.distance,
                                    st.sub_max, st.dmax, st.color)
 
@@ -261,8 +296,8 @@ class MDSTNode(TreeRules):
         if isinstance(message, MInfo):
             self._handle_info(sender, message)
             return
-        # The control handlers write state outside ``_refresh``.
-        self._settled = False
+        # A control handler that writes an input of ``_refresh`` clears
+        # ``_settled`` at the write; the others keep the flag.
         if not self.enable_reduction:
             return
         if isinstance(message, Search):
@@ -327,7 +362,7 @@ class MDSTNode(TreeRules):
                       if self.node_id < u and st.view[u].heard]
         if not candidates:
             return
-        tree_nbrs = st.tree_neighbors()
+        tree_nbrs = self._tree_neighbors()
         if not tree_nbrs:
             return
         started = 0
@@ -364,16 +399,15 @@ class MDSTNode(TreeRules):
             return
         # A token back at its initiator is handled like any other node: the
         # backtrack logic below covers it.
-        visited = set(msg.visited)
-        visited.add(self.node_id)
-        tree_nbrs = st.tree_neighbors()
+        visited = _visited_with(msg.visited, self.node_id)
+        tree_nbrs = self._tree_neighbors()
         candidates = [u for u in tree_nbrs if u not in visited]
         if candidates:
             nxt = target if target in candidates else min(candidates)
             # ``degree`` is the number of tree neighbours on both backends.
             new_path = msg.path + ((self.node_id, len(tree_nbrs)),)
             self.send(nxt, Search(init_edge=msg.init_edge, idblock=msg.idblock,
-                                  path=new_path, visited=tuple(sorted(visited))))
+                                  path=new_path, visited=visited))
             return
         # Dead end: backtrack to the previous node on the DFS stack.
         if not msg.path:
@@ -389,7 +423,7 @@ class MDSTNode(TreeRules):
         if prev_node not in st.view:
             return
         self.send(prev_node, Search(init_edge=msg.init_edge, idblock=msg.idblock,
-                                    path=new_path, visited=tuple(sorted(visited))))
+                                    path=new_path, visited=visited))
 
     # ======================================================================
     # Action on cycle / Improve / Deblock (Figure 1)
@@ -485,7 +519,7 @@ class MDSTNode(TreeRules):
             return
         self._deblock_seen[idblock] = self.steps_taken
         self.stats["deblocks_broadcast"] += 1
-        for u in self.s.tree_neighbors():
+        for u in self._tree_neighbors():
             if u != exclude:
                 self.send(u, Deblock(idblock=idblock))
         self._initiate_searches(idblock=idblock, limit=2)
@@ -500,7 +534,7 @@ class MDSTNode(TreeRules):
     # ======================================================================
 
     def _handle_remove(self, sender: NodeId, msg: Remove) -> None:
-        path = list(msg.path)
+        path = msg.path
         if self.node_id not in path:
             return
         idx = path.index(self.node_id)
@@ -520,7 +554,7 @@ class MDSTNode(TreeRules):
     def _execute_remove_at_endpoint(self, msg: Remove, arrived_from: NodeId) -> None:
         """Guard-check and perform the deletion of the target edge."""
         st = self.s
-        path = list(msg.path)
+        path = msg.path
         w, z = msg.target_edge
         other = z if self.node_id == w else w
         if other not in st.view:
@@ -544,6 +578,8 @@ class MDSTNode(TreeRules):
             # This node is the child of the removed edge: the cycle segment on
             # *this* side of the removed edge switches over to hang from the
             # new edge.  Which side that is depends on where ``other`` sits.
+            # Every branch below re-points this node, which clears
+            # ``_settled``.
             self.stats["removals_performed"] += 1
             self.s.color = not self.s.color
             if other_idx == idx + 1:
@@ -578,6 +614,7 @@ class MDSTNode(TreeRules):
                 return
             # The other endpoint is the child: its side of the cycle switches.
             self.stats["removals_performed"] += 1
+            self._settled = False
             self.s.color = not self.s.color
             if other_idx == idx + 1:
                 # Child side faces the action node: forward the Remove with
@@ -595,7 +632,7 @@ class MDSTNode(TreeRules):
 
     def _continue_reversal(self, msg: Remove, idx: int) -> None:
         """Handle ``Remove`` with ``reversing=True``: re-point and forward."""
-        path = list(msg.path)
+        path = msg.path
         action_node, initiator = msg.init_edge
         if self.node_id == action_node or idx == len(path) - 1:
             # Reached the action node: adopt the new (previously non-tree) edge.
@@ -608,7 +645,7 @@ class MDSTNode(TreeRules):
         self.send(nxt, msg)
 
     def _handle_back(self, sender: NodeId, msg: Back) -> None:
-        path = list(msg.path)
+        path = msg.path
         if msg.position < 0 or msg.position >= len(path):
             return
         if path[msg.position] != self.node_id:
@@ -636,6 +673,7 @@ class MDSTNode(TreeRules):
     def _handle_update_dist(self, sender: NodeId, msg: UpdateDist) -> None:
         """``UpdateDist``: adopt the announced distance if the sender is our parent."""
         if self.s.parent == sender:
+            self._settled = False
             self.s.distance = msg.dist + 1
             for child in self.s.children():
                 self.send(child, UpdateDist(target_edge=msg.target_edge,
@@ -644,8 +682,12 @@ class MDSTNode(TreeRules):
     # -- local mutations --------------------------------------------------------
 
     def _repoint(self, new_parent: NodeId) -> None:
-        """Change the parent pointer as part of a cycle re-orientation."""
+        """Change the parent pointer as part of a cycle re-orientation.
+
+        The node is no longer settled: the pass may re-derive what this
+        wrote (R3 repairs the distance, say)."""
         st = self.s
+        self._settled = False
         st.parent = new_parent
         pv = st.view.get(new_parent)
         if pv is not None and pv.heard:
@@ -657,7 +699,7 @@ class MDSTNode(TreeRules):
     def _attach(self, new_parent: NodeId) -> None:
         """Adopt the new non-tree edge at the end of an improvement."""
         self.stats["attachments"] += 1
-        self.s.color = not self.s.color
+        self.s.color = not self.s.color  # ``_repoint`` clears ``_settled``
         self._repoint(new_parent)
         for child in self.s.children():
             self.send(child, UpdateDist(target_edge=(self.node_id, new_parent),
@@ -712,6 +754,22 @@ class MDSTNode(TreeRules):
 
     def snapshot(self) -> Dict[str, object]:
         return self.s.snapshot()
+
+
+def _visited_with(visited: Tuple[NodeId, ...], me: NodeId) -> Tuple[NodeId, ...]:
+    """``tuple(sorted(set(visited) | {me}))``: a Search token's ``visited``
+    once it has entered ``me``.
+
+    Every token a node builds lists ``visited`` strictly ascending, so
+    ``me`` is inserted at its place; any other input (a test's, say) takes
+    the set-and-sort form.
+    """
+    if type(visited) is tuple and all(map(lt, visited, visited[1:])):
+        i = bisect_left(visited, me)
+        if i < len(visited) and visited[i] == me:
+            return visited
+        return visited[:i] + (me,) + visited[i:]
+    return tuple(sorted(set(visited) | {me}))
 
 
 def mdst_node_factory(n_upper: int | None = None, search_period: int = 3,

@@ -709,9 +709,9 @@ class ArrayMDSTNode(MDSTNode):
         The engine writes the columns without this object, so a flag of
         its own could go stale; every column write clears the kernel row.
         Writes are ignored.  The scalar ``_refresh`` computes no
-        ``locally_stab``, so it must never settle the row, and a clear of
-        the base class comes after a column write, which cleared the row
-        already, or after no write at all, which keeps the row valid.
+        ``locally_stab``, so it must never settle the row, and every clear
+        of the base class sits at a column write, which clears the row
+        itself.
         """
         return bool(self._kernel.settled[self.s._i])
 
@@ -719,8 +719,13 @@ class ArrayMDSTNode(MDSTNode):
     def _settled(self, value: bool) -> None:
         pass
 
+    def _tree_neighbors(self) -> list:
+        # The engine re-settles rows without ``_refresh``, which drops the
+        # object node's cache; the state caches per settled stretch instead.
+        return self.s.tree_neighbors()
+
     def locally_stabilized(self) -> bool:
-        """Vectorized twin of :meth:`MDSTNode.locally_stabilized`.
+        """Vectorized twin of :meth:`MDSTNode._locally_stabilized`.
 
         The predicate is pure, so evaluating its five clauses over the
         node's CSR slice (instead of per-field proxy reads) returns the
@@ -728,7 +733,8 @@ class ArrayMDSTNode(MDSTNode):
         forwards, which makes it the hottest scalar call of the array
         backend.  A :attr:`~ArrayKernel.settled` node answers from
         ``locally_stab``: nothing has written its columns since the pass
-        that computed that verdict.
+        that computed that verdict.  The object node's cache is never
+        read here, for the engine re-settles rows without ``_refresh``.
         """
         s = self.s
         k = s._k
