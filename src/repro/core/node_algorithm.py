@@ -49,8 +49,6 @@ substitutions" in docs/architecture.md).
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from operator import lt
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -399,7 +397,7 @@ class MDSTNode(TreeRules):
             return
         # A token back at its initiator is handled like any other node: the
         # backtrack logic below covers it.
-        visited = _visited_with(msg.visited, self.node_id)
+        visited = tuple(sorted(set(msg.visited) | {self.node_id}))
         tree_nbrs = self._tree_neighbors()
         candidates = [u for u in tree_nbrs if u not in visited]
         if candidates:
@@ -578,10 +576,7 @@ class MDSTNode(TreeRules):
             # This node is the child of the removed edge: the cycle segment on
             # *this* side of the removed edge switches over to hang from the
             # new edge.  Which side that is depends on where ``other`` sits.
-            # Every branch below re-points this node, which clears
-            # ``_settled``.
             self.stats["removals_performed"] += 1
-            self.s.color = not self.s.color
             if other_idx == idx + 1:
                 # Our side is the initiator side (path[0..idx]): re-orient it
                 # backwards with a Back wave; the initiator finally attaches
@@ -699,7 +694,6 @@ class MDSTNode(TreeRules):
     def _attach(self, new_parent: NodeId) -> None:
         """Adopt the new non-tree edge at the end of an improvement."""
         self.stats["attachments"] += 1
-        self.s.color = not self.s.color  # ``_repoint`` clears ``_settled``
         self._repoint(new_parent)
         for child in self.s.children():
             self.send(child, UpdateDist(target_edge=(self.node_id, new_parent),
@@ -754,22 +748,6 @@ class MDSTNode(TreeRules):
 
     def snapshot(self) -> Dict[str, object]:
         return self.s.snapshot()
-
-
-def _visited_with(visited: Tuple[NodeId, ...], me: NodeId) -> Tuple[NodeId, ...]:
-    """``tuple(sorted(set(visited) | {me}))``: a Search token's ``visited``
-    once it has entered ``me``.
-
-    Every token a node builds lists ``visited`` strictly ascending, so
-    ``me`` is inserted at its place; any other input (a test's, say) takes
-    the set-and-sort form.
-    """
-    if type(visited) is tuple and all(map(lt, visited, visited[1:])):
-        i = bisect_left(visited, me)
-        if i < len(visited) and visited[i] == me:
-            return visited
-        return visited[:i] + (me,) + visited[i:]
-    return tuple(sorted(set(visited) | {me}))
 
 
 def mdst_node_factory(n_upper: int | None = None, search_period: int = 3,

@@ -42,10 +42,6 @@ compute exactly what their plain forms compute:
   direct writes reported by ``note_state_write`` and control deliveries,
   every node whose flag is set must be a fixpoint of ``_refresh`` whose
   cached answers equal fresh ones.
-* **The Search hop** -- a hop inserts the node into the token's sorted
-  ``visited`` instead of rebuilding it as a set; on drawn node states and
-  tokens (``visited`` sorted or not, with or without the node) every
-  branch must send the tokens the set-and-sort form sends.
 """
 
 from __future__ import annotations
@@ -972,130 +968,3 @@ def test_settled_object_sample_keeps_the_flag_across_control_hops(monkeypatch):
         for _ in range(40):
             sched.run_round(net)
         assert kept[start, Search] > 0 and kept[start, Deblock] > 0
-
-
-# -- the Search hop ----------------------------------------------------------------
-
-def _search_hop_by_set_and_sort(node: MDSTNode, msg: Search) -> str:
-    """``MDSTNode._handle_search`` off the token's target, in the form that
-    rebuilt ``visited`` as a set and sorted it on every hop: sends what
-    that form sent and returns the branch it took."""
-    if not node._locally_stabilized():
-        return "frozen"
-    me = node.node_id
-    visited = set(msg.visited)
-    visited.add(me)
-    tree_nbrs = node.s.tree_neighbors()
-    candidates = [u for u in tree_nbrs if u not in visited]
-    if candidates:
-        target = msg.init_edge[0]
-        nxt = target if target in candidates else min(candidates)
-        node.send(nxt, Search(init_edge=msg.init_edge, idblock=msg.idblock,
-                              path=msg.path + ((me, len(tree_nbrs)),),
-                              visited=tuple(sorted(visited))))
-        return "forward"
-    if not msg.path:
-        return "dead end"
-    prev_node = msg.path[-1][0]
-    branch = "backtrack"
-    if prev_node == me:
-        branch = "back at initiator"
-        if len(msg.path) < 2:
-            return branch
-        prev_node = msg.path[-2][0]
-        new_path = msg.path[:-2]
-    else:
-        new_path = msg.path[:-1]
-    if prev_node in node.s.view:
-        node.send(prev_node, Search(init_edge=msg.init_edge,
-                                    idblock=msg.idblock, path=new_path,
-                                    visited=tuple(sorted(visited))))
-    return branch
-
-
-def _assert_search_hop_matches(node: MDSTNode, msg: Search, n: int) -> str:
-    """The hop of a twin of ``node`` (settled as ``node`` is, so answering
-    from its cache) sends the tokens of the set-and-sort form, field for
-    field and of equal size.  Returns the branch taken."""
-    hop, reference = _twin(node), _twin(node)
-    hop._settled = node._settled
-    hop._handle_search(node.neighbors[0], msg)
-    branch = _search_hop_by_set_and_sort(reference, msg)
-    sent, expected = hop.outbox.drain(), reference.outbox.drain()
-    assert sent == expected, branch
-    for (_, token), (_, ref) in zip(sent, expected):
-        assert type(token.visited) is tuple
-        assert token.size_bits(n) == ref.size_bits(n)
-    return branch
-
-
-@settings(max_examples=100, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(data=st.data(), n=st.integers(min_value=3, max_value=10),
-       graph_seed=st.integers(min_value=0, max_value=10_000),
-       rounds=st.sampled_from([0, 12, 60]))
-def test_search_hop_matches_the_set_and_sort_form(data, n, graph_seed, rounds):
-    """A hop inserts the node into a strictly ascending ``visited`` and
-    falls back to the set-and-sort form on any other input.  On drawn node
-    states and tokens -- ``visited`` sorted, unsorted or duplicated, with
-    or without the node, and covering the node's tree neighbours or not --
-    every branch must send what the set-and-sort form sends."""
-    net = _object_network("isolated", n, graph_seed, 0)
-    sched = SynchronousScheduler()
-    for _ in range(rounds):
-        sched.run_round(net)
-    ids = net.node_ids
-    stable = [v for v in ids if net.processes[v].locally_stabilized()]
-    v = data.draw(st.sampled_from(stable or ids))
-    node = net.processes[v]
-    others = [u for u in ids if u != v]
-    degree = st.integers(min_value=0, max_value=5)
-    path = tuple(data.draw(st.lists(st.tuples(st.sampled_from(ids), degree),
-                                    max_size=4)))
-    tail = data.draw(st.sampled_from(["none", "here", "elsewhere"]))
-    if tail == "here":
-        path += ((v, data.draw(degree)),)
-    elif tail == "elsewhere":
-        path += ((data.draw(st.sampled_from(others)), data.draw(degree)),)
-    members = data.draw(st.lists(st.sampled_from(ids), max_size=n))
-    if data.draw(st.booleans()):
-        members += node.s.tree_neighbors()
-    members = [u for u in members if u != v]
-    if data.draw(st.booleans()):
-        members.append(v)
-    form = data.draw(st.sampled_from(["sorted", "unsorted", "duplicated"]))
-    if form == "sorted":
-        visited = sorted(set(members))
-    elif form == "unsorted":
-        visited = data.draw(st.permutations(sorted(set(members))))
-    else:
-        visited = members + data.draw(st.lists(st.sampled_from(ids),
-                                               min_size=1, max_size=3))
-    msg = Search(init_edge=(data.draw(st.sampled_from(others)),
-                            data.draw(st.sampled_from(ids))),
-                 idblock=data.draw(st.one_of(st.none(), st.sampled_from(ids))),
-                 path=path, visited=tuple(visited))
-    _assert_search_hop_matches(node, msg, n)
-
-
-def test_search_hop_sample_covers_every_branch():
-    """Tokens of the shapes drawn above take every branch of the hop at
-    the locally stabilized nodes of a converged network."""
-    n = 10
-    net = _object_network("isolated", n, 3, 0)
-    sched = SynchronousScheduler()
-    for _ in range(60):
-        sched.run_round(net)
-    seen = collections.Counter()
-    for v, node in net.processes.items():
-        if not node.locally_stabilized():
-            continue
-        other = next(u for u in node.neighbors)
-        tree = tuple(sorted(node.s.tree_neighbors()))
-        for visited in ((), tree, tree[::-1] + tree, tree + (v,)):
-            for path in ((), ((v, 1),), ((other, 1), (v, 2)), ((other, 1),)):
-                seen[_assert_search_hop_matches(
-                    node, Search(init_edge=(other, v), idblock=None,
-                                 path=path, visited=visited), n)] += 1
-    assert set(seen) == {"forward", "backtrack", "dead end",
-                         "back at initiator"}
