@@ -32,7 +32,7 @@ def main() -> None:
     config = MDSTConfig(seed=3, search_period=2)
     network = build_mdst_network(graph, config)
     initialize_from_tree(network, tree)
-    trace = TraceRecorder(keep_events=True, network_size=graph.number_of_nodes())
+    trace = TraceRecorder()
     simulator = Simulator(network, scheduler=SynchronousScheduler(),
                           legitimacy=mdst_legitimacy, stability_window=4,
                           trace=trace)

@@ -39,12 +39,10 @@ from ..graphs.spanning import (
 )
 from ..graphs.validation import check_network
 from ..protocols.base import ProtocolRunConfig
-from ..protocols.runner import run_protocol
+from ..protocols.runner import ProtocolResult, run_protocol
 from ..sim.faults import ChurnPlan, FaultPlan, corrupt_channels, corrupt_states
 from ..sim.network import Network
-from ..sim.simulator import SimulationReport
-from ..sim.trace import TraceRecorder
-from ..types import Edge, NodeId, RunResult, canonical_edges
+from ..types import Edge, NodeId, canonical_edges
 from .node_algorithm import MDSTNode, mdst_node_factory
 
 __all__ = ["MDSTConfig", "MDSTResult", "build_mdst_network", "initialize_from_tree",
@@ -185,33 +183,8 @@ class MDSTConfig:
         )
 
 
-@dataclass
-class MDSTResult:
-    """Outcome of :func:`run_mdst`.
-
-    ``final_graph`` is populated only for churned runs: the communication
-    graph as it stood when the run ended (the graph the final tree must
-    span), which generally differs from the input graph.
-    """
-
-    run: RunResult
-    report: SimulationReport
-    trace: Optional[TraceRecorder]
-    tree_edges: set[Edge]
-    node_stats: Dict[NodeId, Dict[str, int]]
-    final_graph: Optional[nx.Graph] = None
-
-    @property
-    def converged(self) -> bool:
-        return self.run.converged
-
-    @property
-    def tree_degree(self) -> int:
-        return self.run.tree_degree
-
-    @property
-    def rounds(self) -> int:
-        return self.run.rounds
+#: Outcome of :func:`run_mdst`: the generic result, with ``protocol="mdst"``.
+MDSTResult = ProtocolResult
 
 
 def build_mdst_network(graph: nx.Graph, config: Optional[MDSTConfig] = None) -> Network:
@@ -359,10 +332,6 @@ def run_mdst(graph: nx.Graph, config: Optional[MDSTConfig] = None,
     """
     config = config or MDSTConfig()
     config.validate()
-    result = run_protocol(graph, config.protocol_run_config(),
-                          initial_tree=initial_tree,
-                          fault_plan=fault_plan, churn_plan=churn_plan)
-    return MDSTResult(run=result.run, report=result.report, trace=result.trace,
-                      tree_edges=result.tree_edges,
-                      node_stats=result.node_stats,
-                      final_graph=result.final_graph)
+    return run_protocol(graph, config.protocol_run_config(),
+                        initial_tree=initial_tree,
+                        fault_plan=fault_plan, churn_plan=churn_plan)

@@ -8,8 +8,11 @@ adapter's legitimacy predicate stabilizes, and package the outcome.  Every
 step that used to be hard-wired to the MDST node -- process construction,
 initial policies, the legitimacy predicate, metrics extraction -- routes
 through the :class:`~repro.protocols.base.ProtocolAdapter` contract, so
-fault plans, churn plans, schedulers, tracing and the incremental
-predicate cache work identically for all protocols.
+fault plans, churn plans, schedulers, the opt-in event log and the
+incremental predicate cache work identically for all protocols.  Every
+count of the run, per-type deliveries included, comes from the
+simulator's report; a :class:`~repro.sim.trace.TraceRecorder` is attached
+only when ``config.keep_trace_events`` asks for the event log.
 """
 
 from __future__ import annotations
@@ -42,11 +45,12 @@ __all__ = ["ProtocolResult", "run_protocol"]
 class ProtocolResult:
     """Outcome of :func:`run_protocol`, protocol-agnostic.
 
-    The shape mirrors :class:`repro.core.protocol.MDSTResult` (which is the
-    MDST-flavoured view of this object): ``tree_edges`` is the edge set
+    :func:`repro.core.protocol.run_mdst` returns this object too (as
+    :class:`repro.core.protocol.MDSTResult`): ``tree_edges`` is the edge set
     induced by the per-node ``parent`` snapshots (every registered protocol
     maintains a parent pointer), ``node_stats`` the per-node protocol
-    counters for processes that keep them, and ``final_graph`` the mutated
+    counters for processes that keep them, ``trace`` the event log (``None``
+    unless ``keep_trace_events`` was set), and ``final_graph`` the mutated
     communication graph of churned runs.
     """
 
@@ -155,8 +159,7 @@ def run_protocol(graph: nx.Graph,
     if config.backend == "array":
         from ..sim.array_engine import wrap_scheduler_for_array
         scheduler = wrap_scheduler_for_array(scheduler)
-    trace = TraceRecorder(keep_events=config.keep_trace_events,
-                          network_size=graph.number_of_nodes())
+    trace = TraceRecorder() if config.keep_trace_events else None
     simulator = Simulator(network, scheduler=scheduler, legitimacy=legitimacy,
                           stability_window=config.stability_window,
                           fault_plan=fault_plan, churn_plan=churn_plan,
@@ -181,7 +184,7 @@ def run_protocol(graph: nx.Graph,
         "convergence_round": report.convergence_round,
         "max_message_bits": report.max_message_bits,
         "max_state_bits": report.max_state_bits,
-        "deliveries_by_type": trace.deliveries_by_type(),
+        "deliveries_by_type": report.deliveries_by_type(),
     }
     extra.update(adapter.extract_metrics(network, report, config))
     final_graph: Optional[nx.Graph] = None

@@ -28,6 +28,6 @@ from .scheduler import (
     make_scheduler,
 )
 from .simulator import SimulationReport, Simulator
-from .trace import RoundRecord, TraceEvent, TraceRecorder
+from .trace import TraceEvent, TraceRecorder
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -61,9 +61,10 @@ step counters and the timeout hooks, once per round.
 
 The array backend serves MDST alone, and :class:`MDSTArrayOps` holds the
 engine's column work over an :class:`~repro.sim.array_kernel.ArrayNetwork`.
-Full event logs and disabled nodes fall back to the object scheduler, which
-stays byte-identical because virtual tokens materialize on demand under
-scalar delivery and are counted by ``ArrayNetwork.enabled_deliveries``.
+An attached event log and disabled nodes fall back to the object
+scheduler, which stays byte-identical because virtual tokens materialize
+on demand under scalar delivery and are counted by
+``ArrayNetwork.enabled_deliveries``.
 
 What stays scalar, honestly: ``Search``/``Back``/``Remove`` forwarding
 carries variable-length path/visited tuples that have no fixed column
@@ -135,7 +136,6 @@ class MDSTArrayOps:
         self.network = network
         self.kernel = network.kernel
         self.enable_reduction = network._enable_reduction
-        self.gossip_bits = network._minfo_bits
 
     def scatter_tokens(self, P: np.ndarray, D: np.ndarray) -> None:
         """Pop one virtual token into each of the view rows ``P`` (of the
@@ -320,7 +320,7 @@ def backlog_plan(kernel, backlog: np.ndarray, timeouts: np.ndarray) -> Plan:
 
 
 def execute_plan(network: ArrayNetwork, ops: MDSTArrayOps, plan: Plan,
-                 trace: Optional[TraceRecorder], stats: RoundStats) -> None:
+                 stats: RoundStats) -> None:
     """Execute an array-form plan slot by slot, batching each slot.
 
     Slot ``j`` runs the ``j``-th planned event of every actor: virtual
@@ -332,8 +332,8 @@ def execute_plan(network: ArrayNetwork, ops: MDSTArrayOps, plan: Plan,
     is immaterial (events at distinct nodes commute).  Per-node event
     order is the plan's order, which the commutation argument in the
     module docstring makes equivalent to the object scheduler's total
-    order -- byte for byte, including channel statistics, trace counters
-    and rng evolution.
+    order -- byte for byte, including channel statistics, per-type delivery
+    counts and rng evolution.
     """
     kernel = ops.kernel
     node_ids = kernel.node_ids
@@ -346,7 +346,7 @@ def execute_plan(network: ArrayNetwork, ops: MDSTArrayOps, plan: Plan,
     # handler call; all other steps are credited after the round.
     credited: Dict[NodeId, int] = {}
     n_gossip = n_handled = sent = 0
-    mtc = trace.message_type_counts if trace is not None else None
+    by_type = stats.by_type
     events = plan.events
     # Actors by descending event count, so each slot's actors are a prefix.
     by_count = np.argsort(-plan.counts, kind="stable")
@@ -396,18 +396,11 @@ def execute_plan(network: ArrayNetwork, ops: MDSTArrayOps, plan: Plan,
         R = (np.concatenate((vdsts, np.asarray(f_dsts, dtype=_I64), T))
              if f_dsts else np.concatenate((vdsts, T)))
         drop = ops.slot_pass(R, scalars)
+        for s in scalars:
+            name = type(s[2]).__name__
+            by_type[name] = by_type.get(name, 0) + 1
         if True in drop:
-            kept = []
-            for s, dropped in zip(scalars, drop):
-                if not dropped:
-                    kept.append(s)
-                elif mtc is not None:
-                    name = s[2].type_name()
-                    mtc[name] = mtc.get(name, 0) + 1
-                    bits = s[2].size_bits(trace.network_size)
-                    if bits > trace.max_message_bits:
-                        trace.max_message_bits = bits
-            scalars = kept
+            scalars = [s for s, dropped in zip(scalars, drop) if not dropped]
         for dst, src, msg in scalars:
             # Exactly Scheduler._deliver_one after the channel pop.
             process = processes[dst]
@@ -418,8 +411,6 @@ def execute_plan(network: ArrayNetwork, ops: MDSTArrayOps, plan: Plan,
             network.note_step(dst)
             out = network.flush_outbox(dst)
             stats.messages_sent += out
-            if trace is not None:
-                trace.record_delivery(src, dst, msg, out)
         n_handled += len(scalars)
         if len(T):
             sent += ops.run_timeouts(T)
@@ -432,27 +423,13 @@ def execute_plan(network: ArrayNetwork, ops: MDSTArrayOps, plan: Plan,
         processes[v].steps_taken -= c
     network._dirty.update(actor_ids)
     n_timeouts = int(np.count_nonzero(events < 0))
-    n_steps = len(events) - n_handled
-    n_deliveries = n_steps - n_timeouts
-    network._version += n_steps
+    network._version += len(events) - n_handled
     stats.steps += len(events)
     stats.deliveries += len(events) - n_timeouts
     stats.timeouts += n_timeouts
     stats.messages_sent += sent
-    if trace is not None:
-        if n_gossip:
-            mtc["MInfo"] = mtc.get("MInfo", 0) + n_gossip
-            if ops.gossip_bits > trace.max_message_bits:
-                trace.max_message_bits = ops.gossip_bits
-        trace.total_deliveries += n_deliveries
-        trace.total_timeouts += n_timeouts
-        trace.total_messages_sent += sent
-        if trace.rounds:
-            rec = trace.rounds[-1]
-            rec.steps += n_steps
-            rec.deliveries += n_deliveries
-            rec.timeouts += n_timeouts
-            rec.messages_sent += sent
+    if n_gossip:
+        by_type["MInfo"] = by_type.get("MInfo", 0) + n_gossip
 
 
 # -- plan builders: each replicates its scheduler's execution order exactly ----
@@ -463,7 +440,7 @@ class _ArrayPlanned:
 
     The engine runs when the network is an
     :class:`~repro.sim.array_kernel.ArrayNetwork` and the round is inside
-    the batched contract; full event logs (which need per-event
+    the batched contract; an attached event log (which needs per-event
     records), disabled nodes (which need the object scheduler's per-event
     gating) and a refused plan take the object scheduler instead, and any
     in-flight virtual gossip stays transparent to it (tokens materialize on
@@ -474,14 +451,13 @@ class _ArrayPlanned:
     def run_round(self, network: Network,
                   trace: Optional[TraceRecorder] = None) -> RoundStats:
         ops = get_ops(network)
-        if (ops is None or network._disabled
-                or (trace is not None and trace.keep_events)):
+        if ops is None or network._disabled or trace is not None:
             return super().run_round(network, trace)
         plan = self._plan(network, ops)
         if plan is None:  # plan refused (outside the batched contract)
             return super().run_round(network, trace)
         stats = RoundStats()
-        execute_plan(network, ops, plan, trace, stats)
+        execute_plan(network, ops, plan, stats)
         return stats
 
 

@@ -26,9 +26,10 @@ on Python >= 3.10 every message class declared through
 ``__dict__``), and the per-instance size cache is an ordinary slot.  On 3.9
 the classes fall back to plain frozen dataclasses with identical semantics.
 
-Every message is sized when a channel enqueues it and again when the trace
-records its delivery; the ``(n, bits)`` cache on the instance makes the
-second and later sizings for the same ``n`` a lookup.  The first sizing of
+Every message is sized once, when a channel enqueues it.  A broadcast
+enqueues one message object on every incident channel, and the
+``(n, bits)`` cache on the instance makes the second and later sizings for
+the same ``n`` a lookup.  The first sizing of
 a fresh message -- every hop of a ``Search`` token builds one, with its
 DFS ``path`` and ``visited`` tuples -- is a lookup too when its class
 declares a *size shape* (:func:`size_shape`): a function of the message
@@ -214,10 +215,10 @@ class Message:
         """Estimated size of this message in bits for an ``n``-node network.
 
         Messages are immutable, so the estimate is cached on the instance
-        the first time it is computed (a message typically has its size
-        taken several times: once per channel it is broadcast onto plus
-        once per delivery), which keeps the per-send/per-delivery
-        accounting of the simulation kernel off the hot path.  The first
+        the first time it is computed.  A message is sized once, when a
+        channel enqueues it, but a broadcast enqueues one message object on
+        every incident channel, so the cache keeps the per-send accounting
+        of the simulation kernel off the hot path.  The first
         sizing of a message whose class declares a size shape is a lookup
         in the bounded shape table (see "Hot-path layout" above); the
         table holds sizes only, never a message.

@@ -64,12 +64,16 @@ __all__ = [
 
 @dataclass
 class RoundStats:
-    """Counters for a single simulated round."""
+    """Counters for a single simulated round.
+
+    ``by_type`` counts the round's deliveries per message type name.
+    """
 
     steps: int = 0
     deliveries: int = 0
     timeouts: int = 0
     messages_sent: int = 0
+    by_type: Dict[str, int] = field(default_factory=dict)
 
 
 class Scheduler(abc.ABC):
@@ -113,6 +117,9 @@ class Scheduler(abc.ABC):
         stats.steps += 1
         stats.deliveries += 1
         stats.messages_sent += sent
+        by_type = stats.by_type
+        name = type(message).__name__
+        by_type[name] = by_type.get(name, 0) + 1
         if trace is not None:
             trace.record_delivery(src, dst, message, sent)
 

@@ -14,7 +14,8 @@ The :class:`Simulator` ties together the pieces defined in this subpackage:
 * an optional :class:`~repro.sim.adversary.Adversary` bundling a channel
   delivery model (loss/duplication/reordering), crash/recover node faults
   and Byzantine gossip,
-* an optional :class:`~repro.sim.trace.TraceRecorder`.
+* an optional :class:`~repro.sim.trace.TraceRecorder`, the opt-in event
+  log (every count of a run is on its :class:`SimulationReport`).
 
 ``Simulator.run`` executes rounds until the convergence monitor fires (plus,
 optionally, a number of extra rounds to witness closure) or the round budget
@@ -23,8 +24,9 @@ is exhausted, and returns a :class:`SimulationReport`.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -94,6 +96,14 @@ class SimulationReport:
             "closure_violations": len(self.closure_violations),
         }
 
+    def deliveries_by_type(self) -> Dict[str, int]:
+        """Delivered message counts over the run, keyed by message type
+        name in sorted order."""
+        total: Counter = Counter()
+        for stats in self.round_stats:
+            total.update(stats.by_type)
+        return dict(sorted(total.items()))
+
 
 class Simulator:
     """Round-driven simulation of a distributed protocol.
@@ -128,7 +138,9 @@ class Simulator:
         between churn and the fault plan and reset the stability streak
         exactly like churn does.
     trace:
-        Optional trace recorder.
+        Optional :class:`~repro.sim.trace.TraceRecorder`: the event log of
+        every delivery and timeout.  The report carries every count
+        without one.
     rng:
         Generator used by the fault plan.
     cache_predicate:
@@ -201,9 +213,6 @@ class Simulator:
         """Execute exactly one round and run the monitors."""
         self._start_processes()
         if self.trace is not None:
-            # Size deliveries with the channels' n: node churn changes it,
-            # and a stale width would mix id widths in max_message_bits.
-            self.trace.network_size = self.network.n
             self.trace.start_round(self.rounds_executed)
         stats = self.scheduler.run_round(self.network, self.trace)
         self.rounds_executed += 1

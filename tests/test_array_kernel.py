@@ -28,6 +28,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -69,7 +70,7 @@ def _graph(n: int, seed: int):
 
 def _result_key(result):
     """Everything a run reports, flattened into one comparable value."""
-    run, tr = result.run, result.trace
+    run, report = result.run, result.report
     return (
         run.converged, run.rounds, run.steps, run.messages, run.tree_degree,
         tuple(sorted(result.tree_edges)),
@@ -78,9 +79,10 @@ def _result_key(result):
         tuple(sorted(run.extra["deliveries_by_type"].items())),
         run.extra["max_message_bits"], run.extra["max_state_bits"],
         run.extra["convergence_round"],
-        tr.total_deliveries, tr.total_timeouts, tr.total_messages_sent,
-        tuple((rec.round_index, rec.steps, rec.deliveries, rec.timeouts,
-               rec.messages_sent) for rec in tr.rounds),
+        report.deliveries, report.steps, report.messages_sent,
+        tuple((rec.steps, rec.deliveries, rec.timeouts, rec.messages_sent,
+               tuple(sorted(rec.by_type.items())))
+              for rec in report.round_stats),
     )
 
 
@@ -304,6 +306,10 @@ def test_full_event_log_matches_object(scheduler, protocol, initial):
     obj, arr = results
     assert _result_key(obj) == _result_key(arr)
     assert obj.trace.events and obj.trace.events == arr.trace.events
+    delivered = Counter(e.message_type for e in obj.trace.events
+                        if e.kind == "deliver")
+    assert delivered == obj.run.extra["deliveries_by_type"]
+    assert sum(delivered.values()) == obj.report.deliveries
 
 
 def _run_with_a_disabled_node(protocol: str, scheduler: str, initial: str,
@@ -371,8 +377,9 @@ class TestHashSeedDeterminism:
             " family='erdos_renyi_sparse', n=24, seed=7,"
             f" scheduler={scheduler!r}, initial='corrupted',"
             f" max_rounds={self.ROUNDS}, backend='array')).row\n"
-            "rounds = [(r.round_index, r.steps, r.deliveries,"
-            " r.messages_sent) for r in results[0].trace.rounds]\n"
+            "rounds = [(i, r.steps, r.deliveries, r.messages_sent,"
+            " r.by_type) for i, r in"
+            " enumerate(results[0].report.round_stats)]\n"
             "print(len(rounds), hashlib.md5(json.dumps([rounds, row],"
             " sort_keys=True, default=str).encode()).hexdigest())\n")
         digests = []

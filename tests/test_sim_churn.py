@@ -28,8 +28,7 @@ from repro.exceptions import ProtocolError, SimulationError
 from repro.graphs import make_graph
 from repro.graphs.validation import check_spanning_tree
 from repro.sim import (ChurnEvent, ChurnPlan, FaultPlan, PredicateCache,
-                       Simulator, SynchronousScheduler, TraceRecorder,
-                       random_churn_plan)
+                       SynchronousScheduler, random_churn_plan)
 from repro.sim.scheduler import RoundStats
 
 
@@ -402,37 +401,3 @@ class TestChurnRecovery:
         check_spanning_tree(result.final_graph, result.tree_edges)
         # the tree must exclude the departed node entirely
         assert all(min(graph.nodes) not in edge for edge in result.tree_edges)
-
-
-class TestTraceSizingAfterChurn:
-    """The trace sizes every delivery with the network's current ``n``, as
-    the channels do, so ``max_message_bits`` never mixes id widths."""
-
-    def test_trace_follows_the_network_size_across_a_leave(self):
-        # 17 -> 16 nodes narrows an identifier from 6 to 5 bits.
-        graph = make_graph("erdos_renyi_sparse", 17, seed=2)
-        cut = set(nx.articulation_points(graph))
-        leaf = next(v for v in sorted(graph.nodes)
-                    if v not in cut and v != min(graph.nodes))
-        net = build_mdst_network(graph, MDSTConfig(seed=2))
-        delivered = []
-
-        class Recorder(TraceRecorder):
-            def record_delivery(self, src, dst, message, messages_emitted):
-                delivered.append((message, net.n, self.network_size))
-                super().record_delivery(src, dst, message, messages_emitted)
-
-        trace = Recorder(network_size=graph.number_of_nodes())
-        sim = Simulator(net, scheduler=SynchronousScheduler(),
-                        churn_plan=ChurnPlan().remove_node(20, leaf),
-                        trace=trace)
-        for _ in range(60):
-            sim.step_round()
-        assert net.n == 16
-        assert {n for _, n, _ in delivered} == {17, 16}
-        assert all(sized == n for _, n, sized in delivered)
-        assert trace.summary()["max_message_bits"] == max(
-            message.size_bits(n) for message, n, _ in delivered)
-        # The delivery re-used the size the send cached for the same n.
-        post = [message for message, n, _ in delivered if n == 16]
-        assert all(m._size_bits_cache[0] == 16 for m in post)

@@ -126,7 +126,7 @@ class TestSchedulers:
         def run(seed):
             net = Network(nx.cycle_graph(5), echo_factory)
             sched = RandomAsyncScheduler(seed=seed)
-            trace = TraceRecorder(keep_events=True, network_size=5)
+            trace = TraceRecorder()
             trace.start_round(0)
             sched.run_round(net, trace)
             return [(e.kind, e.node, e.sender) for e in trace.events]
@@ -188,9 +188,9 @@ class TestSimulator:
 
     def test_trace_records_message_types(self):
         net = Network(nx.cycle_graph(3), echo_factory)
-        trace = TraceRecorder(keep_events=True, network_size=3)
+        trace = TraceRecorder()
         sim = Simulator(net, trace=trace)
-        sim.run(max_rounds=3)
-        assert trace.deliveries_by_type().get("Hello", 0) > 0
-        assert trace.total_timeouts == 9
+        report = sim.run(max_rounds=3)
+        assert report.deliveries_by_type().get("Hello", 0) > 0
+        assert sum(e.kind == "timeout" for e in trace.events) == 9
         assert any(e.kind == "deliver" for e in trace.events)
