@@ -91,7 +91,7 @@ from repro.core.protocol import build_mdst_network
 from repro.graphs.fast_generators import make_fast_graph
 from repro.runtime.engine import SweepEngine
 from repro.runtime.spec import RunSpec
-from repro.sim.array_kernel import build_array_mdst_network
+from repro.sim.array_kernel import ArrayNetwork
 
 OUTPUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_scaling.json"
 
@@ -447,7 +447,7 @@ def _construction_measure(n: int, mode: str) -> Dict[str, object]:
     if mode == "object":
         network = build_mdst_network(graph)
     else:
-        network = build_array_mdst_network(graph, n_upper=n + 1)
+        network = ArrayNetwork(graph, n_upper=n + 1)
     build_seconds = time.perf_counter() - t1
 
     assert network.n == n

@@ -28,47 +28,19 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import networkx as nx
-import numpy as np
 
 from ..exceptions import ConfigurationError
-from ..graphs.spanning import (
-    bfs_spanning_tree,
-    parent_map_from_edges,
-    random_spanning_tree,
-    tree_degrees,
-)
-from ..graphs.validation import check_network
+from ..graphs.spanning import parent_map_from_edges, tree_degrees
 from ..protocols.base import ProtocolRunConfig
+from ..protocols.registry import get_protocol
 from ..protocols.runner import ProtocolResult, run_protocol
-from ..sim.faults import ChurnPlan, FaultPlan, corrupt_channels, corrupt_states
+from ..sim.faults import ChurnPlan, FaultPlan
 from ..sim.network import Network
 from ..types import Edge, NodeId, canonical_edges
-from .node_algorithm import MDSTNode, mdst_node_factory
+from .node_algorithm import MDSTNode
 
 __all__ = ["MDSTConfig", "MDSTResult", "build_mdst_network", "initialize_from_tree",
            "initialize_isolated", "run_mdst"]
-
-#: Recognised initial-configuration policies for :attr:`MDSTConfig.initial`.
-#:
-#: ``"bfs_tree"``
-#:     Install a coherent configuration describing the BFS spanning tree of
-#:     the network (see :func:`initialize_from_tree`): the spanning-tree and
-#:     max-degree layers start already stabilized, so the run isolates the
-#:     degree-reduction phase.  Used by E4/E7/E8 and recovery scenarios.
-#: ``"random_tree"``
-#:     Same, but for a uniformly random spanning tree (seeded from
-#:     :attr:`MDSTConfig.seed`) -- coherent but typically far from optimal.
-#: ``"isolated"``
-#:     A clean cold start: every node is its own root with empty channels
-#:     and no knowledge of its neighbours.  This is a *reachable* initial
-#:     state (a just-booted network), not an adversarial one.
-#: ``"corrupted"``
-#:     The paper's arbitrary initial configuration: every variable of every
-#:     node is randomised and a fraction
-#:     (:attr:`MDSTConfig.corrupt_channel_fraction`) of the channels is
-#:     pre-loaded with garbage messages.  Convergence from here is the
-#:     self-stabilization claim proper (Definition 1, experiment E5).
-INITIAL_POLICIES = ("bfs_tree", "random_tree", "isolated", "corrupted")
 
 
 @dataclass
@@ -83,12 +55,9 @@ class MDSTConfig:
     seed:
         Master seed for the scheduler, fault injection and random trees.
     initial:
-        Initial configuration policy: ``"bfs_tree"`` (coherent BFS tree --
-        isolates the degree-reduction phase), ``"random_tree"`` (coherent but
-        arbitrary tree), ``"isolated"`` (every node its own root, empty
-        channels -- a clean cold start) or ``"corrupted"`` (every variable of
-        every node randomised and garbage pre-loaded on channels -- the
-        paper's arbitrary initial configuration).
+        Initial configuration policy: ``"bfs_tree"``, ``"random_tree"``,
+        ``"isolated"`` or ``"corrupted"`` (documented on
+        :attr:`repro.protocols.mdst.MDSTProtocol.initial_policies`).
     corrupt_channel_fraction:
         With ``initial="corrupted"``, fraction of channels pre-loaded with
         garbage messages.
@@ -140,25 +109,17 @@ class MDSTConfig:
     backend: str = "object"
 
     def validate(self) -> None:
-        if self.initial not in INITIAL_POLICIES:
-            raise ConfigurationError(
-                f"initial must be one of {INITIAL_POLICIES}, got {self.initial!r}")
-        if self.backend not in ("object", "array"):
-            raise ConfigurationError(
-                f"backend must be 'object' or 'array', got {self.backend!r}")
-        if self.max_rounds < 1:
-            raise ConfigurationError("max_rounds must be >= 1")
-        if self.stability_window < 1:
-            raise ConfigurationError("stability_window must be >= 1")
-        if self.n_upper is not None and self.n_upper < 2:
-            raise ConfigurationError("n_upper must be >= 2")
+        """Reject configurations the registry's MDST adapter cannot run."""
+        get_protocol("mdst").validate_config(self.protocol_run_config())
 
     def protocol_run_config(self) -> ProtocolRunConfig:
         """This configuration as a generic :class:`ProtocolRunConfig`.
 
-        The MDST-specific knobs (``search_period``, ``deblock_cooldown``,
-        ``enable_reduction``) travel in ``options`` and are interpreted by
-        the registry's MDST adapter.
+        The one conversion between the two: every MDST entry point
+        (:func:`run_mdst`, :func:`build_mdst_network`, :meth:`validate`)
+        goes through it to the registry's MDST adapter, which reads the
+        result directly.  The MDST-specific knobs (``search_period``,
+        ``deblock_cooldown``, ``enable_reduction``) travel in ``options``.
         """
         return ProtocolRunConfig(
             protocol="mdst",
@@ -188,17 +149,12 @@ MDSTResult = ProtocolResult
 
 
 def build_mdst_network(graph: nx.Graph, config: Optional[MDSTConfig] = None) -> Network:
-    """Build a :class:`~repro.sim.network.Network` of MDST nodes over ``graph``."""
-    config = config or MDSTConfig()
-    config.validate()
-    check_network(graph)
-    factory = mdst_node_factory(
-        n_upper=config.n_upper or graph.number_of_nodes() + 1,
-        search_period=config.search_period,
-        deblock_cooldown=config.deblock_cooldown,
-        enable_reduction=config.enable_reduction,
-    )
-    return Network(graph, factory)
+    """Build a :class:`~repro.sim.network.Network` of MDST nodes over ``graph``
+    (the object backend, whatever ``config.backend`` names)."""
+    run_config = (config or MDSTConfig()).protocol_run_config()
+    adapter = get_protocol("mdst")
+    adapter.validate_config(run_config)
+    return adapter.build_network(graph, run_config)
 
 
 def initialize_from_tree(network: Network, tree_edges: Iterable[Edge]) -> None:
@@ -279,23 +235,6 @@ def initialize_isolated(network: Network) -> None:
     network.note_state_write()
 
 
-def _prepare_initial(network: Network, config: MDSTConfig,
-                     rng: np.random.Generator) -> None:
-    if config.initial == "bfs_tree":
-        initialize_from_tree(network, bfs_spanning_tree(network.graph))
-    elif config.initial == "random_tree":
-        seed = int(rng.integers(0, 2**31 - 1))
-        initialize_from_tree(network, random_spanning_tree(network.graph, seed=seed))
-    elif config.initial == "isolated":
-        initialize_isolated(network)
-    elif config.initial == "corrupted":
-        corrupt_states(network, rng, fraction=1.0)
-        if config.corrupt_channel_fraction > 0:
-            corrupt_channels(network, rng, fraction=config.corrupt_channel_fraction)
-    else:  # pragma: no cover - validate() already rejects unknown policies
-        raise ConfigurationError(f"unknown initial policy {config.initial!r}")
-
-
 def run_mdst(graph: nx.Graph, config: Optional[MDSTConfig] = None,
              initial_tree: Optional[Iterable[Edge]] = None,
              fault_plan: Optional[FaultPlan] = None,
@@ -330,8 +269,6 @@ def run_mdst(graph: nx.Graph, config: Optional[MDSTConfig] = None,
     :func:`repro.protocols.runner.run_protocol` with ``protocol="mdst"``;
     both entry points execute the identical code path.
     """
-    config = config or MDSTConfig()
-    config.validate()
-    return run_protocol(graph, config.protocol_run_config(),
+    return run_protocol(graph, (config or MDSTConfig()).protocol_run_config(),
                         initial_tree=initial_tree,
                         fault_plan=fault_plan, churn_plan=churn_plan)

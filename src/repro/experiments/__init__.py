@@ -1,4 +1,4 @@
-"""Experiment harness: profiles, workloads, sweep runner, E1-E8 definitions."""
+"""Experiment harness: profiles, workloads, E1-E8 definitions."""
 
 from .config import FULL_PROFILE, QUICK_PROFILE, ExperimentProfile, get_profile
 from .experiments import (
@@ -13,20 +13,10 @@ from .experiments import (
     experiment_e8_improvement_cost,
     run_all_experiments,
 )
-from .runner import (
-    ProtocolRun,
-    protocol_record,
-    run_protocol_on,
-    run_reference_on,
-    run_workload,
-    specs_for_workload,
-    workload_records,
-)
 from .workloads import (
     WorkloadInstance,
     baseline_workload,
     hub_workload,
-    instantiate,
     quality_workload,
     scaling_workload,
     stabilization_workload,

@@ -9,14 +9,14 @@ families whose optimal degree is known or cheaply boundable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence
+from typing import List, Sequence
 
 import networkx as nx
 
 from ..graphs.generators import make_graph
 from .config import ExperimentProfile
 
-__all__ = ["WorkloadInstance", "instantiate", "quality_workload",
+__all__ = ["WorkloadInstance", "quality_workload",
            "scaling_workload", "stabilization_workload", "hub_workload",
            "baseline_workload"]
 
@@ -35,11 +35,6 @@ class WorkloadInstance:
     @property
     def label(self) -> str:
         return f"{self.family}-n{self.n}-s{self.seed}"
-
-
-def instantiate(instances: Iterable[WorkloadInstance]) -> List[nx.Graph]:
-    """Build every instance of a workload."""
-    return [inst.build() for inst in instances]
 
 
 def quality_workload(profile: ExperimentProfile) -> List[WorkloadInstance]:

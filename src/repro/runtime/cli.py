@@ -46,7 +46,7 @@ from ..graphs.generators import (GRAPH_FAMILIES, family_info, family_names,
                                  validate_graph_params)
 from ..protocols import PROTOCOLS, protocol_names
 from .cache import ResultCache
-from .engine import SweepEngine, default_workers
+from .engine import SweepEngine, default_workers, sweep_report
 from .spec import RunSpec, SweepSpec
 from .tasks import execute_spec, task_names
 
@@ -125,6 +125,83 @@ def _check_protocols(protocols: Sequence[str]) -> None:
 
 
 # ---------------------------------------------------------------------------
+# The scenario settings shared by ``run`` and ``sweep``
+# ---------------------------------------------------------------------------
+
+def _add_scenario_flags(sub: argparse.ArgumentParser) -> None:
+    """The flags of every :class:`RunSpec` field ``run`` and ``sweep``
+    share (read back by :func:`_spec_from_args`)."""
+    sub.add_argument("--graph-param", action="append", default=None,
+                     metavar="KEY=VALUE",
+                     help="generator parameter, repeatable (e.g. "
+                          "--graph-param p=0.05; see `repro graphs` for "
+                          "each family's keys)")
+    sub.add_argument("--max-rounds", type=int, default=5000)
+    sub.add_argument("--task", default="protocol", choices=task_names())
+    sub.add_argument("--fault-round", type=int, default=None,
+                     help="inject a transient fault after this round")
+    sub.add_argument("--fault-fraction", type=float, default=0.5,
+                     help="fraction of nodes the fault corrupts")
+    sub.add_argument("--churn-rate", type=float, default=0.0,
+                     help="topology events per round (use with --task churn)")
+    sub.add_argument("--churn-start", type=int, default=50,
+                     help="first round after which churn may fire")
+    sub.add_argument("--churn-events", type=int, default=0,
+                     help="total scheduled topology events per run")
+    sub.add_argument("--loss", type=float, default=0.0,
+                     help="per-send probability of message loss")
+    sub.add_argument("--dup", type=float, default=0.0,
+                     help="per-send probability of message duplication")
+    sub.add_argument("--reorder", type=float, default=0.0,
+                     help="per-send probability of out-of-order insertion")
+    sub.add_argument("--crash-count", type=int, default=0,
+                     help="number of seeded-random nodes that crash")
+    sub.add_argument("--crash-round", type=int, default=50,
+                     help="round after which the crashes fire")
+    sub.add_argument("--crash-recover", type=int, default=None,
+                     help="rounds until crashed nodes recover with state "
+                          "loss (omit for permanent crash-stop)")
+    sub.add_argument("--byzantine-count", type=int, default=0,
+                     help="number of seeded-random Byzantine nodes")
+    sub.add_argument("--byzantine-start", type=int, default=10,
+                     help="round after which Byzantine gossip starts")
+    sub.add_argument("--byzantine-rounds", type=int, default=20,
+                     help="length of the Byzantine activity window")
+    sub.add_argument("--backend", default="object",
+                     choices=("object", "array"),
+                     help="simulation kernel: per-object message passing "
+                          "or the vectorized array kernel (mdst only; "
+                          "byte-identical results, much faster at large n)")
+
+
+def _spec_from_args(args: argparse.Namespace, graph_params: dict,
+                    **fields: object) -> RunSpec:
+    """The :class:`RunSpec` of the shared scenario flags, plus ``fields``
+    (``run`` passes its instance; ``sweep`` leaves those to its axes)."""
+    return RunSpec(
+        task=args.task,
+        max_rounds=args.max_rounds,
+        fault_round=args.fault_round,
+        fault_fraction=args.fault_fraction,
+        churn_rate=args.churn_rate,
+        churn_start=args.churn_start,
+        churn_events=args.churn_events,
+        loss_rate=args.loss,
+        dup_rate=args.dup,
+        reorder_rate=args.reorder,
+        crash_count=args.crash_count,
+        crash_round=args.crash_round,
+        crash_recover=args.crash_recover,
+        byzantine_count=args.byzantine_count,
+        byzantine_start=args.byzantine_start,
+        byzantine_rounds=args.byzantine_rounds,
+        backend=args.backend,
+        graph_params=tuple(sorted(graph_params.items())),
+        **fields,
+    )
+
+
+# ---------------------------------------------------------------------------
 # Subcommand implementations
 # ---------------------------------------------------------------------------
 
@@ -149,33 +226,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     _check_adversarial_flags(args)
     _check_backend_flags(args)
     _check_capabilities(args, [args.protocol])
-    spec = RunSpec(
-        task=args.task,
-        protocol=args.protocol,
-        family=args.family,
-        n=args.n,
-        seed=args.seed,
-        scheduler=args.scheduler,
-        initial=args.initial,
-        max_rounds=args.max_rounds,
-        fault_round=args.fault_round,
-        fault_fraction=args.fault_fraction,
-        churn_rate=args.churn_rate,
-        churn_start=args.churn_start,
-        churn_events=args.churn_events,
-        loss_rate=args.loss,
-        dup_rate=args.dup,
-        reorder_rate=args.reorder,
-        crash_count=args.crash_count,
-        crash_round=args.crash_round,
-        crash_recover=args.crash_recover,
-        byzantine_count=args.byzantine_count,
-        byzantine_start=args.byzantine_start,
-        byzantine_rounds=args.byzantine_rounds,
-        backend=args.backend,
-        graph_params=tuple(sorted(graph_params.items())),
-        graph_file=args.graph_file,
-    )
+    spec = _spec_from_args(
+        args, graph_params, protocol=args.protocol, family=args.family,
+        n=args.n, seed=args.seed, scheduler=args.scheduler,
+        initial=args.initial, graph_file=args.graph_file)
     outcome = execute_spec(spec)
     if args.json:
         print(json.dumps(outcome.to_dict(), indent=2, sort_keys=True, default=str))
@@ -275,38 +329,6 @@ def _check_capabilities(args: argparse.Namespace,
             adapter.require("supports_array_backend", "the array backend")
 
 
-def _sweep_from_args(args: argparse.Namespace) -> SweepSpec:
-    graph_params = _parse_graph_params(args.graph_param)
-    return SweepSpec(
-        graph_params=tuple(sorted(graph_params.items())),
-        families=tuple(args.families),
-        sizes=tuple(args.sizes),
-        repetitions=args.repetitions,
-        master_seed=args.master_seed,
-        seeds=tuple(args.seeds) if args.seeds else None,
-        schedulers=tuple(args.schedulers),
-        initials=tuple(args.initials),
-        max_rounds=args.max_rounds,
-        task=args.task,
-        protocols=tuple(args.protocols),
-        fault_round=args.fault_round,
-        fault_fraction=args.fault_fraction,
-        churn_rate=args.churn_rate,
-        churn_start=args.churn_start,
-        churn_events=args.churn_events,
-        loss_rate=args.loss,
-        dup_rate=args.dup,
-        reorder_rate=args.reorder,
-        crash_count=args.crash_count,
-        crash_round=args.crash_round,
-        crash_recover=args.crash_recover,
-        byzantine_count=args.byzantine_count,
-        byzantine_start=args.byzantine_start,
-        byzantine_rounds=args.byzantine_rounds,
-        backend=args.backend,
-    )
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     _check_families(args.families)
     graph_params = _parse_graph_params(args.graph_param)
@@ -319,34 +341,30 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     _check_adversarial_flags(args)
     _check_backend_flags(args)
     _check_capabilities(args, args.protocols)
-    sweep = _sweep_from_args(args)
+    sweep = SweepSpec(
+        base=_spec_from_args(args, graph_params),
+        families=tuple(args.families),
+        sizes=tuple(args.sizes),
+        repetitions=args.repetitions,
+        master_seed=args.master_seed,
+        seeds=tuple(args.seeds) if args.seeds else None,
+        schedulers=tuple(args.schedulers),
+        initials=tuple(args.initials),
+        protocols=tuple(args.protocols),
+    )
     specs = sweep.expand()
     cache = ResultCache(args.cache_dir) if args.cache_dir else None
     engine = SweepEngine(workers=args.workers, cache=cache)
     _status(f"sweep: {len(specs)} runs, {args.workers} worker(s)"
             + (f", cache at {args.cache_dir}" if args.cache_dir else ""))
     outcomes = engine.execute(specs)
-    report = ExperimentReport(
-        experiment="sweep",
-        description=f"{sweep.task} sweep over {'/'.join(sweep.families)}")
-    cross_protocol = sweep.protocols != ("mdst",)
-    for outcome in outcomes:
-        row = outcome.row
-        if cross_protocol:
-            # A cross-protocol report must keep every row attributable: the
-            # task layer omits the key for the default protocol (that shape
-            # is part of the byte-identity contract of the reproduction
-            # tables, and what the per-spec cache stores), so the *report*
-            # backfills it.  Default single-protocol MDST sweeps keep their
-            # historical output untouched, table and JSON alike.
-            row = {**row, "protocol": row.get("protocol", "mdst")}
-        report.add_row(**row)
+    report = sweep_report(sweep, outcomes)
     stats = engine.last_stats
     _status(f"sweep: executed {stats.executed}, cache hits {stats.cache_hits}, "
             f"{stats.elapsed_s:.2f}s")
     columns = args.columns or (list(SWEEP_COLUMNS)
-                               if sweep.task == "protocol" else None)
-    if cross_protocol and columns is not None and not args.columns:
+                               if sweep.base.task == "protocol" else None)
+    if sweep.protocols != ("mdst",) and columns is not None and not args.columns:
         columns.insert(columns.index("initial") + 1, "protocol")
     if args.csv:
         print(report.to_csv(columns=columns))
@@ -453,29 +471,6 @@ def cmd_report(args: argparse.Namespace) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-def _add_adversary_flags(sub: argparse.ArgumentParser) -> None:
-    """The adversary knobs, shared verbatim by ``run`` and ``sweep``."""
-    sub.add_argument("--loss", type=float, default=0.0,
-                     help="per-send probability of message loss")
-    sub.add_argument("--dup", type=float, default=0.0,
-                     help="per-send probability of message duplication")
-    sub.add_argument("--reorder", type=float, default=0.0,
-                     help="per-send probability of out-of-order insertion")
-    sub.add_argument("--crash-count", type=int, default=0,
-                     help="number of seeded-random nodes that crash")
-    sub.add_argument("--crash-round", type=int, default=50,
-                     help="round after which the crashes fire")
-    sub.add_argument("--crash-recover", type=int, default=None,
-                     help="rounds until crashed nodes recover with state "
-                          "loss (omit for permanent crash-stop)")
-    sub.add_argument("--byzantine-count", type=int, default=0,
-                     help="number of seeded-random Byzantine nodes")
-    sub.add_argument("--byzantine-start", type=int, default=10,
-                     help="round after which Byzantine gossip starts")
-    sub.add_argument("--byzantine-rounds", type=int, default=20,
-                     help="length of the Byzantine activity window")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -488,11 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--family", default="erdos_renyi_sparse",
                      help="graph family (see `repro graphs`)")
     run.add_argument("--n", type=int, default=16, help="target node count")
-    run.add_argument("--graph-param", action="append", default=None,
-                     metavar="KEY=VALUE",
-                     help="generator parameter, repeatable (e.g. "
-                          "--graph-param p=0.05; see `repro graphs` for "
-                          "each family's keys)")
     run.add_argument("--graph-file", default=None, metavar="PATH",
                      help="run on this edge-list file (plain or .gz; "
                           "'#'/'%%' comments and SNAP headers accepted) "
@@ -506,39 +496,20 @@ def build_parser() -> argparse.ArgumentParser:
                           "declares its own set (see `repro protocols`), "
                           "e.g. bfs_tree/random_tree/isolated/corrupted "
                           "for mdst")
-    run.add_argument("--max-rounds", type=int, default=5000)
-    run.add_argument("--task", default="protocol", choices=task_names())
     run.add_argument("--protocol", default="mdst",
                      help="registered protocol to run (see `repro protocols`)")
-    run.add_argument("--fault-round", type=int, default=None,
-                     help="inject a transient fault after this round")
-    run.add_argument("--fault-fraction", type=float, default=0.5,
-                     help="fraction of nodes the fault corrupts")
-    run.add_argument("--churn-rate", type=float, default=0.0,
-                     help="topology events per round (use with --task churn)")
-    run.add_argument("--churn-start", type=int, default=50,
-                     help="first round after which churn may fire")
-    run.add_argument("--churn-events", type=int, default=0,
-                     help="total scheduled topology events")
-    _add_adversary_flags(run)
-    run.add_argument("--backend", default="object",
-                     choices=("object", "array"),
-                     help="simulation kernel: per-object message passing "
-                          "or the vectorized array kernel (mdst only; "
-                          "byte-identical results, much faster at large n)")
+    _add_scenario_flags(run)
     run.add_argument("--json", action="store_true",
                      help="print the full outcome as JSON instead of a table")
     run.set_defaults(func=cmd_run)
 
-    sweep = sub.add_parser("sweep", help="run a matrix of configurations in parallel")
+    sweep = sub.add_parser(
+        "sweep", help="run a matrix of configurations in parallel; the "
+                      "scenario flags apply to every run of the matrix")
     sweep.add_argument("--families", type=_csv, default=["erdos_renyi_sparse"],
                        help="comma-separated graph families")
     sweep.add_argument("--sizes", type=_csv_ints, default=[12, 16],
                        help="comma-separated node counts")
-    sweep.add_argument("--graph-param", action="append", default=None,
-                       metavar="KEY=VALUE",
-                       help="generator parameter applied to every family "
-                            "of the matrix, repeatable (see `repro graphs`)")
     sweep.add_argument("--repetitions", type=int, default=1)
     sweep.add_argument("--master-seed", type=int, default=0,
                        help="per-repetition seeds are derived from this")
@@ -546,29 +517,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="explicit comma-separated seeds (overrides derivation)")
     sweep.add_argument("--schedulers", type=_csv, default=["synchronous"])
     sweep.add_argument("--initials", type=_csv, default=["isolated"])
-    sweep.add_argument("--max-rounds", type=int, default=5000)
-    sweep.add_argument("--task", default="protocol", choices=task_names())
     sweep.add_argument("--protocols", type=_csv, default=["mdst"],
                        help="comma-separated registered protocols; the "
                             "matrix multiplies across them "
                             "(see `repro protocols`)")
-    sweep.add_argument("--fault-round", type=int, default=None,
-                       help="inject a transient fault after this round "
-                            "in every run of the matrix")
-    sweep.add_argument("--fault-fraction", type=float, default=0.5,
-                       help="fraction of nodes the fault corrupts")
-    sweep.add_argument("--churn-rate", type=float, default=0.0,
-                       help="topology events per round (use with --task churn)")
-    sweep.add_argument("--churn-start", type=int, default=50,
-                       help="first round after which churn may fire")
-    sweep.add_argument("--churn-events", type=int, default=0,
-                       help="total scheduled topology events per run")
-    _add_adversary_flags(sweep)
-    sweep.add_argument("--backend", default="object",
-                       choices=("object", "array"),
-                       help="simulation kernel for every run of the matrix "
-                            "(byte-identical results; 'array' is the "
-                            "vectorized large-n kernel, mdst only)")
+    _add_scenario_flags(sweep)
     sweep.add_argument("--workers", type=int, default=1,
                        help="worker processes (1 = serial fallback; "
                             f"this machine's default would be {default_workers()})")

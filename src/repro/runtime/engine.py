@@ -35,7 +35,8 @@ from .cache import ResultCache
 from .spec import RunSpec, SweepSpec
 from .tasks import UNCACHEABLE_TASKS, RunOutcome, execute_spec
 
-__all__ = ["SweepEngine", "EngineStats", "default_workers", "run_sweep"]
+__all__ = ["SweepEngine", "EngineStats", "default_workers", "run_sweep",
+           "sweep_report"]
 
 
 def default_workers() -> int:
@@ -151,6 +152,29 @@ class SweepEngine:
         return aggregate_records(self.records(specs))
 
 
+def sweep_report(sweep: SweepSpec,
+                 outcomes: Sequence[RunOutcome]) -> ExperimentReport:
+    """The report of an executed sweep: one row per outcome, in order.
+
+    A cross-protocol report must keep every row attributable: the task
+    layer omits the ``protocol`` key for the default protocol (that shape
+    is part of the byte-identity contract of the reproduction tables, and
+    what the per-spec cache stores), so the *report* backfills it.  Default
+    single-protocol MDST sweeps keep their historical rows untouched.
+    """
+    report = ExperimentReport(
+        experiment="sweep",
+        description=f"{sweep.base.task} sweep over {'/'.join(sweep.families)}",
+    )
+    cross_protocol = sweep.protocols != ("mdst",)
+    for outcome in outcomes:
+        row = outcome.row
+        if cross_protocol:
+            row = {**row, "protocol": row.get("protocol", "mdst")}
+        report.add_row(**row)
+    return report
+
+
 def run_sweep(sweep: SweepSpec, workers: int = 1,
               cache: Optional[ResultCache] = None) -> ExperimentReport:
     """Expand a sweep matrix and execute it; the one-call convenience API.
@@ -161,20 +185,7 @@ def run_sweep(sweep: SweepSpec, workers: int = 1,
     True
     """
     engine = SweepEngine(workers=workers, cache=cache)
-    outcomes = engine.execute(sweep.expand())
-    report = ExperimentReport(
-        experiment="sweep",
-        description=f"{sweep.task} sweep over {'/'.join(sweep.families)}",
-    )
-    cross_protocol = sweep.protocols != ("mdst",)
-    for outcome in outcomes:
-        row = outcome.row
-        if cross_protocol:
-            # Keep every row of a cross-protocol report attributable; the
-            # task layer omits the key for the default protocol (the
-            # historical row shape) -- see cmd_sweep in runtime/cli.py.
-            row = {**row, "protocol": row.get("protocol", "mdst")}
-        report.add_row(**row)
+    report = sweep_report(sweep, engine.execute(sweep.expand()))
     report.metadata["sweep"] = {
         "families": list(sweep.families),
         "sizes": list(sweep.sizes),
@@ -183,7 +194,7 @@ def run_sweep(sweep: SweepSpec, workers: int = 1,
         "initials": list(sweep.initials),
         "master_seed": sweep.master_seed,
         "seeds": list(sweep.seeds) if sweep.seeds else None,
-        "max_rounds": sweep.max_rounds,
-        "task": sweep.task,
+        "max_rounds": sweep.base.max_rounds,
+        "task": sweep.base.task,
     }
     return report

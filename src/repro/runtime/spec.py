@@ -14,8 +14,9 @@ configuration.  Because a spec is a frozen dataclass of primitives it can be
 
 A :class:`SweepSpec` describes a *matrix* of runs -- the cartesian product
 ``workload family x size x seed x scheduler x initial configuration x
-protocol`` -- and expands it into an ordered list of :class:`RunSpec`.  Per-repetition seeds
-are derived deterministically from a single master seed through
+protocol`` -- over a template :class:`RunSpec`, and expands it into an
+ordered list of copies of that template.  Per-repetition seeds are derived
+deterministically from a single master seed through
 :func:`repro.sim.rng.derive_seed`, so adding repetitions never changes the
 seeds of existing runs and the expansion is reproducible byte-for-byte.
 """
@@ -24,12 +25,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import networkx as nx
 
-from ..core.protocol import MDSTConfig
 from ..exceptions import ConfigurationError
 from ..graphs.fast_generators import FAST_FAMILIES, make_fast_graph
 from ..graphs.generators import make_graph, validate_graph_params
@@ -91,7 +91,9 @@ class RunSpec:
         :data:`repro.graphs.generators.GRAPH_FAMILIES`), target node count
         and generator seed.  ``seed`` also seeds the protocol run.
     scheduler, initial, max_rounds, stability_window, enable_reduction:
-        Protocol configuration forwarded to :class:`repro.core.MDSTConfig`.
+        Protocol configuration; :meth:`protocol_run_config` turns the spec
+        into the :class:`~repro.protocols.base.ProtocolRunConfig` that
+        :func:`~repro.protocols.runner.run_protocol` and the adapters read.
     fault_round, fault_fraction:
         When ``fault_round`` is set, a transient fault corrupting
         ``fault_fraction`` of the nodes is injected after that round
@@ -280,34 +282,16 @@ class RunSpec:
         merged.update(extras)
         return replace(self, params=tuple(sorted(merged.items())))
 
-    def mdst_config(self) -> MDSTConfig:
-        """The :class:`~repro.core.MDSTConfig` equivalent of this spec.
-
-        The ``node_weights`` task parameter (a tuple of ``(node, weight)``
-        pairs, kept as a tuple so the spec stays hashable) configures the
-        kernel's weighted-fair scheduler when ``scheduler="weighted"``.
-        """
-        weights = self.param("node_weights")
-        return MDSTConfig(
-            scheduler=self.scheduler,
-            seed=self.seed,
-            initial=self.initial,
-            max_rounds=self.max_rounds,
-            stability_window=self.stability_window,
-            enable_reduction=self.enable_reduction,
-            node_weights={int(v): int(w) for v, w in weights} if weights else None,
-            backend=self.backend,
-        )
-
     def protocol_run_config(self) -> ProtocolRunConfig:
         """The generic :class:`~repro.protocols.base.ProtocolRunConfig` of
-        this spec, dispatching on :attr:`protocol`.
+        this spec -- the one route from a spec to a run, for every task.
 
         The common fields are built once for every protocol; only the
-        MDST-specific ``options`` fork on the protocol name (for
-        ``"mdst"`` the result is equivalent to
-        ``self.mdst_config().protocol_run_config()``, so specs keep
-        driving the identical code path they always did).
+        MDST-specific ``enable_reduction`` option forks on the protocol
+        name.  The ``node_weights`` task parameter (a tuple of ``(node,
+        weight)`` pairs, kept as a tuple so the spec stays hashable)
+        configures the kernel's weighted-fair scheduler when
+        ``scheduler="weighted"``.
         """
         weights = self.param("node_weights")
         config = ProtocolRunConfig(
@@ -327,36 +311,10 @@ class RunSpec:
     # -- serialization ---------------------------------------------------------
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "task": self.task,
-            "protocol": self.protocol,
-            "family": self.family,
-            "n": self.n,
-            "seed": self.seed,
-            "scheduler": self.scheduler,
-            "initial": self.initial,
-            "max_rounds": self.max_rounds,
-            "stability_window": self.stability_window,
-            "enable_reduction": self.enable_reduction,
-            "fault_round": self.fault_round,
-            "fault_fraction": self.fault_fraction,
-            "churn_rate": self.churn_rate,
-            "churn_start": self.churn_start,
-            "churn_events": self.churn_events,
-            "loss_rate": self.loss_rate,
-            "dup_rate": self.dup_rate,
-            "reorder_rate": self.reorder_rate,
-            "crash_count": self.crash_count,
-            "crash_round": self.crash_round,
-            "crash_recover": self.crash_recover,
-            "byzantine_count": self.byzantine_count,
-            "byzantine_start": self.byzantine_start,
-            "byzantine_rounds": self.byzantine_rounds,
-            "backend": self.backend,
-            "graph_params": [list(item) for item in self.graph_params],
-            "graph_file": self.graph_file,
-            "params": [list(item) for item in self.params],
-        }
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data["graph_params"] = [list(item) for item in self.graph_params]
+        data["params"] = [list(item) for item in self.params]
+        return data
 
     @staticmethod
     def from_dict(data: Dict[str, object]) -> "RunSpec":
@@ -391,6 +349,13 @@ class SweepSpec:
     """A matrix of runs:
     ``family x size x repetition x scheduler x initial x protocol``.
 
+    :attr:`base` is the template every expanded run starts from: its task,
+    round budget, fault/churn/adversary scenario, backend and generator
+    parameters are copied verbatim into every :class:`RunSpec` of the
+    matrix, so one sweep can put every protocol through the same scenario.
+    The axes below replace the template's ``family``, ``n``, ``seed``,
+    ``scheduler``, ``initial`` and ``protocol``.
+
     Seeds: if :attr:`seeds` is given, repetition ``r`` uses
     ``seeds[r % len(seeds)]`` (mirroring
     :meth:`repro.experiments.config.ExperimentProfile.seed_for`); otherwise
@@ -400,16 +365,9 @@ class SweepSpec:
     ``protocols`` multiplies the matrix across registry entries (see
     :data:`repro.protocols.PROTOCOLS`); the default single-``"mdst"`` axis
     expands to exactly the specs (and order) it always did.
-
-    ``fault_round``/``fault_fraction``, the ``churn_*`` knobs and the
-    adversary knobs (``loss_rate``/``dup_rate``/``reorder_rate``/
-    ``crash_*``/``byzantine_*``) are forwarded verbatim to every expanded
-    :class:`RunSpec`, so one sweep can put every protocol through the same
-    transient-fault, topology-churn or adversary scenario.  ``backend``
-    selects the simulation kernel and ``graph_params`` the per-family
-    generator parameters for every expanded run.
     """
 
+    base: RunSpec = RunSpec()
     families: Tuple[str, ...] = ("erdos_renyi_sparse",)
     sizes: Tuple[int, ...] = (16,)
     repetitions: int = 1
@@ -417,25 +375,7 @@ class SweepSpec:
     seeds: Optional[Tuple[int, ...]] = None
     schedulers: Tuple[str, ...] = ("synchronous",)
     initials: Tuple[str, ...] = ("isolated",)
-    max_rounds: int = 5000
-    task: str = "protocol"
     protocols: Tuple[str, ...] = ("mdst",)
-    fault_round: Optional[int] = None
-    fault_fraction: float = 0.5
-    churn_rate: float = 0.0
-    churn_start: int = 50
-    churn_events: int = 0
-    loss_rate: float = 0.0
-    dup_rate: float = 0.0
-    reorder_rate: float = 0.0
-    crash_count: int = 0
-    crash_round: int = 50
-    crash_recover: Optional[int] = None
-    byzantine_count: int = 0
-    byzantine_start: int = 10
-    byzantine_rounds: int = 20
-    backend: str = "object"
-    graph_params: Tuple[Tuple[str, object], ...] = ()
 
     def seed_for(self, repetition: int) -> int:
         if self.seeds:
@@ -464,30 +404,8 @@ class SweepSpec:
                     for scheduler in self.schedulers:
                         for initial in self.initials:
                             for protocol in self.protocols:
-                                specs.append(RunSpec(
-                                    task=self.task,
-                                    protocol=protocol,
-                                    family=family,
-                                    n=n,
-                                    seed=seed,
-                                    scheduler=scheduler,
-                                    initial=initial,
-                                    max_rounds=self.max_rounds,
-                                    fault_round=self.fault_round,
-                                    fault_fraction=self.fault_fraction,
-                                    churn_rate=self.churn_rate,
-                                    churn_start=self.churn_start,
-                                    churn_events=self.churn_events,
-                                    loss_rate=self.loss_rate,
-                                    dup_rate=self.dup_rate,
-                                    reorder_rate=self.reorder_rate,
-                                    crash_count=self.crash_count,
-                                    crash_round=self.crash_round,
-                                    crash_recover=self.crash_recover,
-                                    byzantine_count=self.byzantine_count,
-                                    byzantine_start=self.byzantine_start,
-                                    byzantine_rounds=self.byzantine_rounds,
-                                    backend=self.backend,
-                                    graph_params=self.graph_params,
-                                ))
+                                specs.append(replace(
+                                    self.base, protocol=protocol,
+                                    family=family, n=n, seed=seed,
+                                    scheduler=scheduler, initial=initial))
         return specs

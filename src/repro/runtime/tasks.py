@@ -57,7 +57,6 @@ from ..baselines.exact import exact_mdst_degree
 from ..baselines.fuerer_raghavachari import fuerer_raghavachari
 from ..baselines.local_search import greedy_local_search
 from ..baselines.simple_trees import evaluate_simple_trees
-from ..core.protocol import build_mdst_network, run_mdst
 from ..core.reference import ReferenceMDST
 from ..exceptions import ConfigurationError
 from ..graphs.generators import hard_hub_graph
@@ -258,7 +257,10 @@ def run_memory_task(spec: RunSpec) -> RunOutcome:
     """Per-node state accounting vs the O(δ log n) envelope (E3)."""
     _require_mdst(spec)
     graph = spec.build_graph()
-    network = build_mdst_network(graph, spec.mdst_config())
+    config = spec.protocol_run_config()
+    adapter = get_protocol(spec.protocol)
+    adapter.validate_config(config)
+    network = adapter.build_network(graph, config)
     row = memory_report(network).as_dict()
     row["family"] = _family_of(spec, graph)
     row["seed"] = spec.seed
@@ -293,7 +295,7 @@ def run_quality_task(spec: RunSpec) -> RunOutcome:
     # runs the protocol; E1 passes the profile's cap explicitly
     protocol_cap = int(spec.param("protocol_cap", graph.number_of_nodes()))
     if use_protocol and graph.number_of_nodes() <= protocol_cap:
-        result = run_mdst(graph, spec.mdst_config())
+        result = run_protocol(graph, spec.protocol_run_config())
         row["protocol_degree"] = result.tree_degree
         row["protocol_converged"] = result.converged
         record = _record_for(spec, graph, result)
@@ -329,7 +331,7 @@ def run_hub_task(spec: RunSpec) -> RunOutcome:
     _require_mdst(spec)
     graph = spec.build_graph()
     model = serialized_vs_concurrent_cost(graph)
-    result = run_mdst(graph, spec.mdst_config())
+    result = run_protocol(graph, spec.protocol_run_config())
     initial_deg = tree_degree(graph.nodes, bfs_spanning_tree(graph))
     row = {
         "hubs": spec.n // 5,
@@ -359,7 +361,8 @@ def run_improvement_task(spec: RunSpec) -> RunOutcome:
     graph = hard_hub_graph(length)
     initial = bfs_spanning_tree(graph, root=0)
     initial_degree = tree_degree(graph.nodes, initial)
-    result = run_mdst(graph, spec.mdst_config(), initial_tree=initial)
+    result = run_protocol(graph, spec.protocol_run_config(),
+                          initial_tree=initial)
     by_type = result.run.extra.get("deliveries_by_type", {})
     row = {
         "hub_degree": length,

@@ -68,7 +68,6 @@ __all__ = [
     "ArrayBackedState",
     "ArrayMDSTNode",
     "ArrayNetwork",
-    "build_array_mdst_network",
     "channel_rows",
 ]
 
@@ -1393,19 +1392,3 @@ class ArrayNetwork(Network):
         self._acols_key_cache = (self._version, key)
         return key
 
-
-def build_array_mdst_network(graph: "nx.Graph | EdgeArrayGraph", *,
-                             n_upper: int,
-                             search_period: int = 3,
-                             deblock_cooldown: int = 30,
-                             enable_reduction: bool = True) -> ArrayNetwork:
-    """Build the array-backed MDST network (the adapter's ``backend="array"``
-    counterpart of :func:`repro.core.protocol.build_mdst_network`).
-
-    Accepts an ``nx.Graph`` or an
-    :class:`~repro.graphs.edge_array.EdgeArrayGraph`; both take the one
-    construction route of :class:`ArrayNetwork`, kernel columns from edge
-    arrays and per-object maps that materialize lazily."""
-    return ArrayNetwork(graph, n_upper=n_upper, search_period=search_period,
-                        deblock_cooldown=deblock_cooldown,
-                        enable_reduction=enable_reduction)

@@ -22,12 +22,9 @@ from repro.experiments import (
     get_profile,
     hub_workload,
     quality_workload,
-    run_protocol_on,
-    run_reference_on,
     scaling_workload,
     stabilization_workload,
 )
-from repro.core import MDSTConfig
 
 TINY = ExperimentProfile(
     name="tiny",
@@ -67,23 +64,6 @@ class TestProfilesAndWorkloads:
     def test_hub_workload_sizes(self):
         instances = hub_workload(TINY, hub_counts=(2, 3))
         assert {i.n for i in instances} == {10, 15}
-
-
-class TestRunner:
-    def test_run_protocol_on_produces_record(self):
-        inst = WorkloadInstance("wheel", 7, 3)
-        run = run_protocol_on(inst, MDSTConfig(seed=3, initial="bfs_tree",
-                                               max_rounds=1500))
-        record = run.record
-        assert record.nodes == 7
-        assert record.converged
-        assert record.tree_degree <= 3
-
-    def test_run_reference_on(self):
-        inst = WorkloadInstance("complete", 10, 1)
-        graph, result = run_reference_on(inst)
-        assert graph.number_of_nodes() == 10
-        assert result.final_degree == 2
 
 
 class TestExperimentDefinitions:

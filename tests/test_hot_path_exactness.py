@@ -65,7 +65,7 @@ from repro.core.protocol import (MDSTConfig, build_mdst_network,
 from repro.graphs.generators import GRAPH_FAMILIES
 from repro.sim.array_engine import (ArraySyncScheduler, get_ops,
                                     wrap_scheduler_for_array)
-from repro.sim.array_kernel import ArrayNetwork, build_array_mdst_network
+from repro.sim.array_kernel import ArrayNetwork
 from repro.sim.faults import corrupt_states
 from repro.sim.messages import (TYPE_TAG_BITS, GarbageMessage, estimate_bits,
                                 id_bits)
@@ -286,7 +286,7 @@ def _corrupted_network(backend: str, n: int, graph_seed: int,
     elif backend == "spanning_tree":
         net = Network(graph, spanning_tree_process_factory(n_upper=n_upper))
     else:
-        net = build_array_mdst_network(graph, n_upper=n_upper)
+        net = ArrayNetwork(graph, n_upper=n_upper)
     rng = np.random.default_rng(corrupt_seed)
     for v in net.node_ids:
         net.processes[v].corrupt(rng)

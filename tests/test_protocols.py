@@ -82,6 +82,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError, match="stability_window"):
             run_protocol(graph, ProtocolRunConfig(stability_window=0))
 
+    def test_unknown_mdst_option_rejected(self):
+        graph = make_graph("wheel", 8, seed=1)
+        config = ProtocolRunConfig(options={"search_priod": 1})
+        with pytest.raises(ConfigurationError,
+                           match="search_period, deblock_cooldown, "
+                                 "enable_reduction"):
+            run_protocol(graph, config)
+
     def test_initial_tree_requires_capability(self):
         graph = make_graph("wheel", 8, seed=1)
         tree = [(0, v) for v in range(1, 8)]

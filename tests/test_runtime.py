@@ -14,7 +14,6 @@ import json
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.experiments import run_workload, workload_records
 from repro.experiments.workloads import WorkloadInstance
 from repro.runtime import (
     ResultCache,
@@ -31,11 +30,11 @@ from repro.runtime import (
 FAST = dict(max_rounds=2000)
 
 
-def tiny_sweep(**overrides) -> SweepSpec:
-    base = dict(families=("wheel", "erdos_renyi_sparse"), sizes=(8,),
-                repetitions=2, master_seed=7, max_rounds=2000)
-    base.update(overrides)
-    return SweepSpec(**base)
+def tiny_sweep(base: RunSpec = RunSpec(**FAST), **axes) -> SweepSpec:
+    matrix = dict(families=("wheel", "erdos_renyi_sparse"), sizes=(8,),
+                  repetitions=2, master_seed=7)
+    matrix.update(axes)
+    return SweepSpec(base=base, **matrix)
 
 
 class TestRunSpec:
@@ -63,11 +62,31 @@ class TestRunSpec:
                         spec.with_params(x=1)):
             assert spec_key(changed) != spec_key(spec)
 
-    def test_mdst_config_mirrors_spec(self):
+    def test_protocol_run_config_mirrors_spec(self):
         cfg = RunSpec(seed=5, scheduler="random", initial="corrupted",
-                      max_rounds=123).mdst_config()
+                      max_rounds=123).protocol_run_config()
         assert (cfg.seed, cfg.scheduler, cfg.initial, cfg.max_rounds) == \
             (5, "random", "corrupted", 123)
+        assert cfg.options == {"enable_reduction": True}
+
+    def test_spec_keys_are_pinned(self):
+        # Cached outcomes on disk are found by these digests: a change
+        # here needs a CACHE_SCHEMA_VERSION bump, never a silent drift.
+        pinned = {
+            RunSpec(): "066bd3f85b7978be0f97a8036717092797734c66"
+                       "1150b458c53143956181cfed",
+            RunSpec(task="churn", churn_rate=0.1, churn_events=3,
+                    graph_params=(("p", 0.1),),
+                    params=(("node_weights", ((1, 2),)),)):
+                "89197eec0241a5c2dc34287222e59ec3c34278fb"
+                "ef3d59746f88905257d88775",
+            RunSpec(backend="array", loss_rate=0.1, crash_recover=5,
+                    graph_file="x.txt"):
+                "812a35801a18d75a99630e686bcd4abce8d2d5c9"
+                "54ba4aaa3a9e714a4a8ac82c",
+        }
+        for spec, digest in pinned.items():
+            assert spec_key(spec) == digest
 
     def test_build_graph_matches_workload_instance(self):
         spec = RunSpec(family="erdos_renyi_sparse", n=12, seed=9)
@@ -216,8 +235,9 @@ class TestProtocolSpecs:
         assert all(s.protocol == "mdst" for s in tiny_sweep().expand())
 
     def test_sweep_forwards_fault_and_churn_knobs(self):
-        sweep = tiny_sweep(task="churn", protocols=("spanning_tree",),
-                           fault_round=15, churn_rate=0.1, churn_events=2)
+        base = RunSpec(task="churn", fault_round=15, churn_rate=0.1,
+                       churn_events=2, **FAST)
+        sweep = tiny_sweep(base, protocols=("spanning_tree",))
         spec = sweep.expand()[0]
         assert spec.fault_round == 15
         assert spec.churn_rate == 0.1 and spec.churn_events == 2
@@ -373,14 +393,6 @@ class TestConvenienceAPIs:
         assert len(report.rows) == 1
         assert report.rows[0]["converged"] is True
         assert report.metadata["sweep"]["families"] == ["wheel"]
-
-    def test_runner_dispatches_workloads_through_engine(self):
-        instances = [WorkloadInstance("wheel", 8, 3),
-                     WorkloadInstance("wheel", 8, 4)]
-        outcomes = run_workload(instances, max_rounds=2000, workers=2)
-        assert [o.spec.seed for o in outcomes] == [3, 4]
-        records = workload_records(instances, max_rounds=2000)
-        assert [o.record for o in outcomes] == records
 
 
 class TestExperimentsThroughEngine:
