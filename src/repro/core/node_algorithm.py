@@ -269,8 +269,10 @@ class MDSTNode(TreeRules):
 
     def _gossip(self) -> None:
         st = self.s
-        sig = (st.root, st.parent, st.distance, st.degree, st.sub_max,
-               st.dmax, st.color)
+        # ``deg_v`` from the tree neighbours, cached while the node is
+        # settled, instead of a scan of the view.
+        sig = (st.root, st.parent, st.distance, len(self._tree_neighbors()),
+               st.sub_max, st.dmax, st.color)
         msg = self._gossip_msg
         if msg is None or sig != self._gossip_sig:
             msg = MInfo(root=sig[0], parent=sig[1], distance=sig[2],
@@ -747,7 +749,7 @@ class MDSTNode(TreeRules):
         return self.s.state_bits(network_size)
 
     def snapshot(self) -> Dict[str, object]:
-        return self.s.snapshot()
+        return self.s.snapshot(len(self._tree_neighbors()))
 
 
 def mdst_node_factory(n_upper: int | None = None, search_period: int = 3,

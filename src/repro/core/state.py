@@ -179,13 +179,17 @@ class MDSTState:
         per_neighbor = 6 * idbits + 2              # cached copy + color + heard
         return own + per_neighbor * len(self.neighbors)
 
-    def snapshot(self) -> Dict[str, object]:
-        """Protocol variables exposed to global checks and traces."""
+    def snapshot(self, degree: int) -> Dict[str, object]:
+        """Protocol variables exposed to global checks and traces.
+
+        ``degree`` is :attr:`degree`, which the node reads from its tree
+        neighbours (cached while it is settled) instead of a scan.
+        """
         return {
             "root": self.root,
             "parent": self.parent,
             "distance": self.distance,
-            "degree": self.degree,
+            "degree": degree,
             "sub_max": self.sub_max,
             "dmax": self.dmax,
             "color": self.color,

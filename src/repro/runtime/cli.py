@@ -41,7 +41,7 @@ from typing import List, Optional, Sequence
 from ..analysis.convergence import aggregate_records
 from ..analysis.reporting import ExperimentReport
 from ..analysis.tables import format_table
-from ..exceptions import ReproError
+from ..exceptions import ConfigurationError, ReproError
 from ..graphs.generators import (GRAPH_FAMILIES, family_info, family_names,
                                  validate_graph_params)
 from ..protocols import PROTOCOLS, protocol_names
@@ -303,11 +303,16 @@ def _check_backend_flags(args: argparse.Namespace) -> None:
 
     The array kernel freezes the topology at build time and owns the
     channel objects, so churn and adversary models remain object-backend
-    features; the runner enforces the same gating, but failing here keeps
-    the error a one-line CLI fix instead of a mid-sweep stack trace.
+    features, and the memory task accounts the object network's processes;
+    the tasks enforce the same gating, but failing here keeps the error a
+    one-line CLI fix instead of a mid-sweep stack trace.
     """
     if args.backend == "object":
         return
+    if args.task == "memory":
+        raise ConfigurationError(
+            "--backend array does not support the memory task (it accounts "
+            "the object network)")
     if args.task == "churn" or args.churn_rate > 0 or args.churn_events > 0:
         raise ReproError("--backend array does not support topology churn")
     if args.task == "adversary" or _adversary_flags_set(args):

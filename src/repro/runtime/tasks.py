@@ -254,8 +254,16 @@ def run_reference_task(spec: RunSpec) -> RunOutcome:
 
 
 def run_memory_task(spec: RunSpec) -> RunOutcome:
-    """Per-node state accounting vs the O(δ log n) envelope (E3)."""
+    """Per-node state accounting vs the O(δ log n) envelope (E3).
+
+    The accounting reads the object network's processes, so an array-backend
+    spec is refused rather than labelled ``array`` over an object row.
+    """
     _require_mdst(spec)
+    if spec.backend != "object":
+        raise ConfigurationError(
+            f"task 'memory' accounts the object network; got backend "
+            f"{spec.backend!r}")
     graph = spec.build_graph()
     config = spec.protocol_run_config()
     adapter = get_protocol(spec.protocol)

@@ -59,8 +59,9 @@ __all__ = [
     "NodeFaultModel", "ByzantineModel", "Adversary", "make_channel_model",
 ]
 
-#: Placement of one message copy: ``(message, index)`` where ``index`` is a
-#: queue insertion position (``None`` appends at the tail, reliable FIFO).
+#: Placement of one message copy: ``(message, index)`` where ``message`` is
+#: the sent (immutable) message and ``index`` is a queue insertion position
+#: (``None`` appends at the tail, reliable FIFO).
 Placement = Tuple[Message, Optional[int]]
 
 
@@ -72,7 +73,8 @@ class ChannelModel(abc.ABC):
     the *placements* to enqueue: an empty sequence loses the message, two
     entries duplicate it, a non-``None`` index inserts it out of FIFO order.
     Models never mutate the channel directly -- the channel performs the
-    placements itself so statistics and kernel activity hooks stay exact.
+    placements itself and reports how many it made, so the channel
+    statistics and the network's per-step accounting stay exact.
     """
 
     @abc.abstractmethod

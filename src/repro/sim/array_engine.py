@@ -273,8 +273,8 @@ class MDSTArrayOps:
         net = self.network
         k = self.kernel
         sent = net._mint(T)
-        # Physical sends tick the version through the channel watcher;
-        # virtual mints are counted here.
+        # Physical sends tick the version in ``flush_outbox``; virtual
+        # mints are counted here.
         net._version += sent
         processes = net.processes
         node_ids = k.node_ids
@@ -345,7 +345,7 @@ def execute_plan(network: ArrayNetwork, ops: MDSTArrayOps, plan: Plan,
     # Deblock cooldown reads ``steps_taken``, so it is exact at every
     # handler call; all other steps are credited after the round.
     credited: Dict[NodeId, int] = {}
-    n_gossip = n_handled = sent = 0
+    n_gossip = n_popped = sent = 0
     by_type = stats.by_type
     events = plan.events
     # Actors by descending event count, so each slot's actors are a prefix.
@@ -378,8 +378,9 @@ def execute_plan(network: ArrayNetwork, ops: MDSTArrayOps, plan: Plan,
         if len(vrows):
             ops.scatter_tokens(vrows, vdsts)
         if len(rows):
+            n_popped += len(rows)
             for row, di in zip(rows.tolist(), dsts.tolist()):
-                msg = row_channel[row].deliver()
+                msg = network.pop(row_channel[row])
                 if type(msg) is MInfo:
                     f_rows.append(row)
                     f_dsts.append(di)
@@ -402,16 +403,15 @@ def execute_plan(network: ArrayNetwork, ops: MDSTArrayOps, plan: Plan,
         if True in drop:
             scalars = [s for s, dropped in zip(scalars, drop) if not dropped]
         for dst, src, msg in scalars:
-            # Exactly Scheduler._deliver_one after the channel pop.
+            # Exactly Scheduler._deliver after the channel pop (which
+            # accounted the step).
             process = processes[dst]
             process.steps_taken += j - credited.get(dst, 0)
             process.on_message(src, msg)
             process.steps_taken += 1
             credited[dst] = j + 1
-            network.note_step(dst)
-            out = network.flush_outbox(dst)
-            stats.messages_sent += out
-        n_handled += len(scalars)
+            if process.outbox._items:
+                stats.messages_sent += network.flush_outbox(dst)
         if len(T):
             sent += ops.run_timeouts(T)
 
@@ -423,7 +423,8 @@ def execute_plan(network: ArrayNetwork, ops: MDSTArrayOps, plan: Plan,
         processes[v].steps_taken -= c
     network._dirty.update(actor_ids)
     n_timeouts = int(np.count_nonzero(events < 0))
-    network._version += len(events) - n_handled
+    # A physical pop has ticked the version for its step already.
+    network._version += len(events) - n_popped
     stats.steps += len(events)
     stats.deliveries += len(events) - n_timeouts
     stats.timeouts += n_timeouts

@@ -663,12 +663,12 @@ class ArrayBackedState:
         per_neighbor = 6 * idbits + 2
         return own + per_neighbor * len(self.neighbors)
 
-    def snapshot(self) -> Dict[str, object]:
+    def snapshot(self, degree: int) -> Dict[str, object]:
         return {
             "root": self.root,
             "parent": self.parent,
             "distance": self.distance,
-            "degree": self.degree,
+            "degree": degree,
             "sub_max": self.sub_max,
             "dmax": self.dmax,
             "color": self.color,
@@ -854,24 +854,39 @@ class ArrayChannel(Channel):
         net = self._net
         return int(net._vg_sent_src[self._src_i]) - int(net._vg_del_row[self._row])
 
-    def _enqueue(self, message, index=None) -> None:
+    # The overrides below keep ``ArrayNetwork._row_physical[row]`` equal to
+    # "the physical queue is non-empty and no token is ahead of it"; the
+    # owning network's routes do the rest of the kernel's accounting.
+
+    def send(self, message) -> int:
         # The message goes behind the in-flight tokens: onto an empty queue
-        # they become ahead tokens; tokens behind a non-empty queue (or an
-        # out-of-order placement) materialize first.
+        # they become ahead tokens; tokens behind a non-empty queue (or any
+        # placement a channel model decides) materialize first.
+        net = self._net
+        row = self._row
         p = self._pending()
-        if p:
-            net = self._net
-            if not self._queue and index is None:
-                net._vg_ahead[self._row] = p
-            elif p > net._vg_ahead[self._row] or index is not None:
-                net._materialize_channel(self)
-        super()._enqueue(message, index)
+        if p and (self._model is not None
+                  or (self._queue and p > net._vg_ahead[row])):
+            net._materialize_channel(self)
+            p = 0
+        was_empty = not self._queue
+        placed = super().send(message)
+        if was_empty and self._queue:
+            if p:
+                net._vg_ahead[row] = p
+            else:
+                net._row_physical[row] = True
+        return placed
 
     def deliver(self):
-        if (self._net._vg_ahead[self._row]
-                or (not self._queue and self._pending())):
-            self._net._materialize_channel(self)
-        return super().deliver()
+        net = self._net
+        row = self._row
+        if net._vg_ahead[row] or (not self._queue and self._pending()):
+            net._materialize_channel(self)
+        message = super().deliver()
+        if not self._queue:
+            net._row_physical[row] = False
+        return message
 
     def peek(self):
         return next(iter(self), None)
@@ -880,10 +895,13 @@ class ArrayChannel(Channel):
         if self._pending():
             self._net._materialize_channel(self)
         super().preload(messages)
+        if self._queue:
+            self._net._row_physical[self._row] = True
 
     def clear(self) -> int:
         if self._pending():
             self._net._materialize_channel(self)
+        self._net._row_physical[self._row] = False
         return super().clear()
 
     def __len__(self) -> int:
@@ -1109,7 +1127,6 @@ class ArrayNetwork(Network):
         channel = ArrayChannel(src, dst, self.n, self,
                                int(self.kernel.index[src]),
                                self.kernel.pos[(dst, src)])
-        channel.watch(self._channel_changed)
         if self._channel_model is not None:
             channel.set_model(self._channel_model)
         return channel
@@ -1154,22 +1171,6 @@ class ArrayNetwork(Network):
         k.color[:] = True
         k.v_heard[:] = False
         self.note_state_write()
-
-    def _channel_changed(self, channel: Channel, delta: int) -> None:
-        # The active set tracks *physical* queues only, as in the parent
-        # watcher (in-flight tokens are enumerated by
-        # ``enabled_deliveries`` straight from the counters).  The per-row
-        # flag the engine reads follows it; both change only when the
-        # queue empties or fills.
-        self._pending_total += delta
-        length = len(channel._queue)
-        if length == delta:  # the queue was empty
-            self._active.add(channel.key)
-            self._row_physical[channel._row] = not self._vg_ahead[channel._row]
-        elif not length:
-            self._active.discard(channel.key)
-            self._row_physical[channel._row] = False
-        self._version += 1
 
     def _unsettle(self, node: Optional[NodeId]) -> None:
         # The nodes' settled flags are the kernel column (see

@@ -56,10 +56,16 @@ class Channel:
     *pre-load* arbitrary messages (modelling an arbitrary initial
     configuration, which in the message-passing model includes link
     contents), but once the simulation runs the FIFO discipline holds.
+
+    A channel is a queue with statistics and nothing more: it knows no
+    network.  A :class:`~repro.sim.network.Network` mutates its channels
+    only through its own routes (``flush_outbox``, ``pop``, ``preload`` and
+    edge removal), which keep the kernel's counters in step with the
+    queues.
     """
 
     __slots__ = ("src", "dst", "key", "_queue", "_stats", "_network_size",
-                 "_on_change", "_model")
+                 "_model")
 
     def __init__(self, src: NodeId, dst: NodeId, network_size: int = 2):
         if src == dst:
@@ -72,19 +78,10 @@ class Channel:
         self._queue: Deque[Message] = deque()
         self._stats = ChannelStats()
         self._network_size = network_size
-        #: Activity hook installed by the owning network: called after every
-        #: queue mutation with the delta in queue length.  Keeps the kernel's
-        #: active-channel set and configuration version current without the
-        #: channel knowing anything about the network.
-        self._on_change = None
         #: Optional :class:`~repro.sim.adversary.ChannelModel` deciding how
         #: each sent message lands on the queue.  ``None`` (the default) is
         #: the historical reliable-FIFO fast path.
         self._model = None
-
-    def watch(self, on_change) -> None:
-        """Install the activity callback ``(channel, delta) -> None``."""
-        self._on_change = on_change
 
     def set_model(self, model) -> None:
         """Install (or with ``None`` remove) the channel's delivery model."""
@@ -92,60 +89,53 @@ class Channel:
 
     # -- sending / delivering ------------------------------------------------
 
-    def _enqueue(self, message: Message, index: int | None = None) -> None:
-        """Place one message copy on the queue and account for it.
-
-        ``index=None`` appends at the tail (reliable FIFO); an integer
-        inserts at that queue position (adversarial reordering).  Updates
-        the statistics and fires the activity hook exactly like a
-        historical ``send`` did, so the ``index=None`` path stays
-        byte-identical to the model-free channel.
-        """
-        queue = self._queue
-        if index is None or index >= len(queue):
-            queue.append(message)
-        else:
-            queue.insert(index, message)
-        stats = self._stats
-        stats.sent += 1
-        length = len(queue)
-        if length > stats.max_queue_length:
-            stats.max_queue_length = length
-        bits = message.size_bits(self._network_size)
-        if bits > stats.max_message_bits:
-            stats.max_message_bits = bits
-        if self._on_change is not None:
-            self._on_change(self, 1)
-
-    def send(self, message: Message) -> None:
+    def send(self, message: Message) -> int:
         """Hand ``message`` to the channel (called by ``src``).
 
-        Without a delivery model the message is appended at the tail
-        (reliable FIFO).  With one, the model decides the placements: none
-        (lost), several (duplicated) or out-of-order (reordered).  A lost
-        message never enters the queue -- and is *not* counted in
+        Returns the number of copies placed on the queue.  Without a
+        delivery model the message is appended at the tail (reliable FIFO),
+        one copy.  With one, the model decides the placements of copies of
+        ``message``: none (lost), several (duplicated) or out-of-order
+        (reordered); an integer index inserts at that queue position.  A
+        lost message never enters the queue -- and is *not* counted in
         ``stats.sent`` or the network's churn-loss counter; the model keeps
         its own accounting.
         """
         if not isinstance(message, Message):
             raise ChannelError(
                 f"only Message instances may be sent, got {type(message).__name__}")
+        queue = self._queue
         model = self._model
         if model is None:
-            self._enqueue(message)
-            return
-        for copy, index in model.on_send(self, message):
-            self._enqueue(copy, index)
+            queue.append(message)
+            placed = 1
+        else:
+            placed = 0
+            for copy, index in model.on_send(self, message):
+                if index is None or index >= len(queue):
+                    queue.append(copy)
+                else:
+                    queue.insert(index, copy)
+                placed += 1
+            if not placed:
+                return 0
+        # Placements only add, so the queue is longest now.
+        stats = self._stats
+        stats.sent += placed
+        length = len(queue)
+        if length > stats.max_queue_length:
+            stats.max_queue_length = length
+        bits = message.size_bits(self._network_size)
+        if bits > stats.max_message_bits:
+            stats.max_message_bits = bits
+        return placed
 
     def deliver(self) -> Message:
         """Pop and return the message at the head of the channel."""
         if not self._queue:
             raise ChannelError(f"channel {self.src}->{self.dst} is empty")
         self._stats.delivered += 1
-        message = self._queue.popleft()
-        if self._on_change is not None:
-            self._on_change(self, -1)
-        return message
+        return self._queue.popleft()
 
     def peek(self) -> Message | None:
         """Return the head message without removing it (``None`` if empty)."""
@@ -160,8 +150,6 @@ class Channel:
         self._queue.extend(messages)
         stats = self._stats
         stats.max_queue_length = max(stats.max_queue_length, len(self._queue))
-        if messages and self._on_change is not None:
-            self._on_change(self, len(messages))
 
     def clear(self) -> int:
         """Drop all queued messages; return how many were dropped.
@@ -172,13 +160,7 @@ class Channel:
         """
         dropped = len(self._queue)
         self._queue.clear()
-        if dropped and self._on_change is not None:
-            self._on_change(self, -dropped)
         return dropped
-
-    def unwatch(self) -> None:
-        """Remove the activity callback (the owning network is letting go)."""
-        self._on_change = None
 
     # -- introspection --------------------------------------------------------
 

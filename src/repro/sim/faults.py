@@ -93,7 +93,7 @@ def corrupt_channels(network: Network, rng: np.random.Generator,
         count = int(rng.integers(1, max_garbage + 1))
         payload = [GarbageMessage(payload=tuple(int(x) for x in rng.integers(0, 1000, size=3)))
                    for _ in range(count)]
-        channel.preload(payload)
+        network.preload(channel, payload)
         injected += count
     return injected
 

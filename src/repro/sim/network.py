@@ -17,16 +17,27 @@ that schedulers and monitors never have to poll disabled parts of the
 system:
 
 * :attr:`Network.version` is a monotonically increasing **configuration
-  version**, bumped on every message send, every delivery, and every state
-  write the kernel is told about (process steps report through
-  :meth:`note_step`; out-of-band mutation such as fault injection or
-  initial-configuration installers must call :meth:`note_state_write`).
-  That call also clears the written nodes' *settled* flags: a protocol
-  may skip its rules pass at a node whose state is a fixpoint of them
-  (the MDST node does), and only the node's own steps keep that verdict
-  current.  Snapshots and their fingerprint are cached keyed on this
-  version, so any number of global checks within one configuration cost
-  one traversal.
+  version**.  It ticks once per message copy placed on a channel, once
+  per delivery, once per atomic step, and once per state write the kernel
+  is told about (a receipt step reports through :meth:`pop`, a timeout
+  through :meth:`note_step`; out-of-band mutation such as fault injection
+  or initial-configuration installers must call :meth:`note_state_write`).
+  A step's send ticks land together when :meth:`flush_outbox` has placed
+  its messages, so the version is exact at every step boundary.
+  :meth:`note_state_write` also clears the written nodes' *settled*
+  flags: a protocol may skip its rules pass at a node whose state is a
+  fixpoint of them (the MDST node does), and only the node's own steps
+  keep that verdict current.  Snapshots and their fingerprint are cached
+  keyed on this version, so any number of global checks within one
+  configuration cost one traversal.
+* **Per-step message accounting.**  Channels and outboxes carry no
+  activity callbacks.  The network owns one route per kind of channel
+  mutation and does the kernel's bookkeeping (pending count, active set,
+  version) there: :meth:`flush_outbox` for a step's sends (one
+  ``Channel.send`` per message, the counters once per batch), :meth:`pop`
+  for a delivery, :meth:`preload` for fault injection and edge removal
+  for ``Channel.clear``.  A channel mutated behind the network's back
+  leaves those counters stale.
 * Every node carries an **enabled flag** (:meth:`set_node_enabled`).  A
   disabled node takes no steps at all -- no timeout actions, and messages
   addressed to it stay queued.  All nodes start enabled, which reproduces
@@ -34,12 +45,14 @@ system:
 * The **enabled-event set** (:meth:`enabled_events`) is the kernel's
   contract with the schedulers: the timeout of every enabled node plus one
   delivery per message queued on a channel toward an enabled node.  Active
-  channels are tracked incrementally (a channel joins the set when it
-  becomes non-empty and leaves when drained), so building the event set
-  costs O(active), not O(m).
+  channels are tracked incrementally (a channel joins the set when a send
+  leaves it non-empty and leaves when a delivery drains it), so building
+  the event set costs O(active), not O(m).
 * :meth:`has_enabled_events` is the quiescence test the simulator uses to
   short-circuit the round loop: with no enabled event, no future round can
-  change the configuration.
+  change the configuration.  The stricter :meth:`is_quiescent` (no message
+  in transit, no outbox holding one) scans the outboxes in O(n); there is
+  no outbox watcher, and nothing on the simulation path calls it.
 
 Dirty-set incremental snapshots
 -------------------------------
@@ -73,8 +86,8 @@ The communication graph is no longer frozen at construction:
 structure consistent -- the graph (copied on first mutation, so the caller's
 object is never touched), the adjacency map, the channel set (in-flight
 messages on a removed link are dropped and counted in
-:attr:`dropped_messages`), the active-channel set and pending/outbox
-counters, the dirty-node set and per-node snapshot caches, and each
+:attr:`dropped_messages`), the active-channel set and pending count,
+the dirty-node set and per-node snapshot caches, and each
 affected process's neighbour set (via
 :meth:`~repro.sim.node.Process.add_neighbor` /
 :meth:`~repro.sim.node.Process.remove_neighbor`, which protocols override
@@ -164,7 +177,7 @@ class Network:
         self._channel_seq = 0
         self.processes: Dict[NodeId, Process] = {
             v: self._make_process(v) for v in self.node_ids}
-        # Two directed channels per undirected edge, watched for activity.
+        # Two directed channels per undirected edge.
         self.channels: Dict[ChannelKey, Channel] = {}
         for u, v in graph.edges:
             for key in ((u, v), (v, u)):
@@ -207,19 +220,13 @@ class Network:
         self._snaps_view: Optional[Mapping[NodeId, Mapping[str, object]]] = None
         self._snaps_version = -1
         self._key_cache: Optional[Tuple[int, tuple]] = None
-        # Non-empty-outbox count for the O(1) quiescence test, maintained by
-        # the outbox watcher :meth:`_make_process` installs.
-        self._nonempty_outboxes = 0
 
     def _make_process(self, v: NodeId) -> Process:
-        """Build node ``v``'s process from ``adjacency[v]`` and watch its outbox."""
+        """Build node ``v``'s process from ``adjacency[v]``."""
         proc = self._process_factory(v, self.adjacency[v])
         if proc.node_id != v:
             raise ProtocolError(
                 f"process factory returned node id {proc.node_id} for node {v}")
-        proc.outbox.watch(self._outbox_changed)
-        if len(proc.outbox):
-            self._nonempty_outboxes += 1
         return proc
 
     # -- configuration version / activity tracking -----------------------------
@@ -228,8 +235,9 @@ class Network:
     def version(self) -> int:
         """Monotonically increasing configuration version.
 
-        Bumped on every send, every delivery, and every reported state
-        write.  Equal versions guarantee an unchanged configuration; caches
+        Bumped once per message copy placed on a channel, once per
+        delivery, once per atomic step and once per reported state write.
+        Equal versions guarantee an unchanged configuration; caches
         throughout the verification layer key on it.
         """
         return self._version
@@ -248,14 +256,13 @@ class Network:
         return self._topology_version
 
     def _make_channel(self, key: ChannelKey) -> Channel:
-        """Create and watch one directed channel.
+        """Create one directed channel.
 
         A channel created by live edge/node churn inherits the network's
         delivery model: an unreliable adversary stays unreliable on links
         that appear mid-run.
         """
         channel = Channel(*key, network_size=self.n)
-        channel.watch(self._channel_changed)
         if self._channel_model is not None:
             channel.set_model(self._channel_model)
         return channel
@@ -279,25 +286,13 @@ class Network:
         for channel in self.channels.values():
             channel.set_model(model)
 
-    def _channel_changed(self, channel: Channel, delta: int) -> None:
-        """Activity hook installed on every channel (send/deliver/preload/clear)."""
-        self._pending_total += delta
-        if channel._queue:
-            self._active.add(channel.key)
-        else:
-            self._active.discard(channel.key)
-        self._version += 1
-
-    def _outbox_changed(self, outbox, delta: int) -> None:
-        """Activity hook installed on every process outbox (append/drain)."""
-        self._nonempty_outboxes += delta
-
     def note_step(self, v: NodeId) -> None:
         """Record that node ``v`` executed an atomic step (potential state write).
 
-        Called by the scheduler helpers after every timeout action and every
-        message receipt; conservatively bumps the configuration version and
-        marks ``v`` dirty for the incremental snapshot caches.
+        Called by the scheduler helpers after every timeout action
+        (:meth:`pop` does the same for a message receipt); conservatively
+        bumps the configuration version and marks ``v`` dirty for the
+        incremental snapshot caches.
         """
         self._version += 1
         self._dirty.add(v)
@@ -370,12 +365,16 @@ class Network:
         """
         order = self._channel_order
         keys = sorted(self._active, key=order.__getitem__)
+        channels = self.channels
+        disabled = self._disabled
         out: List[Tuple[NodeId, NodeId, int]] = []
         for key in keys:
             src, dst = key
-            if dst in self._disabled:
+            if dst in disabled:
                 continue
-            count = len(self.channels[key])
+            # The active set holds the non-empty queues (in-flight array
+            # tokens are the array network's own override).
+            count = len(channels[key]._queue)
             if count:
                 out.append((src, dst, count))
         return out
@@ -446,11 +445,14 @@ class Network:
         :meth:`total_messages_sent` keep covering its traffic.
         """
         channel = self.channels.pop(key)
-        self.dropped_messages += channel.clear()
+        dropped = channel.clear()
+        if dropped:
+            self.dropped_messages += dropped
+            self._pending_total -= dropped
+            self._version += 1
         self._retired_messages_sent += channel.stats.sent
         if channel.stats.max_message_bits > self._retired_max_message_bits:
             self._retired_max_message_bits = channel.stats.max_message_bits
-        channel.unwatch()
         self._channel_order.pop(key, None)
         self._active.discard(key)
 
@@ -512,7 +514,7 @@ class Network:
         """A new node joins the network, linked to ``neighbors``.
 
         The process is built by the same factory the network was constructed
-        with; its outbox is watched, its channels installed, and every
+        with, its channels installed, and every
         attach-point process learns about its new neighbour.  Returns the
         new process.
         """
@@ -550,7 +552,7 @@ class Network:
         Every incident channel is destroyed (in-flight messages dropped and
         counted), every ex-neighbour evicts ``v`` from its neighbour set,
         and all per-node kernel state (enabled flag, dirty mark, snapshot
-        caches, outbox watch) is released.  Returns the removed process.
+        caches) is released.  Returns the removed process.
         """
         if v not in self.adjacency:
             raise SimulationError(f"unknown node {v}")
@@ -565,9 +567,6 @@ class Network:
             self._dirty.add(u)
         self.m -= len(ex_neighbors)
         proc = self.processes.pop(v)
-        if len(proc.outbox):
-            self._nonempty_outboxes -= 1
-        proc.outbox.unwatch()
         self._own_graph().remove_node(v)
         self.n -= 1
         self.node_ids.remove(v)
@@ -586,21 +585,61 @@ class Network:
     def flush_outbox(self, v: NodeId) -> int:
         """Move every message queued in ``v``'s outbox onto its channels.
 
-        Returns the number of messages pushed.  Called by the simulator after
-        every atomic step of ``v`` so that emission order is preserved.
+        Returns the number of messages emitted.  Called by the simulator
+        after every atomic step of ``v`` that emitted something, so that
+        emission order is preserved.  This is the kernel's one send route:
+        each message goes through :meth:`Channel.send
+        <repro.sim.channel.Channel.send>` (queue and channel statistics),
+        and the pending count and version grow once per batch by the
+        number of copies placed, also when a send raises part-way.
         """
         outbox = self.processes[v].outbox
-        if not outbox._items:
+        items = outbox._items
+        if not items:
             return 0
-        items = outbox.drain()
+        outbox._items = []
         channels = self.channels
-        for dest, message in items:
-            try:
-                channel = channels[(v, dest)]
-            except KeyError:
-                raise ChannelError(f"no channel {v}->{dest}") from None
-            channel.send(message)
+        active = self._active
+        placed = 0
+        try:
+            for dest, message in items:
+                try:
+                    channel = channels[(v, dest)]
+                except KeyError:
+                    raise ChannelError(f"no channel {v}->{dest}") from None
+                placed += channel.send(message)
+                key = channel.key
+                if key not in active and channel._queue:
+                    active.add(key)
+        finally:
+            self._pending_total += placed
+            self._version += placed
         return len(items)
+
+    def pop(self, channel: Channel) -> Message:
+        """Pop the head message of ``channel`` for a receipt step at its
+        destination: the kernel's one delivery route.
+
+        The pending count drops, a drained channel leaves the active set,
+        the version ticks for the pop and for the step, and the destination
+        is marked dirty (what :meth:`note_step` does for a timeout).
+        """
+        message = channel.deliver()
+        self._pending_total -= 1
+        if not channel._queue:
+            self._active.discard(channel.key)
+        self._version += 2
+        self._dirty.add(channel.dst)
+        return message
+
+    def preload(self, channel: Channel, messages: List[Message]) -> None:
+        """Place arbitrary messages on ``channel`` (fault injection, an
+        arbitrary initial configuration), with the kernel's accounting."""
+        channel.preload(messages)
+        if messages:
+            self._pending_total += len(messages)
+            self._active.add(channel.key)
+            self._version += 1
 
     def pending_channels(self) -> List[Channel]:
         """All channels currently holding at least one message (channel order)."""
@@ -615,11 +654,11 @@ class Network:
     def is_quiescent(self) -> bool:
         """``True`` when no message is in transit and no outbox is non-empty.
 
-        O(1): the kernel counts messages in transit and non-empty outboxes
-        incrementally (channel and outbox activity hooks) instead of
-        scanning every channel and every process.
+        O(n): the pending count is kept per step, the outboxes are scanned
+        (nothing on the simulation path asks this question).
         """
-        return self._pending_total == 0 and self._nonempty_outboxes == 0
+        return (self._pending_total == 0
+                and not any(len(p.outbox) for p in self.processes.values()))
 
     # -- global inspection -----------------------------------------------------
 

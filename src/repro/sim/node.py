@@ -23,7 +23,7 @@ their own ``__slots__`` or to stay ordinary dict-ful classes.
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -40,40 +40,19 @@ __all__ = ["Process", "Outbox"]
 class Outbox:
     """Collects the messages emitted by a node during one atomic step.
 
-    The simulator drains the outbox after every step and pushes its content
-    onto the corresponding FIFO channels, preserving emission order.
-
-    The owning network may install an *activity watcher* (:meth:`watch`):
-    it is invoked with ``(outbox, +1)`` when the outbox becomes non-empty
-    and ``(outbox, -1)`` when it is drained back to empty, which lets the
-    kernel keep a count of non-empty outboxes instead of scanning every
-    process for its quiescence test.
+    :meth:`Process.send` and :meth:`Process.broadcast` append to it; the
+    network empties it after every step that emitted something and pushes
+    its content onto the corresponding FIFO channels, preserving emission
+    order.
     """
 
-    __slots__ = ("_items", "_on_change")
+    __slots__ = ("_items",)
 
     def __init__(self) -> None:
         self._items: List[Tuple[NodeId, Message]] = []
-        self._on_change: Optional[Callable[["Outbox", int], None]] = None
-
-    def watch(self, on_change: Callable[["Outbox", int], None]) -> None:
-        """Install the non-empty-transition callback ``(outbox, delta) -> None``."""
-        self._on_change = on_change
-
-    def unwatch(self) -> None:
-        """Remove the activity callback (the owning network is letting go)."""
-        self._on_change = None
-
-    def append(self, dest: NodeId, message: Message) -> None:
-        items = self._items
-        items.append((dest, message))
-        if len(items) == 1 and self._on_change is not None:
-            self._on_change(self, 1)
 
     def drain(self) -> List[Tuple[NodeId, Message]]:
         items, self._items = self._items, []
-        if items and self._on_change is not None:
-            self._on_change(self, -1)
         return items
 
     def __len__(self) -> int:
@@ -115,14 +94,14 @@ class Process(abc.ABC):
             raise ProtocolError(
                 f"node {self.node_id} tried to send {message.type_name()} to "
                 f"non-neighbour {dest}")
-        self.outbox.append(dest, message)
+        self.outbox._items.append((dest, message))
 
     def broadcast(self, message: Message, exclude: Sequence[NodeId] = ()) -> None:
         """Send ``message`` to every neighbour not listed in ``exclude``."""
-        outbox = self.outbox
+        append = self.outbox._items.append
         for u in self.neighbors:
             if u not in exclude:
-                outbox.append(u, message)
+                append((u, message))
 
     # -- dynamic topology ------------------------------------------------------
 

@@ -47,7 +47,6 @@ import numpy as np
 
 from ..exceptions import SchedulerError
 from ..types import NodeId
-from .channel import Channel
 from .network import EnabledEvents, Network
 from .trace import TraceRecorder
 
@@ -82,8 +81,8 @@ class Scheduler(abc.ABC):
     :meth:`run_round` is a template method: it asks the kernel for the
     enabled-event set at round start and hands it to
     :meth:`schedule_round`, which concrete schedulers implement purely as
-    an ordering policy using the :meth:`_deliver_one` / :meth:`_timeout_one`
-    step helpers.
+    an ordering policy using the :meth:`_deliver` (or :meth:`_deliver_one`)
+    and :meth:`_timeout_one` step helpers.
     """
 
     name: str = "abstract"
@@ -102,26 +101,50 @@ class Scheduler(abc.ABC):
     # -- shared helpers --------------------------------------------------------
 
     @staticmethod
-    def _deliver_one(network: Network, src: NodeId, dst: NodeId,
-                     trace: Optional[TraceRecorder], stats: RoundStats,
-                     channel: Optional[Channel] = None) -> None:
-        """Deliver the head message of channel ``src -> dst`` as one atomic step."""
-        if channel is None:
-            channel = network.channel(src, dst)
-        message = channel.deliver()
+    def _deliver(network: Network, dst: NodeId,
+                 sources: Sequence[Tuple[NodeId, int]],
+                 trace: Optional[TraceRecorder], stats: RoundStats) -> None:
+        """Deliver at ``dst`` the ``count`` head messages of each
+        ``(src, count)`` channel in ``sources``, one atomic step each.
+
+        The delivery step every scheduler shares: pop (with the kernel's
+        accounting of the pop and the step), handle, count the step, flush
+        what it emitted.  ``steps_taken`` rises before the next step runs,
+        for handlers read it.  The destination's lookups are made once per
+        call, and the round's counters are added once per call.
+        """
         process = network.processes[dst]
-        process.on_message(src, message)
-        process.steps_taken += 1
-        network.note_step(dst)
-        sent = network.flush_outbox(dst)
-        stats.steps += 1
-        stats.deliveries += 1
-        stats.messages_sent += sent
+        on_message = process.on_message
+        outbox = process.outbox
+        pop = network.pop
         by_type = stats.by_type
-        name = type(message).__name__
-        by_type[name] = by_type.get(name, 0) + 1
-        if trace is not None:
-            trace.record_delivery(src, dst, message, sent)
+        steps = sent_total = 0
+        for src, count in sources:
+            channel = network.channel(src, dst)
+            for _ in range(count):
+                message = pop(channel)
+                on_message(src, message)
+                process.steps_taken += 1
+                sent = network.flush_outbox(dst) if outbox._items else 0
+                sent_total += sent
+                name = type(message).__name__
+                try:
+                    by_type[name] += 1
+                except KeyError:
+                    by_type[name] = 1
+                if trace is not None:
+                    trace.record_delivery(src, dst, message, sent)
+            steps += count
+        stats.steps += steps
+        stats.deliveries += steps
+        stats.messages_sent += sent_total
+
+    @staticmethod
+    def _deliver_one(network: Network, src: NodeId, dst: NodeId,
+                     trace: Optional[TraceRecorder], stats: RoundStats) -> None:
+        """Deliver the head message of channel ``src -> dst`` as one atomic
+        step (:meth:`_deliver` for one message)."""
+        Scheduler._deliver(network, dst, ((src, 1),), trace, stats)
 
     @staticmethod
     def _timeout_one(network: Network, v: NodeId,
@@ -131,7 +154,7 @@ class Scheduler(abc.ABC):
         process.on_timeout()
         process.steps_taken += 1
         network.note_step(v)
-        sent = network.flush_outbox(v)
+        sent = network.flush_outbox(v) if process.outbox._items else 0
         stats.steps += 1
         stats.timeouts += 1
         stats.messages_sent += sent
@@ -160,15 +183,12 @@ class Scheduler(abc.ABC):
         The delivery discipline shared by the synchronous-style schedulers:
         destinations in increasing id order, sources sorted within each
         destination, messages emitted during the round left for a later one.
+        Only the destination pops a channel and sends only add to it, so
+        each channel still holds its round-start count when its turn comes.
         """
-        deliver_one = self._deliver_one
+        deliver = self._deliver
         for dst, sources in self._deliveries_by_dst(events):
-            for src, count in sources:
-                channel = network.channel(src, dst)
-                for _ in range(count):
-                    if not channel:
-                        break
-                    deliver_one(network, src, dst, trace, stats, channel)
+            deliver(network, dst, sources, trace, stats)
 
 
 class SynchronousScheduler(Scheduler):
@@ -251,7 +271,11 @@ class AdversarialScheduler(Scheduler):
 
     def schedule_round(self, network: Network, events: EnabledEvents,
                        trace: Optional[TraceRecorder], stats: RoundStats) -> None:
+        deliver = self._deliver
         for dst, sources in self._deliveries_by_dst(events):
+            # Deliveries at ``dst`` do not change what its incoming
+            # channels hold, so every count is final before the first one.
+            due = []
             for src, count in sources:
                 link = (src, dst)
                 if self._is_slow(link):
@@ -262,10 +286,8 @@ class AdversarialScheduler(Scheduler):
                     # release the whole backlog after max_delay rounds of delay
                     self._age[link] = 0
                     count = len(network.channel(src, dst))
-                for _ in range(count):
-                    if not network.channel(src, dst):
-                        break
-                    self._deliver_one(network, src, dst, trace, stats)
+                due.append((src, count))
+            deliver(network, dst, due, trace, stats)
         for v in events.timeouts:
             self._timeout_one(network, v, trace, stats)
 

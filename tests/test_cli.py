@@ -139,6 +139,16 @@ def test_sweep_array_backend_fails_fast_for_non_capable_protocol(capsys):
         assert captured.out == ""
 
 
+def test_run_memory_task_rejects_array_backend(capsys):
+    """The memory task accounts the object network: an array run would
+    print an object row under an array label."""
+    assert main(["run", "--task", "memory", "--family", "wheel", "--n", "8",
+                 "--backend", "array"]) == 1
+    captured = capsys.readouterr()
+    assert "does not support the memory task" in captured.err
+    assert captured.out == ""
+
+
 def test_run_array_backend_fails_fast_for_non_capable_protocol(capsys):
     assert main(["run", "--family", "wheel", "--n", "8",
                  "--protocol", "spanning_tree", "--backend", "array"]) == 1

@@ -209,6 +209,12 @@ class TestProtocolSpecs:
         with pytest.raises(ConfigurationError, match="MDST-specific"):
             execute_spec(spec)
 
+    def test_memory_task_rejects_array_backend(self):
+        spec = RunSpec(task="memory", family="wheel", n=8, seed=3,
+                       backend="array")
+        with pytest.raises(ConfigurationError, match="object network"):
+            execute_spec(spec)
+
     def test_churn_task_rejects_non_churn_protocol(self):
         spec = RunSpec(task="churn", protocol="pif_max_degree",
                        family="wheel", n=8, seed=3,

@@ -306,6 +306,9 @@ class TestGossipInterning:
         view.parent = 0
         view.root = 0
         view.distance = 1
+        # An out-of-band write is reported, as the kernel contract asks:
+        # the node was settled, and a settled node gossips its cached tree.
+        net.note_state_write(0)
         node.on_timeout()
         second = [m for _, m in node.outbox.drain() if isinstance(m, MInfo)][0]
         assert second is not first

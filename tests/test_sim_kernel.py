@@ -13,14 +13,18 @@ from dataclasses import dataclass
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import SchedulerError, SimulationError
 from repro.sim import (
+    AdversarialScheduler,
     FaultPlan,
     Message,
     Network,
     PredicateCache,
     Process,
+    RandomAsyncScheduler,
     Simulator,
     SynchronousScheduler,
     WeightedFairScheduler,
@@ -320,3 +324,166 @@ class TestFirstHoldRoundReset:
         assert not monitor.converged
         assert monitor.consecutive_holds == 0
         assert monitor.first_hold_round is None
+
+
+# -- object-kernel digests ------------------------------------------------------
+
+#: md5 of :func:`_kernel_run_digest` per scheduler, pinned before the kernel
+#: moved its per-message accounting from channel callbacks onto the step
+#: path.  The adversarial and weighted schedulers have no array twin, so
+#: these digests are what pins their object runs step for step.
+KERNEL_RUN_MD5 = {
+    "synchronous": "9916494d9e5dea872df9cd42c8ef2a99",
+    "random": "7314f79d55ad4868410926cedf3138df",
+    "adversarial": "6131809a6b6e2eac7e0c553708c1a699",
+    "weighted": "33aaaed10c31ffa383b3c5ef86288d41",
+}
+
+
+def _kernel_run_digest(kind: str) -> str:
+    """Run MDST from a corrupted start (garbage on half the channels, a
+    mid-run fault preloading more) and digest what the kernel counted:
+    rounds, every round's :class:`RoundStats` with ``by_type``, the final
+    tree edges and every node's ``steps_taken``."""
+    import hashlib
+    import json
+
+    from repro.core.legitimacy import current_tree_edges, make_mdst_legitimacy
+    from repro.core.protocol import MDSTConfig, build_mdst_network
+    from repro.graphs import make_graph
+    from repro.sim.faults import corrupt_everything
+
+    graph = make_graph("erdos_renyi_sparse", 10, seed=4)
+    net = build_mdst_network(graph, MDSTConfig(seed=4))
+    corrupt_everything(net, np.random.default_rng(4))
+    edges = sorted(net.channels)
+    scheduler = make_scheduler(kind, seed=4, slow_links=edges[::3],
+                               max_delay=3, weights={0: 3, 5: 2})
+    plan = FaultPlan().add(round_index=40, node_fraction=0.3,
+                           channel_fraction=0.3)
+    sim = Simulator(net, scheduler=scheduler,
+                    legitimacy=make_mdst_legitimacy(), stability_window=5,
+                    fault_plan=plan, rng=np.random.default_rng(5))
+    report = sim.run(max_rounds=400)
+    payload = {
+        "rounds": report.rounds,
+        "round_stats": [(s.steps, s.deliveries, s.timeouts, s.messages_sent,
+                         sorted(s.by_type.items()))
+                        for s in report.round_stats],
+        "tree": sorted(current_tree_edges(net)),
+        "steps_taken": [net.processes[v].steps_taken for v in net.node_ids],
+    }
+    return hashlib.md5(json.dumps(payload).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("kind", sorted(KERNEL_RUN_MD5))
+def test_object_kernel_runs_match_their_pinned_digest(kind):
+    assert _kernel_run_digest(kind) == KERNEL_RUN_MD5[kind]
+
+
+# -- per-step accounting against a scan ----------------------------------------
+
+def _assert_counters_match_a_scan(net: Network) -> None:
+    """The kernel's incremental counters equal a scan of the queues."""
+    channels = net.channels
+    pending = sum(len(c) for c in channels.values())
+    assert net.pending_messages() == pending
+    assert ({c.key for c in net.pending_channels()}
+            == {key for key, c in channels.items() if c})
+    assert net.is_quiescent() == (
+        pending == 0 and all(len(p.outbox) == 0
+                             for p in net.processes.values()))
+    # ``channels`` iterates in creation order, the order of the event set.
+    assert net.enabled_deliveries() == [
+        (src, dst, len(c)) for (src, dst), c in channels.items()
+        if c and net.node_enabled(dst)]
+
+
+def _checked(net: Network, scheduler_cls, seen: dict):
+    """``scheduler_cls`` checking the counters at every step boundary of
+    ``net`` and remembering every channel it saw (edge churn retires
+    channels).  A receipt step is checked before its pop (the previous
+    step is complete there), a timeout before and after."""
+
+    def at_boundary(network):
+        _assert_counters_match_a_scan(network)
+        seen.update((id(c), c) for c in network.channels.values())
+
+    pop = net.pop
+
+    def checked_pop(channel):
+        at_boundary(net)
+        return pop(channel)
+
+    net.pop = checked_pop
+
+    class Checked(scheduler_cls):
+        def _timeout_one(self, network, *args, **kwargs):
+            at_boundary(network)
+            scheduler_cls._timeout_one(network, *args, **kwargs)
+            at_boundary(network)
+
+    return Checked
+
+
+_SCHEDULER_CLASSES = {
+    "synchronous": (SynchronousScheduler, {}),
+    "random": (RandomAsyncScheduler, {"seed": 3}),
+    "adversarial": (AdversarialScheduler, {"max_delay": 2}),
+    "weighted": (WeightedFairScheduler, {"weights": {0: 2, 3: 3}}),
+}
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(kind=st.sampled_from(sorted(_SCHEDULER_CLASSES)),
+       seed=st.integers(0, 2**16),
+       garbage=st.sampled_from([0.0, 0.3, 0.8]),
+       loss=st.sampled_from([0.0, 0.15]),
+       dup=st.sampled_from([0.0, 0.15]),
+       reorder=st.sampled_from([0.0, 0.3]),
+       churn=st.booleans())
+def test_per_step_accounting_matches_a_scan(kind, seed, garbage, loss, dup,
+                                            reorder, churn):
+    """After every step of every scheduler the pending count, the active
+    set, ``is_quiescent`` and the enabled deliveries equal a scan of the
+    queues, under fault preloads, edge churn and a lossy, duplicating,
+    reordering channel model; summed over every channel the run saw, the
+    channel statistics add up to the report's counts."""
+    from repro.core.protocol import MDSTConfig, build_mdst_network
+    from repro.graphs import make_graph
+    from repro.sim.adversary import (Adversary, NodeFaultModel,
+                                     UnreliableChannelModel)
+    from repro.sim.faults import corrupt_everything, random_churn_plan
+
+    graph = make_graph("erdos_renyi_sparse", 8, seed=seed)
+    net = build_mdst_network(graph, MDSTConfig(seed=seed, n_upper=16))
+    corrupt_everything(net, np.random.default_rng(seed),
+                       channel_fraction=garbage)
+    seen: dict = {}
+    cls, kwargs = _SCHEDULER_CLASSES[kind]
+    if kind == "adversarial":
+        kwargs = dict(kwargs, slow_links=sorted(net.channels)[::2])
+    scheduler = _checked(net, cls, seen)(**kwargs)
+    model = UnreliableChannelModel(loss=loss, dup=dup, reorder=reorder,
+                                   seed=seed)
+    # Crash/recover toggles enabled flags (deliveries to a crashed node
+    # stay queued); it stays off under churn, which may remove a victim.
+    crashes = (None if churn
+               else NodeFaultModel(crash_round=3, recover_after=3, seed=seed))
+    plan = (random_churn_plan(graph, events=3, start_round=2, period=3,
+                              seed=seed) if churn else None)
+    faults = FaultPlan().add(round_index=4, node_fraction=0.3,
+                             channel_fraction=0.5)
+    sim = Simulator(net, scheduler=scheduler, fault_plan=faults,
+                    churn_plan=plan,
+                    adversary=Adversary(channel_model=model,
+                                        node_faults=crashes),
+                    rng=np.random.default_rng(seed + 1))
+    report = sim.run(max_rounds=12)
+    _assert_counters_match_a_scan(net)
+    seen.update((id(c), c) for c in net.channels.values())
+    stats = [c.stats for c in seen.values()]
+    assert sum(s.delivered for s in stats) == report.deliveries
+    assert (sum(s.sent for s in stats)
+            == report.messages_sent - model.dropped + model.duplicated)
