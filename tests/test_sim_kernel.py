@@ -3,7 +3,9 @@
 Covers the kernel features added by the kernel refactor: the configuration
 version, per-node enabled flags, the enabled-event set, quiescence
 detection, the weighted-fair scheduler, the predicate cache, and the
-``first_hold_round`` reset after mid-run faults.
+``first_hold_round`` reset after mid-run faults; then the per-step message
+accounting (its counters against a scan of the queues at every step
+boundary) and pinned digests of object runs under every scheduler.
 """
 
 from __future__ import annotations
