@@ -399,11 +399,20 @@ class MDSTNode(TreeRules):
             return
         # A token back at its initiator is handled like any other node: the
         # backtrack logic below covers it.
-        visited = tuple(sorted(set(msg.visited) | {self.node_id}))
+        visited = tuple(sorted({*msg.visited, self.node_id}))
         tree_nbrs = self._tree_neighbors()
-        candidates = [u for u in tree_nbrs if u not in visited]
-        if candidates:
-            nxt = target if target in candidates else min(candidates)
+        # Next hop: the target if it is unvisited, else the smallest
+        # unvisited tree neighbour.
+        nxt = None
+        for u in tree_nbrs:
+            if u in visited:
+                continue
+            if u == target:
+                nxt = u
+                break
+            if nxt is None or u < nxt:
+                nxt = u
+        if nxt is not None:
             # ``degree`` is the number of tree neighbours on both backends.
             new_path = msg.path + ((self.node_id, len(tree_nbrs)),)
             self.send(nxt, Search(init_edge=msg.init_edge, idblock=msg.idblock,
@@ -519,9 +528,10 @@ class MDSTNode(TreeRules):
             return
         self._deblock_seen[idblock] = self.steps_taken
         self.stats["deblocks_broadcast"] += 1
+        msg = Deblock(idblock=idblock)  # immutable, so one serves the flood
         for u in self._tree_neighbors():
             if u != exclude:
-                self.send(u, Deblock(idblock=idblock))
+                self.send(u, msg)
         self._initiate_searches(idblock=idblock, limit=2)
 
     def _handle_deblock(self, sender: NodeId, msg: Deblock) -> None:

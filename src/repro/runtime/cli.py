@@ -48,7 +48,7 @@ from ..protocols import PROTOCOLS, protocol_names
 from .cache import ResultCache
 from .engine import SweepEngine, default_workers, sweep_report
 from .spec import RunSpec, SweepSpec
-from .tasks import execute_spec, task_names
+from .tasks import OBJECT_ONLY_TASKS, execute_spec, task_names
 
 __all__ = ["main", "build_parser"]
 
@@ -303,16 +303,17 @@ def _check_backend_flags(args: argparse.Namespace) -> None:
 
     The array kernel freezes the topology at build time and owns the
     channel objects, so churn and adversary models remain object-backend
-    features, and the memory task accounts the object network's processes;
-    the tasks enforce the same gating, but failing here keeps the error a
-    one-line CLI fix instead of a mid-sweep stack trace.
+    features, and the tasks of :data:`~repro.runtime.tasks.OBJECT_ONLY_TASKS`
+    never run the array kernel; the tasks enforce the same gating, but
+    failing here keeps the error a one-line CLI fix instead of a mid-sweep
+    stack trace.
     """
     if args.backend == "object":
         return
-    if args.task == "memory":
+    if args.task in OBJECT_ONLY_TASKS:
         raise ConfigurationError(
-            "--backend array does not support the memory task (it accounts "
-            "the object network)")
+            f"--backend array does not support the {args.task} task (it "
+            f"{OBJECT_ONLY_TASKS[args.task]})")
     if args.task == "churn" or args.churn_rate > 0 or args.churn_events > 0:
         raise ReproError("--backend array does not support topology churn")
     if args.task == "adversary" or _adversary_flags_set(args):

@@ -67,8 +67,8 @@ from ..protocols.runner import run_protocol
 from ..sim.faults import FaultPlan
 from .spec import RunSpec
 
-__all__ = ["RunOutcome", "TASKS", "UNCACHEABLE_TASKS", "execute_spec",
-           "task_names"]
+__all__ = ["OBJECT_ONLY_TASKS", "RunOutcome", "TASKS", "UNCACHEABLE_TASKS",
+           "execute_spec", "task_names"]
 
 
 @dataclass
@@ -107,6 +107,24 @@ class RunOutcome:
 # ---------------------------------------------------------------------------
 # Helpers shared by the tasks
 # ---------------------------------------------------------------------------
+
+#: Tasks that never run the array kernel, with the reason.  An array-backend
+#: spec of one is refused rather than labelled ``array`` over an object row
+#: (and cached a second time under its own key).
+OBJECT_ONLY_TASKS: Dict[str, str] = {
+    "memory": "accounts the object network",
+    "reference": "runs no simulation",
+    "baselines": "runs no simulation",
+}
+
+
+def _require_object_backend(spec: RunSpec) -> None:
+    """Refuse a non-object backend for a task of :data:`OBJECT_ONLY_TASKS`."""
+    if spec.backend != "object":
+        raise ConfigurationError(
+            f"task {spec.task!r} {OBJECT_ONLY_TASKS[spec.task]}; got backend "
+            f"{spec.backend!r}")
+
 
 def _fault_plan(spec: RunSpec) -> Optional[FaultPlan]:
     if spec.fault_round is None:
@@ -238,6 +256,7 @@ def run_protocol_task(spec: RunSpec) -> RunOutcome:
 def run_reference_task(spec: RunSpec) -> RunOutcome:
     """Centralized reference engine on one instance (no message passing)."""
     _require_mdst(spec)
+    _require_object_backend(spec)
     graph = spec.build_graph()
     initial = bfs_spanning_tree(graph)
     result = ReferenceMDST(graph, initial_tree=initial).run()
@@ -254,16 +273,9 @@ def run_reference_task(spec: RunSpec) -> RunOutcome:
 
 
 def run_memory_task(spec: RunSpec) -> RunOutcome:
-    """Per-node state accounting vs the O(δ log n) envelope (E3).
-
-    The accounting reads the object network's processes, so an array-backend
-    spec is refused rather than labelled ``array`` over an object row.
-    """
+    """Per-node state accounting vs the O(δ log n) envelope (E3)."""
     _require_mdst(spec)
-    if spec.backend != "object":
-        raise ConfigurationError(
-            f"task 'memory' accounts the object network; got backend "
-            f"{spec.backend!r}")
+    _require_object_backend(spec)
     graph = spec.build_graph()
     config = spec.protocol_run_config()
     adapter = get_protocol(spec.protocol)
@@ -316,6 +328,7 @@ def run_quality_task(spec: RunSpec) -> RunOutcome:
 def run_baselines_task(spec: RunSpec) -> RunOutcome:
     """Naive spanning trees vs reference MDST vs local search (E6)."""
     _require_mdst(spec)
+    _require_object_backend(spec)
     graph = spec.build_graph()
     naive = evaluate_simple_trees(graph, seed=spec.seed)
     reference = ReferenceMDST(graph).run()

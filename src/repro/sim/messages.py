@@ -23,8 +23,18 @@ Message objects are the single most allocated kind of object in a
 simulation, so the hierarchy is kept as flat as the interpreter allows:
 on Python >= 3.10 every message class declared through
 :func:`message_dataclass` is a *slotted* frozen dataclass (no per-instance
-``__dict__``), and the per-instance size cache is an ordinary slot.  On 3.9
-the classes fall back to plain frozen dataclasses with identical semantics.
+``__dict__``), and the per-instance size cache is an ordinary slot.  Its
+constructor writes each field through the slot's member descriptor, one
+call per field, where dataclass's frozen ``__init__`` goes through
+``object.__setattr__``; ``size_bits`` stores the cache through the same
+descriptor.  The class stays frozen, and its signature, defaults,
+equality, hash, repr and pickling are dataclass's own.  On 3.9 the classes
+fall back to plain frozen dataclasses with identical semantics.
+
+A message is never mutated after it is built, so one object can stand
+for many sends: a node re-broadcasts one interned ``MInfo`` while its
+gossiped variables hold, and a ``Deblock`` flood sends one ``Deblock`` to
+every tree neighbour.
 
 Every message is sized once, when a channel enqueues it.  A broadcast
 enqueues one message object on every incident channel, and the
@@ -54,7 +64,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import lru_cache
 from typing import Any, Callable, Dict, Hashable, Optional, Tuple
 
@@ -67,18 +77,81 @@ TYPE_TAG_BITS = 4
 
 if sys.version_info >= (3, 10):
     def message_dataclass(cls):
-        """Declare a message type: frozen dataclass, slotted where supported.
+        """Declare a message type: a slotted frozen dataclass.
 
         Use instead of ``@dataclass(frozen=True)`` for every class in the
         message hierarchy; third-party subclasses declared with a plain
         ``@dataclass(frozen=True)`` remain fully compatible (they simply
-        keep a ``__dict__``).
+        keep a ``__dict__`` and dataclass's own constructor).  The
+        generated ``__init__`` is replaced by :func:`_slot_init`'s, so a
+        class with a second constructor path -- ``__post_init__``, an
+        ``InitVar`` or a ``kw_only`` field -- is a ``TypeError``.
         """
-        return dataclass(frozen=True, slots=True)(cls)
+        cls = dataclass(frozen=True, slots=True)(cls)
+        cls.__init__ = _slot_init(cls)
+        return cls
 else:  # pragma: no cover - exercised by the 3.9 CI lane
     def message_dataclass(cls):
         """Declare a message type (3.9 fallback: no ``__slots__``)."""
         return dataclass(frozen=True)(cls)
+
+
+def _slot_init(cls):
+    """The constructor of slotted frozen dataclass ``cls``, by slot writes.
+
+    Dataclass's frozen ``__init__`` writes each field with
+    ``object.__setattr__(self, name, value)``, which looks the slot up
+    again on every write.  This one calls each field's member descriptor
+    ``__set__`` directly, held in a closure, and takes the generated
+    constructor's parameters, defaults (the ``default_factory`` sentinel
+    included), annotations and name, so the signature and every
+    ``TypeError`` on a bad call are unchanged.
+    """
+    generated = cls.__init__
+    name = cls.__qualname__
+    if hasattr(cls, "__post_init__"):
+        raise TypeError(f"message class {name} may not define __post_init__")
+    all_fields = fields(cls)
+    if any(f.kw_only for f in all_fields):
+        raise TypeError(f"message class {name} may not have kw_only fields")
+    code = generated.__code__
+    params = code.co_varnames[1:code.co_argcount]
+    if params != tuple(f.name for f in all_fields if f.init):
+        raise TypeError(f"message class {name} may not have InitVar fields")
+    defaults = generated.__defaults__ or ()
+    first_default = len(params) - len(defaults)
+    bound: Dict[str, Any] = {}
+    body = []
+    for f in all_fields:
+        bound[f"_set_{f.name}"] = getattr(cls, f.name).__set__  # the slot
+        if f.default_factory is not MISSING:
+            bound[f"_factory_{f.name}"] = f.default_factory
+            value = f"_factory_{f.name}()"
+            if f.init:
+                bound[f"_unset_{f.name}"] = \
+                    defaults[params.index(f.name) - first_default]
+                value = (f"{value} if {f.name} is _unset_{f.name} "
+                         f"else {f.name}")
+        elif f.init:
+            value = f.name
+        elif f.default is not MISSING:
+            bound[f"_default_{f.name}"] = f.default
+            value = f"_default_{f.name}"
+        else:
+            continue  # no init and no default: the slot stays unset
+        body.append(f"  _set_{f.name}(self, {value})\n")
+    source = (f"def _make({', '.join(bound)}):\n"
+              f" def __init__(self{''.join(', ' + p for p in params)}):\n"
+              f"{''.join(body) or '  pass'}\n"
+              f" return __init__\n")
+    namespace: Dict[str, Any] = {}
+    exec(source, {}, namespace)
+    init = namespace["_make"](**bound)
+    init.__defaults__ = generated.__defaults__
+    init.__annotations__ = generated.__annotations__
+    init.__qualname__ = generated.__qualname__
+    init.__module__ = generated.__module__
+    return init
 
 
 @lru_cache(maxsize=1024)
@@ -237,7 +310,7 @@ class Message:
                 if len(_SHAPE_BITS) >= _SHAPE_TABLE_SIZE:
                     _SHAPE_BITS.pop(next(iter(_SHAPE_BITS)), None)
                 bits = _SHAPE_BITS[key] = self._payload_bits(n)
-        object.__setattr__(self, "_size_bits_cache", (n, bits))
+        _set_size_cache(self, (n, bits))
         return bits
 
     def _payload_bits(self, n: int) -> int:
@@ -247,6 +320,15 @@ class Message:
         for name in _payload_fields(type(self)):
             bits += _bits(getattr(self, name), ib)
         return bits
+
+
+if sys.version_info >= (3, 10):
+    #: Writes ``Message._size_bits_cache`` through its slot, which a plain
+    #: ``@dataclass(frozen=True)`` subclass inherits too.
+    _set_size_cache = Message._size_bits_cache.__set__
+else:  # pragma: no cover - exercised by the 3.9 CI lane
+    def _set_size_cache(message: Message, value: Tuple[int, int]) -> None:
+        object.__setattr__(message, "_size_bits_cache", value)
 
 
 @message_dataclass

@@ -20,12 +20,11 @@ there is no such gate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence
 
 import numpy as np
 
-from ..sim.messages import Message
+from ..sim.messages import Message, message_dataclass
 from ..sim.network import Network
 from ..sim.node import Process
 from ..types import NodeId
@@ -64,7 +63,7 @@ class MaxDegreeAggregator:
         return neighbor_dmax.get(parent, own_sub_max)
 
 
-@dataclass(frozen=True)
+@message_dataclass
 class DegreeInfo(Message):
     """Gossip message of the standalone max-degree protocol."""
 

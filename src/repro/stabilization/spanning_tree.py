@@ -48,7 +48,7 @@ from typing import Dict, Sequence
 
 import numpy as np
 
-from ..sim.messages import Message, id_bits
+from ..sim.messages import Message, id_bits, message_dataclass
 from ..sim.node import Process
 from ..types import NodeId
 
@@ -56,7 +56,7 @@ __all__ = ["STInfo", "TreeVars", "NeighborView", "TreeRules",
            "SpanningTreeProcess", "spanning_tree_process_factory"]
 
 
-@dataclass(frozen=True)
+@message_dataclass
 class STInfo(Message):
     """Gossip message carrying the spanning-tree variables of the sender."""
 

@@ -149,6 +149,17 @@ def test_run_memory_task_rejects_array_backend(capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("task", ["reference", "baselines"])
+def test_run_simulation_free_tasks_reject_array_backend(task, capsys):
+    """The reference and baselines tasks build no network: an array run
+    would print the object row under an array label."""
+    assert main(["run", "--task", task, "--family", "wheel", "--n", "8",
+                 "--backend", "array"]) == 1
+    captured = capsys.readouterr()
+    assert f"does not support the {task} task" in captured.err
+    assert captured.out == ""
+
+
 def test_run_array_backend_fails_fast_for_non_capable_protocol(capsys):
     assert main(["run", "--family", "wheel", "--n", "8",
                  "--protocol", "spanning_tree", "--backend", "array"]) == 1

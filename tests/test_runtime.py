@@ -215,6 +215,13 @@ class TestProtocolSpecs:
         with pytest.raises(ConfigurationError, match="object network"):
             execute_spec(spec)
 
+    @pytest.mark.parametrize("task", ["reference", "baselines"])
+    def test_simulation_free_tasks_reject_array_backend(self, task):
+        spec = RunSpec(task=task, family="wheel", n=8, seed=3,
+                       backend="array")
+        with pytest.raises(ConfigurationError, match="runs no simulation"):
+            execute_spec(spec)
+
     def test_churn_task_rejects_non_churn_protocol(self):
         spec = RunSpec(task="churn", protocol="pif_max_degree",
                        family="wheel", n=8, seed=3,
