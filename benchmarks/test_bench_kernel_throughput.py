@@ -3,7 +3,7 @@ workload.
 
 This is the repository's perf-trajectory anchor for the simulation kernel:
 it drives the same fixed workload as experiment E2 (the Lemma 5 convergence
-sweep) through ``run_mdst`` and reports how many simulated rounds per
+sweep) through ``run_protocol`` and reports how many simulated rounds per
 wall-clock second the kernel sustains.  Results are written to
 ``BENCH_kernel.json`` at the repository root so successive PRs can compare.
 
@@ -39,9 +39,9 @@ import os
 import time
 from pathlib import Path
 
-from repro.core.protocol import MDSTConfig, run_mdst
 from repro.experiments.config import ExperimentProfile
 from repro.experiments.workloads import scaling_workload
+from repro.protocols import ProtocolRunConfig, run_protocol
 
 #: Recorded for context in the emitted JSON: rounds/sec of the pre-refactor
 #: kernel on the record-mode workload on the reference machine.
@@ -69,8 +69,8 @@ def test_kernel_throughput():
     for inst in scaling_workload(profile):
         graph = inst.build()
         r0 = time.perf_counter()
-        result = run_mdst(graph, MDSTConfig(seed=inst.seed, initial="isolated",
-                                            max_rounds=profile.max_rounds))
+        result = run_protocol(graph, ProtocolRunConfig(
+            seed=inst.seed, initial="isolated", max_rounds=profile.max_rounds))
         wall = time.perf_counter() - r0
         total_rounds += result.rounds
         runs.append({

@@ -21,8 +21,9 @@ columns:
 A second test, ``test_construction_scaling``, times *setup* rather than
 rounds: graph generation plus network construction for the heavy-tailed
 ``powerlaw_cm`` family at n in {10_000, 50_000}, in three modes --
-``object`` (nx graph -> per-object ``build_mdst_network``), ``array_nx``
-(nx graph, converted once to edge arrays -> ``ArrayNetwork``), and
+``object`` (nx graph -> the ``mdst`` adapter's per-object
+``build_network``), ``array_nx`` (nx graph, converted once to edge
+arrays -> ``ArrayNetwork``), and
 ``csr_direct`` (:class:`~repro.graphs.edge_array.EdgeArrayGraph` ->
 ``ArrayNetwork`` straight from the cached CSR).  Both array modes take
 the one construction route, with lazy per-object maps.  Record mode gates
@@ -87,8 +88,8 @@ from typing import Dict, List, Tuple
 
 import pytest
 
-from repro.core.protocol import build_mdst_network
 from repro.graphs.fast_generators import make_fast_graph
+from repro.protocols import ProtocolRunConfig, get_protocol
 from repro.runtime.engine import SweepEngine
 from repro.runtime.spec import RunSpec
 from repro.sim.array_kernel import ArrayNetwork
@@ -445,7 +446,8 @@ def _construction_measure(n: int, mode: str) -> Dict[str, object]:
 
     t1 = time.perf_counter()
     if mode == "object":
-        network = build_mdst_network(graph)
+        network = get_protocol("mdst").build_network(graph,
+                                                     ProtocolRunConfig())
     else:
         network = ArrayNetwork(graph, n_upper=n + 1)
     build_seconds = time.perf_counter() - t1

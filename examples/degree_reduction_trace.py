@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from collections import Counter
 
-from repro.core import MDSTConfig, build_mdst_network, initialize_from_tree
 from repro.core.legitimacy import current_tree_degree, mdst_legitimacy
 from repro.graphs import bfs_spanning_tree, hard_hub_graph, tree_degree
+from repro.protocols import ProtocolRunConfig, get_protocol
 from repro.sim import Simulator, SynchronousScheduler, TraceRecorder
 
 
@@ -29,9 +29,10 @@ def main() -> None:
     print(f"initial tree degree (BFS star at the hub): "
           f"{tree_degree(graph.nodes, tree)}\n")
 
-    config = MDSTConfig(seed=3, search_period=2)
-    network = build_mdst_network(graph, config)
-    initialize_from_tree(network, tree)
+    mdst = get_protocol("mdst")
+    config = ProtocolRunConfig(seed=3, options={"search_period": 2})
+    network = mdst.build_network(graph, config)
+    mdst.install_tree(network, tree)
     trace = TraceRecorder()
     simulator = Simulator(network, scheduler=SynchronousScheduler(),
                           legitimacy=mdst_legitimacy, stability_window=4,

@@ -23,8 +23,8 @@ from __future__ import annotations
 
 from repro.analysis import format_table, gini
 from repro.baselines import evaluate_simple_trees
-from repro.core import MDSTConfig, run_mdst
 from repro.graphs import make_graph, tree_degrees
+from repro.protocols import ProtocolRunConfig, run_protocol
 from repro.sim import ChurnPlan
 
 
@@ -40,7 +40,8 @@ def main() -> None:
         rows.append({"overlay": name, "max relay degree": max(degrees),
                      "relay-load gini": round(gini(degrees), 3)})
 
-    result = run_mdst(graph, MDSTConfig(seed=11, initial="isolated", max_rounds=5000))
+    result = run_protocol(graph, ProtocolRunConfig(seed=11, initial="isolated",
+                                                   max_rounds=5000))
     mdst_degrees = list(tree_degrees(graph.nodes, result.tree_edges).values())
     rows.append({"overlay": "self-stabilizing MDST",
                  "max relay degree": max(mdst_degrees),
@@ -65,10 +66,10 @@ def main() -> None:
             .add_node(1000, new_b, [new_a, survivors[2]])
             .add_edge(1200, new_b, survivors[3])
             .remove_edge(1400, survivors[0], survivors[1]))
-    churn = run_mdst(
+    churn = run_protocol(
         graph,
-        MDSTConfig(seed=11, initial="bfs_tree", max_rounds=8000,
-                   n_upper=graph.number_of_nodes() + 3),
+        ProtocolRunConfig(seed=11, initial="bfs_tree", max_rounds=8000,
+                          n_upper=graph.number_of_nodes() + 3),
         churn_plan=plan)
 
     extra = churn.run.extra

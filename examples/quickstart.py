@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from repro.analysis import evaluate_tree, format_table
 from repro.baselines import evaluate_simple_trees, exact_mdst_degree
-from repro.core import MDSTConfig, run_mdst
 from repro.graphs import make_graph, summarize
+from repro.protocols import ProtocolRunConfig, run_protocol
 
 
 def main() -> None:
@@ -23,7 +23,8 @@ def main() -> None:
 
     # Run the full message-passing protocol: every node starts isolated
     # (own root, empty channels) and the system self-organises.
-    result = run_mdst(graph, MDSTConfig(seed=1, initial="isolated", max_rounds=3000))
+    result = run_protocol(graph, ProtocolRunConfig(seed=1, initial="isolated",
+                                                   max_rounds=3000))
     print(f"\nconverged      : {result.converged}")
     print(f"rounds         : {result.run.extra['convergence_round']}")
     print(f"messages       : {result.run.messages}")

@@ -14,11 +14,12 @@ Subpackages
     PIF max-degree aggregation, global predicates.
 ``repro.core``
     The MDST algorithm itself: per-node protocol, improvement logic,
-    legitimacy predicates, reference engine, high-level runner.
+    legitimacy predicates, reference engine.
 ``repro.protocols``
     The unified protocol registry: the :class:`ProtocolAdapter` contract,
-    the generic ``run_protocol`` engine, and the built-in ``mdst`` /
-    ``spanning_tree`` / ``pif_max_degree`` adapters.
+    ``run_protocol`` (the one entry point of every run, the MDST protocol
+    included), and the built-in ``mdst`` / ``spanning_tree`` /
+    ``pif_max_degree`` adapters.
 ``repro.baselines``
     Exact Δ* solver, Fürer–Raghavachari, centralized local search,
     simple spanning trees, fragment-based distributed baseline.

@@ -2,10 +2,10 @@
 
 Public surface:
 
-* :func:`run_mdst` / :class:`MDSTConfig` -- run the full message-passing
-  protocol on a graph and obtain the resulting tree and statistics.
 * :class:`MDSTNode` -- the per-node algorithm, usable directly with the
-  simulator for custom set-ups.
+  simulator for custom set-ups.  Full runs go through the protocol
+  registry: ``run_protocol(graph, ProtocolRunConfig(...))`` from
+  :mod:`repro.protocols`, whose ``mdst`` adapter builds these nodes.
 * :class:`ReferenceMDST` -- the round-abstracted reference engine applying the
   same improvement rule centrally (oracle + large-scale sweeps).
 * :mod:`repro.core.improvement` -- improving edges, blocking nodes,
@@ -36,14 +36,6 @@ from .legitimacy import (
 )
 from .messages import Back, Deblock, MInfo, Remove, Reverse, Search, UpdateDist
 from .node_algorithm import MDSTNode, mdst_node_factory
-from .protocol import (
-    MDSTConfig,
-    MDSTResult,
-    build_mdst_network,
-    initialize_from_tree,
-    initialize_isolated,
-    run_mdst,
-)
 from .reference import ReferenceMDST, ReferenceResult, reduce_tree_degree
 from .state import MDSTState, NeighborState
 

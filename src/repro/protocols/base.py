@@ -42,7 +42,6 @@ import networkx as nx
 import numpy as np
 
 from ..exceptions import ConfigurationError
-from ..sim.adversary import Adversary
 from ..sim.faults import corrupt_channels, corrupt_states
 from ..sim.network import Network
 from ..sim.simulator import SimulationReport
@@ -93,10 +92,6 @@ class ProtocolRunConfig:
         Explicit upper bound on the network size (the distance bound of
         spanning-tree-style protocols).  Defaults per adapter; runs that
         expect node *joins* must pass headroom here.
-    adversary:
-        Optional :class:`~repro.sim.adversary.Adversary` applied to the
-        run (unreliable channels, crash/recover node faults, Byzantine
-        gossip).
     backend:
         Simulation kernel backend: ``"object"`` (the historical
         object-per-node kernel) or ``"array"`` (flat numpy state columns
@@ -122,7 +117,6 @@ class ProtocolRunConfig:
     max_delay: int = 4
     node_weights: Optional[Dict[NodeId, int]] = None
     n_upper: Optional[int] = None
-    adversary: Optional[Adversary] = None
     backend: str = "object"
     options: Dict[str, object] = field(default_factory=dict)
 

@@ -1,13 +1,11 @@
 """Registry adapter for the paper's full MDST protocol.
 
-The node algorithm and the tree installers live in :mod:`repro.core`; this
-adapter reads the generic :class:`~repro.protocols.base.ProtocolRunConfig`
-directly and builds MDST nodes from it, so
-:func:`repro.core.protocol.run_mdst` (which converts its
-:class:`~repro.core.protocol.MDSTConfig` once, through
-:meth:`~repro.core.protocol.MDSTConfig.protocol_run_config`) and
-``run_protocol(graph, config)`` with ``protocol="mdst"`` execute the exact
-same code path.
+The node algorithm lives in :mod:`repro.core`; this adapter reads the
+generic :class:`~repro.protocols.base.ProtocolRunConfig` directly, builds
+MDST nodes from it and owns every initial policy, including the two
+installers :func:`initialize_from_tree` and :func:`initialize_isolated`.
+A run is ``run_protocol(graph, ProtocolRunConfig(...))`` (``protocol``
+defaults to ``"mdst"``).
 
 Recognised :attr:`~repro.protocols.base.ProtocolRunConfig.options` (any
 other key is rejected by :meth:`MDSTProtocol.validate_config`):
@@ -23,17 +21,20 @@ other key is rejected by :meth:`MDSTProtocol.validate_config`):
 
 from __future__ import annotations
 
+from typing import Dict, Iterable
+
 import networkx as nx
 import numpy as np
 
 from ..core.legitimacy import make_mdst_legitimacy
-from ..core.node_algorithm import mdst_node_factory
-from ..core.protocol import initialize_from_tree, initialize_isolated
+from ..core.node_algorithm import MDSTNode, mdst_node_factory
 from ..exceptions import ConfigurationError
 from ..graphs.edge_array import EdgeArrayGraph
-from ..graphs.spanning import bfs_spanning_tree, random_spanning_tree
+from ..graphs.spanning import (bfs_spanning_tree, parent_map_from_edges,
+                               random_spanning_tree, tree_degrees)
 from ..graphs.validation import check_network
 from ..sim.network import Network
+from ..types import Edge, NodeId, canonical_edges
 from .base import (
     Predicate,
     ProtocolAdapter,
@@ -42,10 +43,88 @@ from .base import (
 )
 from .registry import register_protocol
 
-__all__ = ["MDSTProtocol"]
+__all__ = ["MDSTProtocol", "initialize_from_tree", "initialize_isolated"]
 
 #: The keys of :attr:`ProtocolRunConfig.options` the MDST node reads.
 OPTIONS = ("search_period", "deblock_cooldown", "enable_reduction")
+
+
+def initialize_from_tree(network: Network, tree_edges: Iterable[Edge]) -> None:
+    """Install a coherent configuration describing the given spanning tree.
+
+    Every node's ``root``/``parent``/``distance`` is set consistently with the
+    tree (rooted at the minimum identifier) and the cached neighbour views are
+    pre-filled, so the spanning-tree layer starts already stabilized and only
+    the degree-reduction layer has work to do.
+    """
+    edges = set(canonical_edges(tree_edges))
+    parent = parent_map_from_edges(network.node_ids, edges)
+    root = min(network.node_ids)
+    # distances from the parent map
+    distance: Dict[NodeId, int] = {root: 0}
+    pending = [v for v in network.node_ids if v != root]
+    while pending:
+        progressed = False
+        rest = []
+        for v in pending:
+            if parent[v] in distance:
+                distance[v] = distance[parent[v]] + 1
+                progressed = True
+            else:
+                rest.append(v)
+        pending = rest
+        if not progressed:  # pragma: no cover - parent_map_from_edges guarantees progress
+            raise ConfigurationError("could not orient the provided tree")
+    degrees = tree_degrees(network.node_ids, edges)
+    dmax = max(degrees.values()) if degrees else 0
+    for v in network.node_ids:
+        proc = network.processes[v]
+        if not isinstance(proc, MDSTNode):
+            raise ConfigurationError("initialize_from_tree requires MDSTNode processes")
+        st = proc.s
+        st.root = root
+        st.parent = parent[v] if parent[v] != v else v
+        st.distance = distance[v]
+        st.sub_max = dmax
+        st.dmax = dmax
+        st.color = True
+        for u in proc.neighbors:
+            view = st.view[u]
+            view.root = root
+            view.parent = parent[u] if parent[u] != u else u
+            view.distance = distance[u]
+            view.degree = degrees[u]
+            view.sub_max = dmax
+            view.dmax = dmax
+            view.color = True
+            view.heard = True
+    network.note_state_write()
+
+
+def initialize_isolated(network: Network) -> None:
+    """Every node starts alone: own root, no tree edges, empty views."""
+    fast = getattr(network, "initialize_isolated_columns", None)
+    if fast is not None:
+        # Column-backed networks reset their shared arrays in one pass
+        # (and, on the CSR-direct build path, without materializing any
+        # per-node process at all).
+        fast()
+        return
+    for v in network.node_ids:
+        proc = network.processes[v]
+        if not isinstance(proc, MDSTNode):
+            raise ConfigurationError("initialize_isolated requires MDSTNode processes")
+        st = proc.s
+        st.root = v
+        st.parent = v
+        st.distance = 0
+        st.sub_max = 0
+        st.dmax = 0
+        st.color = True
+        for u in proc.neighbors:
+            view = st.view[u]
+            view.heard = False
+    network.note_state_write()
 
 
 class MDSTProtocol(ProtocolAdapter):
@@ -56,10 +135,9 @@ class MDSTProtocol(ProtocolAdapter):
                    "(spanning tree + PIF + degree reduction, deg <= OPT+1)")
     #: ``"bfs_tree"``
     #:     Install a coherent configuration describing the BFS spanning tree
-    #:     of the network (see :func:`~repro.core.protocol.
-    #:     initialize_from_tree`): the spanning-tree and max-degree layers
-    #:     start already stabilized, so the run isolates the
-    #:     degree-reduction phase.  Used by E4/E7/E8 and recovery scenarios.
+    #:     of the network (see :func:`initialize_from_tree`): the
+    #:     spanning-tree and max-degree layers start already stabilized, so
+    #:     the run isolates the degree-reduction phase.  Used by E4/E7/E8 and recovery scenarios.
     #: ``"random_tree"``
     #:     Same, but for a uniformly random spanning tree (seeded from the
     #:     run's generator) -- coherent but typically far from optimal.

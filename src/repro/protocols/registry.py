@@ -1,10 +1,8 @@
 """The protocol registry: name -> :class:`~repro.protocols.base.ProtocolAdapter`.
 
 Built-in adapters (``mdst``, ``spanning_tree``, ``pif_max_degree``) are
-registered lazily on first lookup rather than at import time: the MDST
-adapter imports :mod:`repro.core.protocol`, which itself imports this
-package for the generic runner, so eager registration would close an import
-cycle.  Lookup through :func:`get_protocol` (or any read of
+registered lazily on first lookup rather than at import time, so importing
+the contract or the runner does not load every protocol implementation.  Lookup through :func:`get_protocol` (or any read of
 :data:`PROTOCOLS`) triggers the one-time built-in load; third-party
 protocols join via :func:`register_protocol` at any point.
 """

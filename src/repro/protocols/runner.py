@@ -1,11 +1,10 @@
 """The generic protocol runner: one engine for every registered protocol.
 
-:func:`run_protocol` is the protocol-agnostic twin of the historical
-:func:`repro.core.protocol.run_mdst` (which is now a thin wrapper over it):
-build the network through the adapter, install the requested initial
-configuration, run the simulator under the chosen scheduler until the
-adapter's legitimacy predicate stabilizes, and package the outcome.  Every
-step that used to be hard-wired to the MDST node -- process construction,
+:func:`run_protocol` is the one way to run a protocol, the paper's MDST
+algorithm included: build the network through the adapter, install the
+requested initial configuration, run the simulator under the chosen
+scheduler until the adapter's legitimacy predicate stabilizes, and package
+the outcome.  Every protocol-specific step -- process construction,
 initial policies, the legitimacy predicate, metrics extraction -- routes
 through the :class:`~repro.protocols.base.ProtocolAdapter` contract, so
 fault plans, churn plans, schedulers, the opt-in event log and the
@@ -35,7 +34,7 @@ from ..stabilization.predicates import (
     tree_edges_from_snapshots,
 )
 from ..types import Edge, NodeId, RunResult, TreeSnapshot
-from .base import ProtocolAdapter, ProtocolRunConfig
+from .base import ProtocolRunConfig
 from .registry import get_protocol
 
 __all__ = ["ProtocolResult", "run_protocol"]
@@ -45,13 +44,12 @@ __all__ = ["ProtocolResult", "run_protocol"]
 class ProtocolResult:
     """Outcome of :func:`run_protocol`, protocol-agnostic.
 
-    :func:`repro.core.protocol.run_mdst` returns this object too (as
-    :class:`repro.core.protocol.MDSTResult`): ``tree_edges`` is the edge set
-    induced by the per-node ``parent`` snapshots (every registered protocol
-    maintains a parent pointer), ``node_stats`` the per-node protocol
-    counters for processes that keep them, ``trace`` the event log (``None``
-    unless ``keep_trace_events`` was set), and ``final_graph`` the mutated
-    communication graph of churned runs.
+    ``tree_edges`` is the edge set induced by the per-node ``parent``
+    snapshots (every registered protocol maintains a parent pointer),
+    ``node_stats`` the per-node protocol counters for processes that keep
+    them, ``trace`` the event log (``None`` unless ``keep_trace_events``
+    was set), and ``final_graph`` the mutated communication graph of
+    churned runs.
     """
 
     protocol: str
@@ -78,7 +76,6 @@ class ProtocolResult:
 def run_protocol(graph: nx.Graph,
                  config: Optional[ProtocolRunConfig] = None,
                  *,
-                 adapter: Optional[ProtocolAdapter] = None,
                  initial_tree: Optional[Iterable[Edge]] = None,
                  fault_plan: Optional[FaultPlan] = None,
                  churn_plan: Optional[ChurnPlan] = None,
@@ -92,9 +89,6 @@ def run_protocol(graph: nx.Graph,
     config:
         Run configuration; ``config.protocol`` names the registry entry
         (defaults to :class:`ProtocolRunConfig` defaults, i.e. ``"mdst"``).
-    adapter:
-        Explicit adapter, bypassing the registry lookup (used by wrappers
-        that already hold one; normal callers never pass it).
     initial_tree:
         Explicit initial spanning tree (overrides ``config.initial``); only
         protocols with ``supports_initial_tree`` accept it.
@@ -107,8 +101,7 @@ def run_protocol(graph: nx.Graph,
         and runs expecting node joins should pass ``config.n_upper``
         headroom.
     adversary:
-        Optional :class:`~repro.sim.adversary.Adversary` (falls back to
-        ``config.adversary``).
+        Optional :class:`~repro.sim.adversary.Adversary`.
 
     Returns
     -------
@@ -117,15 +110,12 @@ def run_protocol(graph: nx.Graph,
         per-node protocol statistics.
     """
     config = config or ProtocolRunConfig()
-    if adapter is None:
-        adapter = get_protocol(config.protocol)
+    adapter = get_protocol(config.protocol)
     adapter.validate_config(config)
     if churn_plan is not None:
         adapter.require("supports_churn", "topology churn")
     if initial_tree is not None:
         adapter.require("supports_initial_tree", "an explicit initial tree")
-    if adversary is None:
-        adversary = config.adversary
     if config.backend == "array":
         # The array kernel freezes the topology at build time and owns the
         # channel objects; live churn and adversary channel rewiring are

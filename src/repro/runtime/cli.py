@@ -48,7 +48,8 @@ from ..protocols import PROTOCOLS, protocol_names
 from .cache import ResultCache
 from .engine import SweepEngine, default_workers, sweep_report
 from .spec import RunSpec, SweepSpec
-from .tasks import OBJECT_ONLY_TASKS, execute_spec, task_names
+from .tasks import (OBJECT_ONLY_TASKS, check_task_settings, execute_spec,
+                    task_names)
 
 __all__ = ["main", "build_parser"]
 
@@ -219,17 +220,14 @@ def cmd_run(args: argparse.Namespace) -> int:
         # (same rationale as _check_families).
         validate_graph_params(args.family, graph_params)
     _check_protocols([args.protocol])
-    # Only the churn task reads the churn knobs; silently ignoring them
-    # would let a static-topology row masquerade as a churn measurement.
-    _check_churn_flags(args)
-    _check_fault_flags(args)
     _check_adversarial_flags(args)
-    _check_backend_flags(args)
-    _check_capabilities(args, [args.protocol])
     spec = _spec_from_args(
         args, graph_params, protocol=args.protocol, family=args.family,
         n=args.n, seed=args.seed, scheduler=args.scheduler,
         initial=args.initial, graph_file=args.graph_file)
+    check_task_settings(spec)
+    _check_backend_flags(spec)
+    _check_capabilities(spec, [args.protocol])
     outcome = execute_spec(spec)
     if args.json:
         print(json.dumps(outcome.to_dict(), indent=2, sort_keys=True, default=str))
@@ -238,44 +236,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Tasks that actually build a fault plan from the spec's fault knobs.
-FAULT_CAPABLE_TASKS = ("protocol", "throughput", "churn", "adversary")
-
-#: Tasks that actually build an adversary from the spec's adversary knobs.
-ADVERSARY_CAPABLE_TASKS = ("protocol", "throughput", "churn", "adversary")
-
-
-def _check_churn_flags(args: argparse.Namespace) -> None:
-    """Churn knobs only mean something to the churn task (see cmd_run)."""
-    if (args.churn_rate > 0 or args.churn_events > 0) and args.task != "churn":
-        raise ReproError(
-            f"--churn-rate/--churn-events require --task churn "
-            f"(got --task {args.task})")
-
-
-def _check_fault_flags(args: argparse.Namespace) -> None:
-    """Only the protocol-style tasks inject the spec's fault plan; silently
-    ignoring --fault-round elsewhere would let a clean-run row masquerade
-    as a fault-recovery measurement (same rationale as the churn check)."""
-    if args.fault_round is not None and args.task not in FAULT_CAPABLE_TASKS:
-        raise ReproError(
-            f"--fault-round requires --task "
-            f"{'/'.join(FAULT_CAPABLE_TASKS)} (got --task {args.task})")
-
-
-def _adversary_flags_set(args: argparse.Namespace) -> bool:
-    """Whether any adversary knob is non-default."""
-    return (args.loss > 0 or args.dup > 0 or args.reorder > 0
-            or args.crash_count > 0 or args.byzantine_count > 0)
-
-
 def _check_adversarial_flags(args: argparse.Namespace) -> None:
-    """Early validation of the adversary knobs (see :func:`_check_churn_flags`).
-
-    Rates must be probabilities, counts non-negative, and the knobs only
-    mean something to the tasks that build an adversary from the spec;
-    conversely ``--task adversary`` without any knob would measure nothing.
-    """
+    """Early validation of the adversary knobs: rates must be
+    probabilities, counts non-negative.  Which tasks accept them is
+    checked by :func:`~repro.runtime.tasks.check_task_settings`."""
     for name, rate in (("--loss", args.loss), ("--dup", args.dup),
                        ("--reorder", args.reorder)):
         if not (0.0 <= rate <= 1.0):
@@ -288,18 +252,10 @@ def _check_adversarial_flags(args: argparse.Namespace) -> None:
         raise ReproError(
             f"--crash-recover must be >= 1 rounds (got {args.crash_recover}); "
             f"omit it for crash-stop")
-    if _adversary_flags_set(args) and args.task not in ADVERSARY_CAPABLE_TASKS:
-        raise ReproError(
-            f"--loss/--dup/--reorder/--crash-*/--byzantine-* require --task "
-            f"{'/'.join(ADVERSARY_CAPABLE_TASKS)} (got --task {args.task})")
-    if args.task == "adversary" and not _adversary_flags_set(args):
-        raise ReproError(
-            "--task adversary needs at least one adversary knob "
-            "(--loss/--dup/--reorder/--crash-count/--byzantine-count)")
 
 
-def _check_backend_flags(args: argparse.Namespace) -> None:
-    """Early validation of ``--backend`` (see :func:`_check_churn_flags`).
+def _check_backend_flags(spec: RunSpec) -> None:
+    """Early validation of ``--backend``.
 
     The array kernel freezes the topology at build time and owns the
     channel objects, so churn and adversary models remain object-backend
@@ -308,20 +264,19 @@ def _check_backend_flags(args: argparse.Namespace) -> None:
     failing here keeps the error a one-line CLI fix instead of a mid-sweep
     stack trace.
     """
-    if args.backend == "object":
+    if spec.backend == "object":
         return
-    if args.task in OBJECT_ONLY_TASKS:
+    if spec.task in OBJECT_ONLY_TASKS:
         raise ConfigurationError(
-            f"--backend array does not support the {args.task} task (it "
-            f"{OBJECT_ONLY_TASKS[args.task]})")
-    if args.task == "churn" or args.churn_rate > 0 or args.churn_events > 0:
+            f"--backend array does not support the {spec.task} task (it "
+            f"{OBJECT_ONLY_TASKS[spec.task]})")
+    if spec.task == "churn" or spec.churn_rate > 0 or spec.churn_events > 0:
         raise ReproError("--backend array does not support topology churn")
-    if args.task == "adversary" or _adversary_flags_set(args):
+    if spec.task == "adversary" or spec.adversary_enabled:
         raise ReproError("--backend array does not support adversary models")
 
 
-def _check_capabilities(args: argparse.Namespace,
-                        protocols: Sequence[str]) -> None:
+def _check_capabilities(spec: RunSpec, protocols: Sequence[str]) -> None:
     """Every protocol must declare the capabilities the run asks for.
 
     The same :meth:`~repro.protocols.base.ProtocolAdapter.require` check
@@ -329,9 +284,9 @@ def _check_capabilities(args: argparse.Namespace,
     """
     for p in sorted(protocols):
         adapter = PROTOCOLS[p]
-        if args.task == "churn":
+        if spec.task == "churn":
             adapter.require("supports_churn", "topology churn")
-        if args.backend == "array":
+        if spec.backend == "array":
             adapter.require("supports_array_backend", "the array backend")
 
 
@@ -342,13 +297,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         # Every family of the matrix must accept every parameter key.
         validate_graph_params(family, graph_params)
     _check_protocols(args.protocols)
-    _check_churn_flags(args)
-    _check_fault_flags(args)
     _check_adversarial_flags(args)
-    _check_backend_flags(args)
-    _check_capabilities(args, args.protocols)
+    base = _spec_from_args(args, graph_params)
+    check_task_settings(base)
+    _check_backend_flags(base)
+    _check_capabilities(base, args.protocols)
     sweep = SweepSpec(
-        base=_spec_from_args(args, graph_params),
+        base=base,
         families=tuple(args.families),
         sizes=tuple(args.sizes),
         repetitions=args.repetitions,

@@ -33,7 +33,8 @@ from ..analysis.convergence import ConvergenceRecord, aggregate_records
 from ..analysis.reporting import ExperimentReport
 from .cache import ResultCache
 from .spec import RunSpec, SweepSpec
-from .tasks import UNCACHEABLE_TASKS, RunOutcome, execute_spec
+from .tasks import (UNCACHEABLE_TASKS, RunOutcome, check_task_settings,
+                    execute_spec)
 
 __all__ = ["SweepEngine", "EngineStats", "default_workers", "run_sweep",
            "sweep_report"]
@@ -95,6 +96,9 @@ class SweepEngine:
         pending: List[int] = []
         hits = 0
         for i, spec in enumerate(specs):
+            # Before the cache lookup: a cache written before the check
+            # existed may hold a row computed without the refused settings.
+            check_task_settings(spec)
             # Timing tasks are never cached: a stored wall-clock measurement
             # would masquerade as a fresh one.
             cacheable = self.cache is not None and spec.task not in UNCACHEABLE_TASKS

@@ -84,8 +84,8 @@ class RunSpec:
     protocol:
         Name of the protocol in the :data:`repro.protocols.PROTOCOLS`
         registry that protocol-style tasks (``protocol``/``throughput``/
-        ``churn``) execute; MDST-only tasks reject anything but the default
-        ``"mdst"``.
+        ``churn``/``adversary``) execute; MDST-only tasks reject anything
+        but the default ``"mdst"``.
     family, n, seed:
         The workload instance: graph family name (see
         :data:`repro.graphs.generators.GRAPH_FAMILIES`), target node count

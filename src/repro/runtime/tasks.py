@@ -31,8 +31,9 @@ The registry covers every kind of measurement the E1-E8 experiments need:
                never cached
 =============  ==============================================================
 
-The protocol-style tasks (``protocol``/``throughput``/``churn``) dispatch
-on :attr:`~repro.runtime.spec.RunSpec.protocol` through the
+The protocol-style tasks (:data:`SCENARIO_TASKS`: ``protocol``/
+``throughput``/``churn``/``adversary``) dispatch on
+:attr:`~repro.runtime.spec.RunSpec.protocol` through the
 :data:`repro.protocols.PROTOCOLS` registry and execute on the
 activity-aware simulation kernel via
 :func:`~repro.protocols.runner.run_protocol`; the spec's ``scheduler``
@@ -41,6 +42,8 @@ field names any kernel scheduling policy (``synchronous``/``random``/
 policy supplied through the ``node_weights`` task parameter.  The
 MDST-specific composite tasks (``quality``/``hub``/``improvement``/
 ``memory``/``reference``) reject specs naming any other protocol.
+:func:`check_task_settings` refuses a spec whose scenario settings (churn,
+fault, adversary) its task would ignore.
 """
 
 from __future__ import annotations
@@ -67,8 +70,9 @@ from ..protocols.runner import run_protocol
 from ..sim.faults import FaultPlan
 from .spec import RunSpec
 
-__all__ = ["OBJECT_ONLY_TASKS", "RunOutcome", "TASKS", "UNCACHEABLE_TASKS",
-           "execute_spec", "task_names"]
+__all__ = ["OBJECT_ONLY_TASKS", "RunOutcome", "SCENARIO_TASKS", "TASKS",
+           "UNCACHEABLE_TASKS", "check_task_settings", "execute_spec",
+           "task_names"]
 
 
 @dataclass
@@ -126,6 +130,39 @@ def _require_object_backend(spec: RunSpec) -> None:
             f"{spec.backend!r}")
 
 
+#: Tasks that build a fault plan and an adversary from the spec's settings.
+SCENARIO_TASKS = ("protocol", "throughput", "churn", "adversary")
+
+
+def check_task_settings(spec: RunSpec) -> None:
+    """Refuse scenario settings that ``spec.task`` would silently ignore.
+
+    Only the churn task builds a churn plan, and only the
+    :data:`SCENARIO_TASKS` build a fault plan and an adversary.  A row
+    computed without them would masquerade as a churn, fault-recovery or
+    adversary measurement, cached under a key of its own.  Conversely the
+    adversary task without any adversary setting would measure nothing.
+    The messages name the CLI flag of each setting.
+    """
+    if (spec.churn_rate > 0 or spec.churn_events > 0) and spec.task != "churn":
+        raise ConfigurationError(
+            f"--churn-rate/--churn-events require --task churn "
+            f"(got --task {spec.task})")
+    scenario_tasks = "/".join(SCENARIO_TASKS)
+    if spec.fault_round is not None and spec.task not in SCENARIO_TASKS:
+        raise ConfigurationError(
+            f"--fault-round requires --task {scenario_tasks} "
+            f"(got --task {spec.task})")
+    if spec.adversary_enabled and spec.task not in SCENARIO_TASKS:
+        raise ConfigurationError(
+            f"--loss/--dup/--reorder/--crash-*/--byzantine-* require --task "
+            f"{scenario_tasks} (got --task {spec.task})")
+    if spec.task == "adversary" and not spec.adversary_enabled:
+        raise ConfigurationError(
+            "--task adversary needs at least one adversary knob "
+            "(--loss/--dup/--reorder/--crash-count/--byzantine-count)")
+
+
 def _fault_plan(spec: RunSpec) -> Optional[FaultPlan]:
     if spec.fault_round is None:
         return None
@@ -144,7 +181,7 @@ def _require_mdst(spec: RunSpec) -> None:
     if spec.protocol != "mdst":
         raise ConfigurationError(
             f"task {spec.task!r} is MDST-specific; got protocol "
-            f"{spec.protocol!r} (use the protocol/throughput/churn tasks "
+            f"{spec.protocol!r} (use the {'/'.join(SCENARIO_TASKS)} tasks "
             f"for other registry entries)")
 
 
@@ -550,10 +587,6 @@ def run_adversary_task(spec: RunSpec) -> RunOutcome:
     Dispatches on ``spec.protocol``; every registered protocol accepts
     every adversary model.
     """
-    if not spec.adversary_enabled:
-        raise ConfigurationError(
-            "the adversary task needs at least one adversary knob "
-            "(--loss/--dup/--reorder/--crash-count/--byzantine-count)")
     adversary = spec.build_adversary()
     graph = spec.build_graph()
     config = spec.protocol_run_config()
@@ -628,4 +661,5 @@ def execute_spec(spec: RunSpec) -> RunOutcome:
     except KeyError as exc:
         raise ConfigurationError(
             f"unknown task {spec.task!r}; known: {task_names()}") from exc
+    check_task_settings(spec)
     return task(spec)

@@ -1156,7 +1156,7 @@ class ArrayNetwork(Network):
         return d
 
     def initialize_isolated_columns(self) -> None:
-        """Vectorized twin of :func:`repro.core.protocol.initialize_isolated`.
+        """Vectorized twin of :func:`repro.protocols.mdst.initialize_isolated`.
 
         One assignment per column instead of one Python loop per node; the
         written values are the definition of the isolated configuration, so

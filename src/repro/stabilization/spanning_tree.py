@@ -166,10 +166,10 @@ class TreeRules(Process):
         R2 that always holds, so ``_new_root_candidate()`` is evaluated once.
         If R2 did not fire the node was no candidate and nothing changed;
         if it did, ``root = parent = self`` and ``distance = 0 < n_upper``
-        (``n_upper >= 1``; :class:`~repro.core.protocol.MDSTConfig` enforces
-        ``>= 2``).  R1 then adopts a heard neighbour's strictly smaller root
-        (so ``root < self``) with the parent's root and a distance below
-        ``n_upper`` -- again no candidate.  This is the argument
+        (``n_upper >= 1``; :class:`~repro.protocols.base.ProtocolRunConfig`
+        enforces ``>= 2``).  R1 then adopts a heard neighbour's strictly
+        smaller root (so ``root < self``) with the parent's root and a
+        distance below ``n_upper`` -- again no candidate.  This is the argument
         :meth:`repro.sim.array_kernel.ArrayKernel.refresh` relies on.
         """
         st = self.s

@@ -27,8 +27,8 @@ from repro.analysis import (
     render_rows,
     state_bound_bits,
 )
-from repro.core import MDSTConfig, build_mdst_network
 from repro.graphs import bfs_spanning_tree, make_graph
+from repro.protocols import ProtocolRunConfig, get_protocol
 
 
 class TestMetrics:
@@ -118,7 +118,7 @@ class TestMemoryAnalysis:
         assert log_n_bits(1024) >= 11
 
     def test_memory_report_on_mdst_network(self, small_dense):
-        net = build_mdst_network(small_dense, MDSTConfig())
+        net = get_protocol("mdst").build_network(small_dense, ProtocolRunConfig())
         rep = memory_report(net)
         assert rep.nodes == small_dense.number_of_nodes()
         assert rep.max_state_bits > 0

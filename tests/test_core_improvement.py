@@ -29,8 +29,9 @@ from repro.core.improvement import (
     plan_improvement,
 )
 from repro.baselines import exact_mdst_degree
-from repro.core import build_mdst_network, initialize_from_tree
 from repro.core.legitimacy import reduction_finished
+from repro.protocols import ProtocolRunConfig, get_protocol
+from repro.protocols.mdst import initialize_from_tree
 
 
 class TestTreeIndex:
@@ -333,7 +334,7 @@ def test_budget_bound_trees_are_certified_by_the_fr_witness(seed):
     certifies the bound: degree 3 with Δ* = 2, so the monitor accepts."""
     g = make_graph("erdos_renyi_sparse", 16, seed=seed)
     tree = BUDGET_BOUND_TREES[seed]
-    net = build_mdst_network(g)
+    net = get_protocol("mdst").build_network(g, ProtocolRunConfig())
     initialize_from_tree(net, tree)
     assert reduction_finished(net)
     assert tree_degree(g.nodes, tree) == 3

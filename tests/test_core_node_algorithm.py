@@ -6,11 +6,15 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from repro.core import MDSTConfig, MDSTNode, build_mdst_network, initialize_from_tree
+from repro.core import MDSTNode
 from repro.core.messages import Back, Deblock, MInfo, Remove, Search
 from repro.core.state import MDSTState
 from repro.graphs import bfs_spanning_tree, make_graph, tree_degree
+from repro.protocols import ProtocolRunConfig, get_protocol
+from repro.protocols.mdst import initialize_from_tree
 from repro.sim import GarbageMessage, Simulator, SynchronousScheduler
+
+MDST = get_protocol("mdst")
 
 
 def make_node(node_id=1, neighbors=(0, 2, 3), n_upper=8, **kw):
@@ -130,7 +134,8 @@ class TestGossipAndSearch:
 
     def test_search_initiation_only_when_stabilized_and_needed(self):
         g = make_graph("wheel", 8)
-        net = build_mdst_network(g, MDSTConfig(search_period=1))
+        net = MDST.build_network(
+            g, ProtocolRunConfig(options={"search_period": 1}))
         initialize_from_tree(net, bfs_spanning_tree(g))
         sim = Simulator(net, scheduler=SynchronousScheduler())
         for _ in range(3):
@@ -140,7 +145,8 @@ class TestGossipAndSearch:
 
     def test_no_search_when_tree_already_path(self):
         g = make_graph("cycle", 8)
-        net = build_mdst_network(g, MDSTConfig(search_period=1))
+        net = MDST.build_network(
+            g, ProtocolRunConfig(options={"search_period": 1}))
         initialize_from_tree(net, bfs_spanning_tree(g))
         sim = Simulator(net, scheduler=SynchronousScheduler())
         for _ in range(5):
@@ -150,7 +156,8 @@ class TestGossipAndSearch:
 
     def test_search_token_reaches_target_and_triggers_action(self):
         g = make_graph("wheel", 7)
-        net = build_mdst_network(g, MDSTConfig(search_period=1))
+        net = MDST.build_network(
+            g, ProtocolRunConfig(options={"search_period": 1}))
         initialize_from_tree(net, bfs_spanning_tree(g))
         sim = Simulator(net, scheduler=SynchronousScheduler())
         for _ in range(12):
@@ -160,7 +167,8 @@ class TestGossipAndSearch:
 
     def test_improvement_produces_removals_and_attachments(self):
         g = make_graph("wheel", 7)
-        net = build_mdst_network(g, MDSTConfig(search_period=1))
+        net = MDST.build_network(
+            g, ProtocolRunConfig(options={"search_period": 1}))
         initialize_from_tree(net, bfs_spanning_tree(g))
         sim = Simulator(net, scheduler=SynchronousScheduler())
         for _ in range(30):
@@ -173,7 +181,7 @@ class TestGossipAndSearch:
     def test_stale_remove_is_discarded(self):
         """A Remove whose target edge no longer satisfies the guard must abort."""
         g = make_graph("wheel", 7)
-        net = build_mdst_network(g, MDSTConfig())
+        net = MDST.build_network(g, ProtocolRunConfig())
         initialize_from_tree(net, bfs_spanning_tree(g))
         hub = net.processes[0]
         # Craft a Remove claiming the hub's degree is 3 (it is 6): guard fails.

@@ -2,39 +2,40 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
+
 import networkx as nx
 import pytest
 
 from repro.baselines import exact_mdst_degree
-from repro.core import (
-    MDSTConfig,
-    MDSTNode,
-    ReferenceMDST,
-    build_mdst_network,
-    initialize_from_tree,
-    initialize_isolated,
-    run_mdst,
-)
-from repro.exceptions import ConfigurationError
+from repro.core import MDSTNode, ReferenceMDST
 from repro.graphs import bfs_spanning_tree, is_spanning_tree, make_graph, tree_degree
+from repro.protocols import ProtocolRunConfig, get_protocol, run_protocol
+from repro.protocols.mdst import initialize_from_tree, initialize_isolated
 from repro.sim import FaultPlan
+
+MDST = get_protocol("mdst")
+
+
+def test_core_does_not_import_the_protocol_layer():
+    """The algorithm layer stands below the driver layer: importing
+    :mod:`repro.core` loads nothing of :mod:`repro.protocols`."""
+    code = ("import sys, repro.core; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[:2] == ['repro', 'protocols']))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 class TestConfig:
-    def test_invalid_initial_policy_rejected(self):
-        with pytest.raises(ConfigurationError):
-            MDSTConfig(initial="bogus").validate()
-
-    def test_invalid_budget_rejected(self):
-        with pytest.raises(ConfigurationError):
-            MDSTConfig(max_rounds=0).validate()
-
     def test_network_construction_builds_mdst_nodes(self, small_dense):
-        net = build_mdst_network(small_dense, MDSTConfig())
+        net = MDST.build_network(small_dense, ProtocolRunConfig())
         assert all(isinstance(p, MDSTNode) for p in net.processes.values())
 
     def test_initialize_from_tree_is_coherent(self, small_dense):
-        net = build_mdst_network(small_dense, MDSTConfig())
+        net = MDST.build_network(small_dense, ProtocolRunConfig())
         tree = bfs_spanning_tree(small_dense)
         initialize_from_tree(net, tree)
         snaps = net.snapshots()
@@ -43,7 +44,7 @@ class TestConfig:
         assert all(s["dmax"] == k for s in snaps.values())
 
     def test_initialize_isolated(self, small_dense):
-        net = build_mdst_network(small_dense, MDSTConfig())
+        net = MDST.build_network(small_dense, ProtocolRunConfig())
         initialize_isolated(net)
         snaps = net.snapshots()
         assert all(s["root"] == v for v, s in snaps.items())
@@ -57,7 +58,8 @@ class TestEndToEnd:
     ])
     def test_converges_to_within_one_of_optimal_from_bfs_tree(self, family, n, seed):
         g = make_graph(family, n, seed=seed)
-        result = run_mdst(g, MDSTConfig(seed=seed, initial="bfs_tree", max_rounds=2500))
+        result = run_protocol(g, ProtocolRunConfig(seed=seed, initial="bfs_tree",
+                                                   max_rounds=2500))
         assert result.converged, f"{family}: no convergence"
         assert is_spanning_tree(g, result.tree_edges)
         optimal = exact_mdst_degree(g)
@@ -70,8 +72,8 @@ class TestEndToEnd:
                                 ("erdos_renyi_dense", 9, 4)]:
             g = make_graph(family, n, seed=seed)
             ref = ReferenceMDST(g).run()
-            proto = run_mdst(g, MDSTConfig(seed=seed, initial="bfs_tree",
-                                           max_rounds=2500))
+            proto = run_protocol(g, ProtocolRunConfig(seed=seed, initial="bfs_tree",
+                                                      max_rounds=2500))
             assert proto.converged
             assert abs(proto.tree_degree - ref.final_degree) <= 1
             optimal = exact_mdst_degree(g)
@@ -80,26 +82,28 @@ class TestEndToEnd:
 
     def test_star_graph_no_improvement_needed(self):
         g = make_graph("star", 7)
-        result = run_mdst(g, MDSTConfig(seed=0, initial="bfs_tree", max_rounds=300))
+        result = run_protocol(g, ProtocolRunConfig(seed=0, initial="bfs_tree",
+                                                   max_rounds=300))
         assert result.converged
         assert result.tree_degree == g.number_of_nodes() - 1
 
     def test_explicit_initial_tree_argument(self, wheel8):
         tree = bfs_spanning_tree(wheel8)
-        result = run_mdst(wheel8, MDSTConfig(seed=0, max_rounds=2000),
-                          initial_tree=tree)
+        result = run_protocol(wheel8, ProtocolRunConfig(seed=0, max_rounds=2000),
+                              initial_tree=tree)
         assert result.converged
         assert result.tree_degree <= 3
 
     def test_isolated_cold_start(self):
         g = make_graph("wheel", 8)
-        result = run_mdst(g, MDSTConfig(seed=1, initial="isolated", max_rounds=2000))
+        result = run_protocol(g, ProtocolRunConfig(seed=1, initial="isolated",
+                                                   max_rounds=2000))
         assert result.converged
         assert result.tree_degree <= exact_mdst_degree(g) + 1
 
     def test_run_result_contains_statistics(self, wheel8):
-        result = run_mdst(wheel8, MDSTConfig(seed=0, initial="bfs_tree",
-                                             max_rounds=2000))
+        result = run_protocol(wheel8, ProtocolRunConfig(seed=0, initial="bfs_tree",
+                                                        max_rounds=2000))
         assert result.run.messages > 0
         assert result.run.extra["max_message_bits"] > 0
         assert result.run.extra["max_state_bits"] > 0
@@ -109,14 +113,15 @@ class TestEndToEnd:
         assert sum(s["searches_initiated"] for s in result.node_stats.values()) > 0
 
     def test_tree_snapshot_exposed_when_converged(self, wheel8):
-        result = run_mdst(wheel8, MDSTConfig(seed=0, initial="bfs_tree",
-                                             max_rounds=2000))
+        result = run_protocol(wheel8, ProtocolRunConfig(seed=0, initial="bfs_tree",
+                                                        max_rounds=2000))
         assert result.run.tree is not None
         assert result.run.tree.degree() == result.tree_degree
 
     def test_reduction_can_be_disabled(self, wheel8):
-        result = run_mdst(wheel8, MDSTConfig(seed=0, initial="isolated",
-                                             enable_reduction=False, max_rounds=500))
+        result = run_protocol(wheel8, ProtocolRunConfig(
+            seed=0, initial="isolated", max_rounds=500,
+            options={"enable_reduction": False}))
         assert result.converged
         # without the reduction layer the wheel keeps its star-shaped BFS tree
         assert result.tree_degree == 7
@@ -126,8 +131,9 @@ class TestSelfStabilization:
     @pytest.mark.parametrize("scheduler", ["synchronous", "random"])
     def test_converges_from_fully_corrupted_state(self, scheduler):
         g = make_graph("wheel", 8)
-        result = run_mdst(g, MDSTConfig(seed=3, initial="corrupted",
-                                        scheduler=scheduler, max_rounds=3000))
+        result = run_protocol(g, ProtocolRunConfig(seed=3, initial="corrupted",
+                                                   scheduler=scheduler,
+                                                   max_rounds=3000))
         assert result.converged
         assert is_spanning_tree(g, result.tree_edges)
         assert result.tree_degree <= exact_mdst_degree(g) + 1
@@ -135,16 +141,17 @@ class TestSelfStabilization:
     def test_recovers_from_mid_run_fault(self):
         g = make_graph("erdos_renyi_dense", 9, seed=5)
         plan = FaultPlan().add(round_index=40, node_fraction=0.5)
-        result = run_mdst(g, MDSTConfig(seed=5, initial="bfs_tree", max_rounds=3000),
-                          fault_plan=plan)
+        result = run_protocol(g, ProtocolRunConfig(seed=5, initial="bfs_tree",
+                                                   max_rounds=3000),
+                              fault_plan=plan)
         assert result.converged
         assert is_spanning_tree(g, result.tree_edges)
 
     def test_adversarial_scheduler_still_converges(self):
         g = make_graph("wheel", 7)
         slow = [(0, 1), (1, 0)]
-        result = run_mdst(g, MDSTConfig(seed=2, initial="bfs_tree",
-                                        scheduler="adversarial", slow_links=slow,
-                                        max_delay=3, max_rounds=3000))
+        result = run_protocol(g, ProtocolRunConfig(
+            seed=2, initial="bfs_tree", scheduler="adversarial",
+            slow_links=slow, max_delay=3, max_rounds=3000))
         assert result.converged
         assert result.tree_degree <= exact_mdst_degree(g) + 1

@@ -10,13 +10,10 @@ import pytest
 
 from repro.baselines import exact_mdst_degree, fuerer_raghavachari
 from repro.core import (
-    MDSTConfig,
     ReferenceMDST,
-    build_mdst_network,
     current_tree_degree,
     current_tree_edges,
     degree_layer_coherent,
-    initialize_from_tree,
     make_mdst_legitimacy,
     mdst_legitimacy,
     reduce_tree_degree,
@@ -30,7 +27,10 @@ from repro.graphs import (
     random_spanning_tree,
     tree_degree,
 )
-from repro.protocols import ProtocolRunConfig, run_protocol
+from repro.protocols import ProtocolRunConfig, get_protocol, run_protocol
+from repro.protocols.mdst import initialize_from_tree
+
+MDST = get_protocol("mdst")
 
 
 class TestReferenceEngine:
@@ -84,7 +84,7 @@ class TestReferenceEngine:
 
 class TestLegitimacyPredicates:
     def _coherent_network(self, graph, tree=None):
-        net = build_mdst_network(graph, MDSTConfig())
+        net = MDST.build_network(graph, ProtocolRunConfig())
         initialize_from_tree(net, tree if tree is not None else bfs_spanning_tree(graph))
         return net
 
@@ -163,6 +163,6 @@ class TestLegitimacyPredicates:
         assert not mdst_legitimacy(net)
 
     def test_tree_coherent_fails_on_fresh_network(self, small_dense):
-        net = build_mdst_network(small_dense, MDSTConfig())
+        net = MDST.build_network(small_dense, ProtocolRunConfig())
         # every node is its own root: no unique root, not a spanning tree
         assert not tree_coherent(net)

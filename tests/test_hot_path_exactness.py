@@ -60,9 +60,9 @@ from hypothesis import strategies as st
 from repro.core.messages import (Back, Deblock, MInfo, Remove, Reverse,
                                  Search, UpdateDist)
 from repro.core.node_algorithm import MDSTNode
-from repro.core.protocol import (MDSTConfig, build_mdst_network,
-                                 initialize_isolated)
 from repro.graphs.generators import GRAPH_FAMILIES
+from repro.protocols import ProtocolRunConfig, get_protocol
+from repro.protocols.mdst import initialize_isolated
 from repro.sim.array_engine import (ArraySyncScheduler, get_ops,
                                     wrap_scheduler_for_array)
 from repro.sim.array_kernel import ArrayNetwork
@@ -74,6 +74,8 @@ from repro.sim.scheduler import (RandomAsyncScheduler, RoundStats, Scheduler,
                                  SynchronousScheduler)
 from repro.stabilization.spanning_tree import (TreeRules,
                                                spanning_tree_process_factory)
+
+MDST = get_protocol("mdst")
 
 
 # -- message sizing ------------------------------------------------------------
@@ -282,7 +284,7 @@ def _corrupted_network(backend: str, n: int, graph_seed: int,
     graph = GRAPH_FAMILIES["erdos_renyi_sparse"](n, seed=graph_seed)
     n_upper = n + 1
     if backend == "object":
-        net = build_mdst_network(graph, MDSTConfig(n_upper=n_upper))
+        net = MDST.build_network(graph, ProtocolRunConfig(n_upper=n_upper))
     elif backend == "spanning_tree":
         net = Network(graph, spanning_tree_process_factory(n_upper=n_upper))
     else:
@@ -389,7 +391,7 @@ def _perturb(net: ArrayNetwork, rng: np.random.Generator) -> None:
 
 def _object_twin(net: ArrayNetwork, graph, n_upper: int):
     """An object network holding exactly the array network's state."""
-    twin = build_mdst_network(graph, MDSTConfig(n_upper=n_upper))
+    twin = MDST.build_network(graph, ProtocolRunConfig(n_upper=n_upper))
     k = net.kernel
     for v in twin.node_ids:
         i = k.index[v]
@@ -812,7 +814,7 @@ def _assert_settled_nodes_are_fixpoints(net: Network) -> None:
 
 def _object_network(start: str, n: int, graph_seed: int, corrupt_seed: int):
     graph = GRAPH_FAMILIES["erdos_renyi_sparse"](n, seed=graph_seed)
-    net = build_mdst_network(graph, MDSTConfig(n_upper=n + 1))
+    net = MDST.build_network(graph, ProtocolRunConfig(n_upper=n + 1))
     if start == "isolated":
         initialize_isolated(net)
     else:

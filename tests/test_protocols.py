@@ -1,19 +1,16 @@
 """Tests for the unified protocol registry (:mod:`repro.protocols`).
 
 Covers the registry contract (lazy built-ins, lookup errors, duplicate
-guard), the adapter capability gates, the equivalence of
-``run_protocol(protocol="mdst")`` with the historical :func:`run_mdst`
-entry point, convergence of every registered protocol from clean and
-corrupted starts, the live-topology delta hooks of the standalone
-processes, and spanning-tree re-convergence under random churn plans on
-the three named graph families.
+guard), the adapter capability gates, convergence of every registered
+protocol from clean and corrupted starts, the live-topology delta hooks
+of the standalone processes, and spanning-tree re-convergence under
+random churn plans on the three named graph families.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core import MDSTConfig, run_mdst
 from repro.exceptions import ConfigurationError
 from repro.graphs import make_graph
 from repro.protocols import (
@@ -103,37 +100,6 @@ class TestConfigValidation:
         config = ProtocolRunConfig(protocol="pif_max_degree", max_rounds=100)
         with pytest.raises(ConfigurationError, match="churn"):
             run_protocol(graph, config, churn_plan=plan)
-
-
-class TestMDSTEquivalence:
-    """run_mdst and run_protocol("mdst") are one code path: same outputs."""
-
-    @pytest.mark.parametrize("initial", ["isolated", "corrupted"])
-    def test_results_identical(self, initial):
-        graph = make_graph("erdos_renyi_sparse", 12, seed=4)
-        mdst_cfg = MDSTConfig(seed=4, initial=initial, max_rounds=3000)
-        a = run_mdst(graph, mdst_cfg)
-        b = run_protocol(graph, mdst_cfg.protocol_run_config())
-        assert b.protocol == "mdst"
-        assert a.converged == b.converged
-        assert a.rounds == b.rounds
-        assert a.run.steps == b.run.steps
-        assert a.run.messages == b.run.messages
-        assert a.tree_degree == b.tree_degree
-        assert a.tree_edges == b.tree_edges
-        assert a.run.extra == b.run.extra
-        assert a.node_stats == b.node_stats
-
-    def test_initial_tree_round_trips(self):
-        graph = make_graph("wheel", 8, seed=1)
-        tree = [(0, v) for v in range(1, 8)]
-        a = run_mdst(graph, MDSTConfig(seed=1, max_rounds=2000),
-                     initial_tree=tree)
-        b = run_protocol(graph,
-                         MDSTConfig(seed=1, max_rounds=2000).protocol_run_config(),
-                         initial_tree=tree)
-        assert a.converged and b.converged
-        assert a.tree_edges == b.tree_edges
 
 
 class TestProtocolRuns:

@@ -26,6 +26,7 @@ from repro.runtime import (
     spec_key,
     task_names,
 )
+from repro.runtime.tasks import SCENARIO_TASKS, check_task_settings
 
 FAST = dict(max_rounds=2000)
 
@@ -157,6 +158,56 @@ class TestTasks:
         assert faulty_row != execute_spec(base).row
         assert faulty_row["converged"] is True
 
+
+
+class TestTaskSettings:
+    """Scenario settings a task would ignore are refused at the spec level,
+    not only by the CLI: a row computed without them would masquerade as a
+    churn, fault-recovery or adversary measurement."""
+
+    def test_churn_settings_on_the_protocol_task_are_refused(self):
+        spec = RunSpec(task="protocol", n=12, seed=3, churn_rate=0.1,
+                       churn_start=20, churn_events=3, max_rounds=2000)
+        with pytest.raises(ConfigurationError, match="--task churn"):
+            execute_spec(spec)
+
+    @pytest.mark.parametrize("task", ["quality", "reference", "memory"])
+    def test_fault_round_on_a_fault_free_task_is_refused(self, task):
+        with pytest.raises(ConfigurationError, match="--fault-round"):
+            execute_spec(RunSpec(task=task, family="wheel", n=8,
+                                 fault_round=5))
+
+    @pytest.mark.parametrize("knob", [dict(loss_rate=0.1), dict(crash_count=1),
+                                      dict(byzantine_count=1)])
+    def test_adversary_settings_on_a_static_task_are_refused(self, knob):
+        with pytest.raises(ConfigurationError, match="--task"):
+            execute_spec(RunSpec(task="baselines", family="wheel", n=8,
+                                 **knob))
+
+    def test_adversary_task_without_a_knob_is_refused(self):
+        with pytest.raises(ConfigurationError,
+                           match="at least one adversary knob"):
+            execute_spec(RunSpec(task="adversary", family="wheel", n=8))
+
+    def test_sweep_refuses_before_any_run(self):
+        sweep = tiny_sweep(RunSpec(task="memory", loss_rate=0.1, **FAST))
+        with pytest.raises(ConfigurationError, match="--task"):
+            run_sweep(sweep)
+
+    def test_a_cached_row_does_not_bypass_the_check(self, tmp_path):
+        spec = RunSpec(task="quality", family="wheel", n=8, fault_round=5)
+        cache = ResultCache(str(tmp_path / "cache"))
+        cache.put(RunOutcome(spec=spec, row={"n": 8}))
+        with pytest.raises(ConfigurationError, match="--fault-round"):
+            SweepEngine(workers=1, cache=cache).execute([spec])
+
+    def test_settings_the_task_reads_are_accepted(self):
+        check_task_settings(RunSpec(task="churn", churn_rate=0.1,
+                                    churn_events=2, fault_round=5,
+                                    loss_rate=0.1))
+        for task in SCENARIO_TASKS:
+            check_task_settings(RunSpec(task=task, fault_round=5,
+                                        crash_count=1))
 
 class TestProtocolSpecs:
     """The protocol axis of the registry refactor (PR 5)."""

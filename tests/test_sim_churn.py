@@ -23,18 +23,20 @@ import numpy as np
 import pytest
 
 from repro.core.legitimacy import make_mdst_legitimacy
-from repro.core.protocol import MDSTConfig, build_mdst_network, run_mdst
 from repro.exceptions import ProtocolError, SimulationError
 from repro.graphs import make_graph
 from repro.graphs.validation import check_spanning_tree
+from repro.protocols import ProtocolRunConfig, get_protocol, run_protocol
 from repro.sim import (ChurnEvent, ChurnPlan, FaultPlan, PredicateCache,
                        SynchronousScheduler, random_churn_plan)
 from repro.sim.scheduler import RoundStats
 
+MDST = get_protocol("mdst")
+
 
 def build_net(family: str, n: int, seed: int):
     graph = make_graph(family, n, seed=seed)
-    return build_mdst_network(graph, MDSTConfig(seed=seed))
+    return MDST.build_network(graph, ProtocolRunConfig(seed=seed))
 
 
 def assert_consistent(net) -> None:
@@ -113,7 +115,7 @@ class TestNetworkMutation:
     def test_caller_graph_is_never_mutated(self):
         graph = make_graph("cycle", 6, seed=0)
         edges_before = set(graph.edges)
-        net = build_mdst_network(graph, MDSTConfig(seed=0))
+        net = MDST.build_network(graph, ProtocolRunConfig(seed=0))
         net.add_edge(0, 3)
         net.remove_node(5)
         assert set(graph.edges) == edges_before
@@ -138,7 +140,7 @@ class TestNetworkMutation:
 
     def test_removed_last_node_rejected(self):
         graph = nx.path_graph(2)
-        net = build_mdst_network(graph, MDSTConfig())
+        net = MDST.build_network(graph, ProtocolRunConfig())
         net.remove_node(1)
         with pytest.raises(SimulationError):
             net.remove_node(0)
@@ -292,7 +294,7 @@ class TestChurnPlan:
 
     def test_guard_skips_disconnecting_removals(self):
         graph = nx.path_graph(4)             # every edge is a bridge
-        net = build_mdst_network(graph, MDSTConfig())
+        net = MDST.build_network(graph, ProtocolRunConfig())
         plan = ChurnPlan().remove_edge(1, 1, 2).remove_node(1, 0)
         # node 0 is a leaf: removing it keeps the path connected
         applied = plan.apply_due(net, 1)
@@ -316,7 +318,7 @@ class TestChurnPlan:
 
     def test_unguarded_plan_may_disconnect(self):
         graph = nx.path_graph(4)
-        net = build_mdst_network(graph, MDSTConfig())
+        net = MDST.build_network(graph, ProtocolRunConfig())
         plan = ChurnPlan(guard_connectivity=False).remove_edge(1, 1, 2)
         assert plan.apply_due(net, 1)
         assert not nx.is_connected(net.graph)
@@ -330,7 +332,7 @@ class TestChurnPlan:
         p3 = random_churn_plan(graph, events=8, start_round=10, period=5, seed=4)
         assert p1.events != p3.events
         # generated against an evolving working copy: applies without skips
-        net = build_mdst_network(graph, MDSTConfig(seed=5))
+        net = MDST.build_network(graph, ProtocolRunConfig(seed=5))
         for event in p1.events:
             assert p1.apply_event(net, event), p1.skipped
         assert_consistent(net)
@@ -349,9 +351,9 @@ class TestChurnRecovery:
         graph = make_graph(family, 14, seed=7)
         plan = random_churn_plan(graph, events=5, start_round=60, period=20,
                                  seed=21)
-        config = MDSTConfig(seed=7, max_rounds=6000,
-                            n_upper=graph.number_of_nodes() + 5 + 1)
-        result = run_mdst(graph, config, churn_plan=plan)
+        config = ProtocolRunConfig(seed=7, max_rounds=6000,
+                                   n_upper=graph.number_of_nodes() + 5 + 1)
+        result = run_protocol(graph, config, churn_plan=plan)
         assert result.converged, (family, result.rounds)
         assert result.run.extra["churn_applied"] == 5
         final = result.final_graph
@@ -370,9 +372,9 @@ class TestChurnRecovery:
                     if v not in set(nx.articulation_points(graph))
                     and v != min(graph.nodes))
         plan = ChurnPlan().remove_node(30, leaf)
-        config = MDSTConfig(seed=2, max_rounds=5000)
-        first = run_mdst(graph, config, churn_plan=plan)
-        second = run_mdst(graph, config, churn_plan=plan)
+        config = ProtocolRunConfig(seed=2, max_rounds=5000)
+        first = run_protocol(graph, config, churn_plan=plan)
+        second = run_protocol(graph, config, churn_plan=plan)
         assert first.run.extra["churn_applied"] == 1
         assert second.run.extra["churn_applied"] == 1   # not 2
 
@@ -380,8 +382,8 @@ class TestChurnRecovery:
         graph = make_graph("erdos_renyi_sparse", 12, seed=9)
         churn = ChurnPlan().remove_node(40, max(graph.nodes))
         faults = FaultPlan().add(round_index=40, node_fraction=0.5)
-        config = MDSTConfig(seed=9, max_rounds=6000)
-        result = run_mdst(graph, config, fault_plan=faults, churn_plan=churn)
+        config = ProtocolRunConfig(seed=9, max_rounds=6000)
+        result = run_protocol(graph, config, fault_plan=faults, churn_plan=churn)
         assert result.converged
         assert result.run.extra["churn_applied"] == 1
         assert result.run.extra["final_n"] == graph.number_of_nodes() - 1
@@ -394,8 +396,8 @@ class TestChurnRecovery:
         if set(nx.articulation_points(graph)) & {min(graph.nodes)}:
             pytest.skip("min node is an articulation point for this seed")
         churn = ChurnPlan().remove_node(50, min(graph.nodes))
-        config = MDSTConfig(seed=3, max_rounds=6000)
-        result = run_mdst(graph, config, churn_plan=churn)
+        config = ProtocolRunConfig(seed=3, max_rounds=6000)
+        result = run_protocol(graph, config, churn_plan=churn)
         assert result.converged
         assert result.run.extra["churn_applied"] == 1
         check_spanning_tree(result.final_graph, result.tree_edges)

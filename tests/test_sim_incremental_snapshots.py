@@ -22,7 +22,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.messages import MInfo
-from repro.core.protocol import MDSTConfig, build_mdst_network
 from repro.graphs import make_graph
 from repro.protocols import PROTOCOLS, ProtocolRunConfig
 from repro.sim import Network, SynchronousScheduler
@@ -62,11 +61,8 @@ def scratch_key(net: Network) -> tuple:
 
 def build_net(family: str, n: int, seed: int, protocol: str = "mdst") -> Network:
     graph = make_graph(family, n, seed=seed)
-    if protocol == "mdst":
-        return build_mdst_network(graph, MDSTConfig(seed=seed))
-    adapter = PROTOCOLS[protocol]
-    return adapter.build_network(graph, ProtocolRunConfig(protocol=protocol,
-                                                          seed=seed))
+    return PROTOCOLS[protocol].build_network(
+        graph, ProtocolRunConfig(protocol=protocol, seed=seed))
 
 
 def apply_op(net: Network, sched: SynchronousScheduler, op: tuple, index: int,

@@ -282,16 +282,18 @@ class TestLegitimacyMemoIsolation:
         """One predicate judges each network against its own graph: the
         same edge set on a different graph must be re-judged."""
         from repro.core.legitimacy import make_mdst_legitimacy
-        from repro.core.protocol import build_mdst_network, initialize_from_tree
+        from repro.protocols import ProtocolRunConfig, get_protocol
+        from repro.protocols.mdst import initialize_from_tree
 
         star_edges = [(0, 1), (0, 2), (0, 3)]
         g_star = nx.Graph(star_edges)
         g_chord = nx.Graph(star_edges + [(1, 2)])
         legit = make_mdst_legitimacy()
-        net_star = build_mdst_network(g_star)
+        mdst = get_protocol("mdst")
+        net_star = mdst.build_network(g_star, ProtocolRunConfig())
         initialize_from_tree(net_star, star_edges)
         assert legit(net_star)  # K1,3 star: no non-tree edge, fixpoint
-        net_chord = build_mdst_network(g_chord)
+        net_chord = mdst.build_network(g_chord, ProtocolRunConfig())
         initialize_from_tree(net_chord, star_edges)
         # same induced tree edges, but the chord (1,2) makes the hub
         # improvable: a verdict carried over from the star would say True
@@ -351,12 +353,12 @@ def _kernel_run_digest(kind: str) -> str:
     import json
 
     from repro.core.legitimacy import current_tree_edges, make_mdst_legitimacy
-    from repro.core.protocol import MDSTConfig, build_mdst_network
     from repro.graphs import make_graph
+    from repro.protocols import ProtocolRunConfig, get_protocol
     from repro.sim.faults import corrupt_everything
 
     graph = make_graph("erdos_renyi_sparse", 10, seed=4)
-    net = build_mdst_network(graph, MDSTConfig(seed=4))
+    net = get_protocol("mdst").build_network(graph, ProtocolRunConfig(seed=4))
     corrupt_everything(net, np.random.default_rng(4))
     edges = sorted(net.channels)
     scheduler = make_scheduler(kind, seed=4, slow_links=edges[::3],
@@ -452,14 +454,15 @@ def test_per_step_accounting_matches_a_scan(kind, seed, garbage, loss, dup,
     queues, under fault preloads, edge churn and a lossy, duplicating,
     reordering channel model; summed over every channel the run saw, the
     channel statistics add up to the report's counts."""
-    from repro.core.protocol import MDSTConfig, build_mdst_network
     from repro.graphs import make_graph
+    from repro.protocols import ProtocolRunConfig, get_protocol
     from repro.sim.adversary import (Adversary, NodeFaultModel,
                                      UnreliableChannelModel)
     from repro.sim.faults import corrupt_everything, random_churn_plan
 
     graph = make_graph("erdos_renyi_sparse", 8, seed=seed)
-    net = build_mdst_network(graph, MDSTConfig(seed=seed, n_upper=16))
+    net = get_protocol("mdst").build_network(
+        graph, ProtocolRunConfig(seed=seed, n_upper=16))
     corrupt_everything(net, np.random.default_rng(seed),
                        channel_fraction=garbage)
     seen: dict = {}
